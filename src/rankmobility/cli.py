@@ -7,15 +7,15 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .cohort import CohortSpec, build_profiles, cohort_impacts
+from .cohort import CohortSpec, build_profiles, cohort_impacts, profiles_by_start
 from .corpus import CorpusError, CorpusFilterConfig, export, filter_corpus, ingest
+from .csvio import read_csv
 from .diffusion import fit_d, fit_d_pooled
 from .disambig import (
     DisambigError,
@@ -46,8 +46,16 @@ from .mobility import (
     write_matrix_csv,
     write_rank_table_csv,
 )
-from .pipeline import PipelineConfig, PipelineError, report_summary, run_pipeline
-from .stats import ols_with_band, pearson, welch_ttest
+from .pipeline import (
+    PipelineConfig,
+    PipelineError,
+    fit_payload,
+    report_summary,
+    run_pipeline,
+    trend_payload,
+    write_json,
+)
+from .stats import welch_ttest
 from .synth import SynthConfig, generate_corpus, sample_transitions
 
 EXIT_OK = 0
@@ -80,29 +88,6 @@ def _parse_year_range(text: str) -> tuple[int, int]:
 
 def _load_rules(path: str | None) -> ScoringRuleTable:
     return ScoringRuleTable.from_json(path) if path else ScoringRuleTable.default()
-
-
-def _read_xy_csv(path: str) -> tuple[list[float], list[float]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError(f"series file needs a header and two columns: {path}")
-        x: list[float] = []
-        y: list[float] = []
-        for row in reader:
-            if row:
-                x.append(float(row[0]))
-                y.append(float(row[1]))
-    return x, y
-
-
-def _read_column_csv(path: str) -> list[float]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) is None:
-            raise ValueError(f"sample file needs a header row: {path}")
-        return [float(row[0]) for row in reader if row]
 
 
 def cmd_ingest(args) -> int:
@@ -198,23 +183,11 @@ def cmd_null(args) -> int:
     return EXIT_OK
 
 
-def _fit_result_json(fit) -> dict:
-    return {
-        "d_star": fit.d_star,
-        "objective": fit.objective,
-        "bracket": list(fit.bracket),
-        "grid_points": fit.grid_points,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "n_matrices": fit.n_matrices,
-    }
-
-
 def cmd_fit_d(args) -> int:
     fit = fit_d(read_matrix_csv(args.matrix))
-    payload = _fit_result_json(fit)
+    payload = fit_payload(fit)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(args.out, payload)
     _print_json(payload)
     if not fit.converged:
         print("fit did not converge: optimum at bracket edge", file=sys.stderr)
@@ -224,9 +197,9 @@ def cmd_fit_d(args) -> int:
 
 def cmd_fit_d_pooled(args) -> int:
     fit = fit_d_pooled([read_matrix_csv(p) for p in args.matrices])
-    payload = _fit_result_json(fit)
+    payload = fit_payload(fit)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(args.out, payload)
     _print_json(payload)
     if not fit.converged:
         print("pooled fit did not converge: optimum at bracket edge", file=sys.stderr)
@@ -247,9 +220,12 @@ def cmd_gini_series(args) -> int:
     lo, hi = _parse_year_range(args.years)
     years = list(range(lo, hi + 1))
     if args.mode == "cohort":
-        series = cohort_gini_series(
-            profiles, args.discipline, years, window=args.window, min_cohort=args.min_size
-        )
+        by_start = profiles_by_start(profiles)
+        impacts = {}
+        for year in years:
+            _, impact1, impact2 = cohort_impacts(by_start.get(year, {}), CohortSpec(args.discipline, year))
+            impacts[year] = impact1 if args.window == 1 else impact2
+        series = cohort_gini_series(args.discipline, impacts, min_cohort=args.min_size)
     else:
         series = population_gini_series(profiles, args.discipline, years, min_authors=args.min_size)
     write_gini_series_csv(args.out, series)
@@ -265,31 +241,22 @@ def cmd_gini_series(args) -> int:
 
 
 def cmd_trend(args) -> int:
-    x, y = _read_xy_csv(args.series)
-    corr = pearson(x, y)
-    reg = ols_with_band(x, y)
-    fit, lo, hi = reg.band(x)
-    payload = {
-        "n": corr.n,
-        "r": corr.r,
-        "p": corr.p,
-        "slope": reg.slope,
-        "intercept": reg.intercept,
-        "confidence": reg.confidence,
-        "x": x,
-        "y": y,
-        "fit": [float(v) for v in fit],
-        "band_low": [float(v) for v in lo],
-        "band_high": [float(v) for v in hi],
-    }
+    rows = list(read_csv(args.series, "series"))
+    if rows and len(rows[0]) < 2:
+        raise ValueError(f"series file needs an x and a y column: {args.series}")
+    payload = trend_payload([float(r[0]) for r in rows], [float(r[1]) for r in rows])
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(args.out, payload)
     _print_json({k: payload[k] for k in ("n", "r", "p", "slope", "intercept")})
     return EXIT_OK
 
 
+def _read_column(path: str) -> list[float]:
+    return [float(row[0]) for row in read_csv(path, "sample")]
+
+
 def cmd_compare(args) -> int:
-    result = welch_ttest(_read_column_csv(args.a), _read_column_csv(args.b))
+    result = welch_ttest(_read_column(args.a), _read_column(args.b))
     _print_json(
         {
             "t": result.t,

@@ -79,6 +79,17 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> dict[s
     return profiles
 
 
+def profiles_by_start(
+    profiles: Mapping[str, AuthorProfile]
+) -> dict[int, dict[str, AuthorProfile]]:
+    """Profiles grouped by career start year. A cohort only has members of
+    its own start year, so each cohort scan needs only that year's group."""
+    groups: dict[int, dict[str, AuthorProfile]] = {}
+    for aid, profile in profiles.items():
+        groups.setdefault(profile.career_start, {})[aid] = profile
+    return groups
+
+
 def _publishes_in(profile: AuthorProfile, window: tuple[int, int], discipline: str) -> bool:
     lo, hi = window
     return any(lo <= p.year <= hi and discipline in p.disciplines for p in profile.publications)

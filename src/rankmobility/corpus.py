@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
@@ -330,11 +330,6 @@ def export(corpus: Corpus, path: str | Path) -> None:
         for pub in corpus.publications.values():
             handle.write(record_to_json(pub))
             handle.write("\n")
-
-
-def iter_export_lines(corpus: Corpus) -> Iterator[str]:
-    for pub in corpus.publications.values():
-        yield record_to_json(pub)
 
 
 def filter_corpus(corpus: Corpus, config: CorpusFilterConfig) -> tuple[Corpus, FilterStats]:

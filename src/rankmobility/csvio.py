@@ -1,0 +1,43 @@
+"""The one reader and writer behind every CSV file the package handles.
+
+Files are written with csv.writer, so lines end in CRLF; callers format
+each cell themselves (floats with repr, so reading back is exact).
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path: str | Path, kind: str, header: Sequence[str] | None = None) -> Iterator[list[str]]:
+    """Yield the non-blank rows below the header row, one at a time.
+
+    The file must start with a header row, equal to header when one is
+    given. Every row must have as many fields as the header; a row that
+    does not raises ValueError naming its line.
+    """
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if not found:
+            raise ValueError(f"empty {kind} file: {path}")
+        if header is not None and found != list(header):
+            raise ValueError(f"not a {kind} file: {path}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(found):
+                raise ValueError(
+                    f"{kind} file {path}, line {reader.line_num}: "
+                    f"{len(row)} fields, header has {len(found)}"
+                )
+            yield row

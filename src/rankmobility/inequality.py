@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import AuthorProfile, CohortSpec, aggregate_impact, build_cohort
+from .cohort import AuthorProfile
+from .csvio import read_csv, write_csv
 
 DEFAULT_MIN_COHORT = 100
 
@@ -44,8 +44,8 @@ class GiniSeries:
 
     mode is "cohort" (years are career start years, impacts from a career
     window) or "population" (years start 5-year activity windows). Years
-    whose author count falls below the configured minimum are omitted and
-    listed in skipped.
+    whose author count falls below the configured minimum, or whose impacts
+    are all zero (the Gini is undefined), are omitted and listed in skipped.
     """
 
     discipline: str
@@ -57,34 +57,28 @@ class GiniSeries:
 
 
 def cohort_gini_series(
-    profiles: Mapping[str, AuthorProfile],
     discipline: str,
-    start_years: Sequence[int],
-    window: int = 1,
+    impacts_by_year: Mapping[int, Sequence[float]],
     min_cohort: int = DEFAULT_MIN_COHORT,
 ) -> GiniSeries:
     """Gini of cohort members' impacts per career start year.
 
-    window selects which career window's impacts feed the coefficient:
-    1 for the first five years (the default), 2 for the second.
+    impacts_by_year maps each start year to its members' impacts in one
+    career window (cohort.cohort_impacts gives both windows). Years are
+    taken in ascending order.
     """
-    if window not in (1, 2):
-        raise ValueError("window must be 1 or 2")
     years: list[int] = []
     values: list[float] = []
     sizes: list[int] = []
     skipped: list[int] = []
-    for year in start_years:
-        spec = CohortSpec(discipline=discipline, start_year=year)
-        members = build_cohort(profiles, spec)
-        if len(members) < min_cohort:
+    for year in sorted(impacts_by_year):
+        impacts = impacts_by_year[year]
+        if len(impacts) < min_cohort or not np.any(impacts):
             skipped.append(year)
             continue
-        span = spec.window1 if window == 1 else spec.window2
-        impacts = [aggregate_impact(profiles[aid], span, discipline) for aid in members]
         years.append(year)
         values.append(gini(impacts))
-        sizes.append(len(members))
+        sizes.append(len(impacts))
     return GiniSeries(
         discipline=discipline,
         mode="cohort",
@@ -123,7 +117,7 @@ def population_gini_series(
             ]
             if active:
                 impacts.append(sum(p.c5 for p in active))
-        if len(impacts) < min_authors:
+        if len(impacts) < min_authors or not any(impacts):
             skipped.append(year)
             continue
         years.append(year)
@@ -139,23 +133,19 @@ def population_gini_series(
     )
 
 
+_GINI_SERIES_HEADER = ("year", "gini", "n_authors")
+
+
 def write_gini_series_csv(path: str | Path, series: GiniSeries) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["year", "gini", "n_authors"])
-        for k in range(len(series.years)):
-            writer.writerow(
-                [str(int(series.years[k])), repr(float(series.values[k])), str(int(series.n_authors[k]))]
-            )
+    rows = (
+        [str(int(y)), repr(float(g)), str(int(n))]
+        for y, g, n in zip(series.years, series.values, series.n_authors)
+    )
+    write_csv(path, _GINI_SERIES_HEADER, rows)
 
 
 def read_gini_series_csv(path: str | Path, discipline: str = "", mode: str = "cohort") -> GiniSeries:
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["year", "gini", "n_authors"]:
-            raise ValueError(f"not a gini series file: {path}")
-        rows = [row for row in reader if row]
+    rows = list(read_csv(path, "gini series", _GINI_SERIES_HEADER))
     return GiniSeries(
         discipline=discipline,
         mode=mode,

@@ -7,12 +7,13 @@ first, with decile 1 the lowest-impact tenth and decile 10 the highest.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .csvio import read_csv, write_csv
 
 DEFAULT_BINS = 10
 
@@ -28,34 +29,6 @@ def _assign_deciles(ids: np.ndarray, values: np.ndarray, n_bins: int) -> np.ndar
     bins = np.empty(n, dtype=np.int64)
     bins[order] = np.arange(n, dtype=np.int64) * n_bins // n + 1
     return bins
-
-
-def decile_rank(
-    impacts: Sequence[tuple[str, float]], n_bins: int = DEFAULT_BINS
-) -> dict[str, int]:
-    """Rank authors into n_bins near-equal bins by ascending impact.
-
-    Parameters
-    ----------
-    impacts : sequence of (author_id, value)
-        One entry per author; ids must be unique.
-    n_bins : int
-        Number of rank bins (10 for deciles).
-
-    Returns
-    -------
-    dict
-        author_id -> bin in 1..n_bins.
-    """
-    n = len(impacts)
-    if n < n_bins:
-        raise ValueError(f"cohort too small to rank: {n} authors < {n_bins} bins")
-    ids = np.array([a for a, _ in impacts], dtype=object)
-    if len(set(ids)) != n:
-        raise ValueError("duplicate author ids in impact list")
-    values = np.array([v for _, v in impacts], dtype=float)
-    bins = _assign_deciles(np.array([str(a) for a in ids]), values, n_bins)
-    return {str(aid): int(b) for aid, b in zip(ids, bins)}
 
 
 @dataclass(eq=False)
@@ -281,65 +254,45 @@ def _fmt_num(x: float) -> str:
     return repr(value)
 
 
+_RANK_TABLE_HEADER = ("author_id", "impact1", "impact2", "q1", "q2")
+_DELTA_Q_HEADER = ("decile", "mean_dq", "sem", "count")
+
+
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
     """Square matrix as CSV: header row of starting bins, one row per ending bin."""
     matrix = np.asarray(matrix)
-    n = matrix.shape[1]
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([str(j) for j in range(1, n + 1)])
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    header = [str(j) for j in range(1, matrix.shape[1] + 1)]
+    write_csv(path, header, ([repr(float(v)) for v in row] for row in matrix))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty matrix file: {path}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    matrix = np.array(rows, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[1] != len(header):
+    matrix = np.array([[float(v) for v in row] for row in read_csv(path, "matrix")], dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix file is not square with header: {path}")
     return matrix
 
 
 def write_rank_table_csv(path: str | Path, table: RankTable) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["author_id", "impact1", "impact2", "q1", "q2"])
-        for k, aid in enumerate(table.author_ids):
-            writer.writerow(
-                [
-                    aid,
-                    _fmt_num(table.impact1[k]),
-                    _fmt_num(table.impact2[k]),
-                    str(int(table.q1[k])),
-                    str(int(table.q2[k])),
-                ]
-            )
+    rows = (
+        [aid, _fmt_num(i1), _fmt_num(i2), str(int(q1)), str(int(q2))]
+        for aid, i1, i2, q1, q2 in zip(table.author_ids, table.impact1, table.impact2, table.q1, table.q2)
+    )
+    write_csv(path, _RANK_TABLE_HEADER, rows)
 
 
 def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTable:
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["author_id", "impact1", "impact2", "q1", "q2"]:
-            raise ValueError(f"not a rank table file: {path}")
-        ids: list[str] = []
-        i1: list[float] = []
-        i2: list[float] = []
-        q1: list[int] = []
-        q2: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[0])
-            i1.append(float(row[1]))
-            i2.append(float(row[2]))
-            q1.append(int(row[3]))
-            q2.append(int(row[4]))
+    # Converted row by row: rank tables are the one large CSV input.
+    ids: list[str] = []
+    i1: list[float] = []
+    i2: list[float] = []
+    q1: list[int] = []
+    q2: list[int] = []
+    for row in read_csv(path, "rank table", _RANK_TABLE_HEADER):
+        ids.append(row[0])
+        i1.append(float(row[1]))
+        i2.append(float(row[2]))
+        q1.append(int(row[3]))
+        q2.append(int(row[4]))
     return RankTable(
         author_ids=tuple(ids),
         impact1=np.array(i1),
@@ -351,27 +304,15 @@ def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTab
 
 
 def write_delta_q_csv(path: str | Path, profile: DeltaQProfile) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["decile", "mean_dq", "sem", "count"])
-        for k in range(len(profile.deciles)):
-            writer.writerow(
-                [
-                    str(int(profile.deciles[k])),
-                    repr(float(profile.mean[k])),
-                    repr(float(profile.sem[k])),
-                    str(int(profile.count[k])),
-                ]
-            )
+    rows = (
+        [str(int(d)), repr(float(m)), repr(float(s)), str(int(c))]
+        for d, m, s, c in zip(profile.deciles, profile.mean, profile.sem, profile.count)
+    )
+    write_csv(path, _DELTA_Q_HEADER, rows)
 
 
 def read_delta_q_csv(path: str | Path) -> DeltaQProfile:
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["decile", "mean_dq", "sem", "count"]:
-            raise ValueError(f"not a decile-change profile file: {path}")
-        rows = [row for row in reader if row]
+    rows = list(read_csv(path, "decile-change profile", _DELTA_Q_HEADER))
     return DeltaQProfile(
         deciles=np.array([int(r[0]) for r in rows], dtype=np.int64),
         mean=np.array([float(r[1]) for r in rows]),

@@ -5,7 +5,9 @@ builds one cohort per (discipline, career start year), and writes per-cohort
 rank tables, transition matrices, decile-change profiles, reshuffle nulls,
 diffusion fits and gap matrices, plus per-discipline Gini series, pooled
 fits and trend records, a cross-discipline correlation summary, and a
-manifest tying everything together.
+manifest tying everything together. A cohort below the minimum size, or
+whose Gini window impacts are all zero, is skipped and listed in the
+manifest with the reason.
 
 Given the same config and seed, a rerun reproduces every artifact byte for
 byte; the manifest's created_at honors SOURCE_DATE_EPOCH so even it can be
@@ -14,14 +16,13 @@ pinned.
 
 from __future__ import annotations
 
-import csv
-import json
 import hashlib
+import json
 import os
 import shutil
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,12 +30,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .cohort import build_profiles, cohort_impacts, CohortSpec
-from .corpus import CorpusFilterConfig, filter_corpus, ingest
+from .cohort import AuthorProfile, CohortSpec, build_profiles, cohort_impacts, profiles_by_start
+from .corpus import Corpus, CorpusFilterConfig, filter_corpus, ingest
+from .csvio import write_csv
 from .diffusion import DiffusionFit, fit_d, fit_d_pooled, model_matrix
-from .disambig import ScoringRuleTable, disambiguate, write_clusters
+from .disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters
 from .inequality import cohort_gini_series, write_gini_series_csv
 from .mobility import (
+    DeltaPMatrix,
     RankTable,
     TransitionMatrix,
     delta_p,
@@ -50,6 +53,61 @@ from .stats import ols_with_band, pearson
 
 class PipelineError(Exception):
     """Configuration or input problems that abort a run."""
+
+
+_CONFIG_KEYS = {
+    "corpus", "disciplines", "cohort_years", "rules", "filter", "null_reps",
+    "seed", "min_cohort_size", "gini_window", "fit_bracket", "fit_grid_points",
+}
+_INT_KEYS = ("null_reps", "seed", "min_cohort_size", "gini_window", "fit_grid_points")
+_FILTER_KEYS = {"max_authors", "year_range", "disciplines"}
+
+
+def _is(value, types) -> bool:
+    """isinstance, except that JSON true and false are not numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _int(key: str, value) -> int:
+    if not _is(value, int):
+        raise PipelineError(f"'{key}' must be an integer")
+    return value
+
+
+def _items(key: str, value, types, kind: str, length: int | None = None) -> tuple:
+    """A JSON list of values of the given types (exactly length of them, if given)."""
+    if (
+        not isinstance(value, (list, tuple))
+        or not all(_is(v, types) for v in value)
+        or length not in (None, len(value))
+    ):
+        raise PipelineError(f"'{key}' must be a list of {kind}")
+    return tuple(value)
+
+
+def _distinct(key: str, items: tuple) -> tuple:
+    for k, item in enumerate(items):
+        if item in items[:k]:
+            raise PipelineError(f"'{key}' lists {item!r} twice")
+    return items
+
+
+def _filter_config(raw) -> CorpusFilterConfig | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, Mapping):
+        raise PipelineError("'filter' must be an object")
+    unknown = set(raw) - _FILTER_KEYS
+    if unknown:
+        raise PipelineError(f"unknown filter keys: {', '.join(sorted(unknown))}")
+    fields = {}
+    if "max_authors" in raw:
+        fields["max_authors"] = _int("max_authors", raw["max_authors"])
+    if raw.get("year_range") is not None:
+        fields["year_range"] = _items("year_range", raw["year_range"], int, "two integers", 2)
+    if raw.get("disciplines"):
+        fields["disciplines"] = frozenset(_items("disciplines", raw["disciplines"], str, "strings"))
+    return CorpusFilterConfig(**fields)
 
 
 @dataclass(frozen=True)
@@ -77,44 +135,38 @@ class PipelineConfig:
             raise PipelineError("gini_window must be 1 or 2")
         if self.min_cohort_size < 10:
             raise PipelineError("min_cohort_size must be at least 10 (decile split)")
+        if not 0 < self.fit_bracket[0] < self.fit_bracket[1]:
+            raise PipelineError("fit_bracket must satisfy 0 < lo < hi")
 
     @classmethod
     def from_json(cls, source: str | Path | Mapping) -> "PipelineConfig":
+        """Read and type-check a config; any problem raises PipelineError."""
         if isinstance(source, Mapping):
             payload = dict(source)
         else:
             with Path(source).open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        known = {
-            "corpus", "disciplines", "cohort_years", "rules", "filter", "null_reps",
-            "seed", "min_cohort_size", "gini_window", "fit_bracket", "fit_grid_points",
-        }
-        unknown = set(payload) - known
+        if not isinstance(payload, Mapping):
+            raise PipelineError("pipeline config must be a JSON object")
+        unknown = set(payload) - _CONFIG_KEYS
         if unknown:
             raise PipelineError(f"unknown pipeline config keys: {', '.join(sorted(unknown))}")
         for key in ("corpus", "disciplines", "cohort_years"):
             if key not in payload:
                 raise PipelineError(f"pipeline config is missing '{key}'")
-        filter_cfg = None
-        if payload.get("filter") is not None:
-            raw = payload["filter"]
-            filter_cfg = CorpusFilterConfig(
-                max_authors=raw.get("max_authors", 20),
-                year_range=tuple(raw["year_range"]) if raw.get("year_range") else None,
-                disciplines=frozenset(raw["disciplines"]) if raw.get("disciplines") else None,
-            )
+        rules = payload.get("rules")
+        if not (rules is None or isinstance(rules, str)):
+            raise PipelineError("'rules' must be a path or null")
+        optional = {key: _int(key, payload[key]) for key in _INT_KEYS if key in payload}
+        if "fit_bracket" in payload:
+            optional["fit_bracket"] = _items("fit_bracket", payload["fit_bracket"], (int, float), "two numbers", 2)
         return cls(
             corpus=str(payload["corpus"]),
-            disciplines=tuple(payload["disciplines"]),
-            cohort_years=tuple(int(y) for y in payload["cohort_years"]),
-            rules=payload.get("rules"),
-            filter=filter_cfg,
-            null_reps=int(payload.get("null_reps", 100)),
-            seed=int(payload.get("seed", 0)),
-            min_cohort_size=int(payload.get("min_cohort_size", 100)),
-            gini_window=int(payload.get("gini_window", 1)),
-            fit_bracket=tuple(payload.get("fit_bracket", (1e-3, 10.0))),
-            fit_grid_points=int(payload.get("fit_grid_points", 200)),
+            disciplines=_distinct("disciplines", _items("disciplines", payload["disciplines"], str, "strings")),
+            cohort_years=_distinct("cohort_years", _items("cohort_years", payload["cohort_years"], int, "integers")),
+            rules=rules,
+            filter=_filter_config(payload.get("filter")),
+            **optional,
         )
 
     def canonical_dict(self) -> dict:
@@ -159,8 +211,9 @@ def _jsonable(value):
     return value
 
 
-def _write_json(path: Path, payload) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
+def write_json(path: str | Path, payload) -> None:
+    """Sorted keys, two-space indent, trailing newline; numpy values as plain JSON."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
         json.dump(_jsonable(payload), handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -180,30 +233,19 @@ def _created_at() -> str:
     return moment.replace(microsecond=0).isoformat()
 
 
-def _fit_payload(fit: DiffusionFit, extra: dict) -> dict:
-    payload = {
-        "d_star": fit.d_star,
-        "objective": fit.objective,
-        "bracket": list(fit.bracket),
-        "grid_points": fit.grid_points,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "n_matrices": fit.n_matrices,
-    }
-    payload.update(extra)
-    return payload
+def fit_payload(fit: DiffusionFit) -> dict:
+    """The JSON record of a diffusion fit, as written by run and fit-d."""
+    return asdict(fit)
 
 
-def _trend_payload(x: Sequence[float], y: Sequence[float]) -> dict | None:
-    """Correlation plus regression band over a short series, or None if flat
-    or too short to support one."""
-    if len(x) < 3:
-        return None
-    try:
-        corr = pearson(x, y)
-        reg = ols_with_band(x, y)
-    except ValueError:
-        return None
+def trend_payload(x: Sequence[float], y: Sequence[float]) -> dict:
+    """Correlation plus regression band over a series.
+
+    Raises ValueError when the series is too short (under three points) or
+    flat, so that no correlation is defined.
+    """
+    corr = pearson(x, y)
+    reg = ols_with_band(x, y)
     fit, lo, hi = reg.band(x)
     return {
         "n": corr.n,
@@ -220,6 +262,13 @@ def _trend_payload(x: Sequence[float], y: Sequence[float]) -> dict | None:
     }
 
 
+def _trend_or_null(x: Sequence[float], y: Sequence[float]) -> dict | None:
+    try:
+        return trend_payload(x, y)
+    except ValueError:
+        return None
+
+
 @dataclass
 class _CohortResult:
     discipline: str
@@ -228,9 +277,7 @@ class _CohortResult:
     table: RankTable | None = None
     empirical: TransitionMatrix | None = None
     fit: DiffusionFit | None = None
-    gap_matrix: np.ndarray | None = None
-    top_gap: float = 0.0
-    bottom_gap: float = 0.0
+    gap: DeltaPMatrix | None = None
     skipped_reason: str | None = None
 
 
@@ -241,44 +288,54 @@ class RunResult:
     all_converged: bool
 
 
+@dataclass
+class _Bundle:
+    """The report directory and what the run's stages have recorded in it."""
+
+    out: Path
+    config_hash: str
+    slugs: dict[str, str]
+    counts: dict = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+    artifacts: list[str] = field(default_factory=list)
+    all_converged: bool = True
+
+    def path(self, rel: str) -> Path:
+        """Where to write artifact rel, which the manifest then lists."""
+        path = self.out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.artifacts.append(rel)
+        return path
+
+
 def _analyze_cohort(
-    profiles,
+    profiles: Mapping[str, AuthorProfile],
     discipline: str,
     year: int,
     config: PipelineConfig,
 ) -> _CohortResult:
     spec = CohortSpec(discipline=discipline, start_year=year)
     members, impact1, impact2 = cohort_impacts(profiles, spec)
-    size = len(members)
-    if size < config.min_cohort_size:
-        return _CohortResult(
-            discipline=discipline,
-            year=year,
-            size=size,
-            skipped_reason=f"cohort below minimum size ({size} < {config.min_cohort_size})",
-        )
-    table = RankTable.from_impacts(members, impact1, impact2)
-    empirical = transition_matrix(table)
-    fit = fit_d(empirical, bracket=config.fit_bracket, grid_points=config.fit_grid_points)
-    gap = delta_p(empirical, model_matrix(fit.d_star, table.n_bins))
-    return _CohortResult(
-        discipline=discipline,
-        year=year,
-        size=size,
-        table=table,
-        empirical=empirical,
-        fit=fit,
-        gap_matrix=gap.matrix,
-        top_gap=gap.top_gap,
-        bottom_gap=gap.bottom_gap,
-    )
+    result = _CohortResult(discipline=discipline, year=year, size=len(members))
+    if result.size < config.min_cohort_size:
+        result.skipped_reason = f"cohort below minimum size ({result.size} < {config.min_cohort_size})"
+    elif not any(impact1 if config.gini_window == 1 else impact2):
+        result.skipped_reason = f"all window-{config.gini_window} impacts are zero, so the gini is undefined"
+    else:
+        result.table = RankTable.from_impacts(members, impact1, impact2)
+        result.empirical = transition_matrix(result.table)
+        result.fit = fit_d(result.empirical, bracket=config.fit_bracket, grid_points=config.fit_grid_points)
+        result.gap = delta_p(result.empirical, model_matrix(result.fit.d_star, result.table.n_bins))
+    return result
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) -> RunResult:
     """Execute the full analysis and write the report bundle.
 
-    The output directory must not already contain files. On any failure the
-    partially written bundle is removed before the error propagates.
+    threads sets the size of the pool that analyzes cohorts; no output
+    depends on it. The output directory must not already contain files. On
+    any failure the partially written bundle is removed before the error
+    propagates.
     """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
@@ -292,245 +349,216 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
 
 
 def _run(config: PipelineConfig, out: Path, threads: int) -> RunResult:
-    chash = config_hash(config)
-    artifacts: list[str] = []
-    warnings: list[str] = []
+    bundle = _Bundle(out=out, config_hash=config_hash(config), slugs=_slugs(config.disciplines))
+    corpus = _ingest_stage(config, bundle)
+    clusters = _disambiguate_stage(config, corpus, bundle)
+    by_start = _profiles_stage(corpus, clusters, bundle)
+    results = _cohorts_stage(config, by_start, threads, bundle)
+    _disciplines_stage(config, results, bundle)
+    manifest = _manifest_stage(config, results, bundle)
+    return RunResult(out_dir=out, manifest=manifest, all_converged=bundle.all_converged)
 
+
+def _ingest_stage(config: PipelineConfig, bundle: _Bundle) -> Corpus:
     corpus = ingest(config.corpus)
-    counts: dict = {
-        "lines_read": corpus.stats.lines_read,
-        "records_accepted": corpus.stats.accepted,
-        "records_rejected": len(corpus.stats.rejected),
-    }
-    for line_no, reason in corpus.stats.rejected[:20]:
-        warnings.append(f"rejected line {line_no}: {reason}")
-
+    bundle.counts.update(
+        lines_read=corpus.stats.lines_read,
+        records_accepted=corpus.stats.accepted,
+        records_rejected=len(corpus.stats.rejected),
+    )
+    bundle.warnings.extend(f"rejected line {n}: {reason}" for n, reason in corpus.stats.rejected[:20])
     if config.filter is not None:
         corpus, fstats = filter_corpus(corpus, config.filter)
-        counts["filter_removed"] = fstats.removed
-        counts["filter_by_rule"] = dict(sorted(fstats.by_rule.items()))
-    counts["publications"] = len(corpus.publications)
-    counts["mentions"] = len(corpus.mentions)
+        bundle.counts["filter_removed"] = fstats.removed
+        bundle.counts["filter_by_rule"] = dict(sorted(fstats.by_rule.items()))
+    bundle.counts["publications"] = len(corpus.publications)
+    bundle.counts["mentions"] = len(corpus.mentions)
+    return corpus
 
+
+def _disambiguate_stage(config: PipelineConfig, corpus: Corpus, bundle: _Bundle) -> list[MentionCluster]:
     rules = ScoringRuleTable.from_json(config.rules) if config.rules else ScoringRuleTable.default()
     clusters = disambiguate(corpus, rules)
-    counts["clusters"] = len(clusters)
-    write_clusters(out / "clusters.jsonl", clusters)
-    artifacts.append("clusters.jsonl")
+    bundle.counts["clusters"] = len(clusters)
+    write_clusters(bundle.path("clusters.jsonl"), clusters)
+    return clusters
 
+
+def _profiles_stage(
+    corpus: Corpus, clusters: list[MentionCluster], bundle: _Bundle
+) -> dict[int, dict[str, AuthorProfile]]:
     profiles = build_profiles(corpus, clusters)
-    counts["profiles"] = len(profiles)
+    bundle.counts["profiles"] = len(profiles)
+    return profiles_by_start(profiles)
 
-    jobs = [(d, y) for d in config.disciplines for y in config.cohort_years]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda dy: _analyze_cohort(profiles, dy[0], dy[1], config), jobs)
-            )
-    else:
-        results = [_analyze_cohort(profiles, d, y, config) for d, y in jobs]
 
+def _slugs(disciplines: Sequence[str]) -> dict[str, str]:
+    """One directory name per discipline, suffixed when two labels slugify alike."""
     slugs: dict[str, str] = {}
-    used: set[str] = set()
-    for d in config.disciplines:
-        base_slug = slugify(d)
-        slug = base_slug
+    for d in disciplines:
+        slug = base = slugify(d)
         k = 2
-        while slug in used:
-            slug = f"{base_slug}-{k}"
+        while slug in slugs.values():
+            slug = f"{base}-{k}"
             k += 1
-        used.add(slug)
         slugs[d] = slug
+    return slugs
 
-    skipped: list[dict] = []
-    cohort_sizes: dict[str, int] = {}
-    all_converged = True
-    by_discipline: dict[str, list[_CohortResult]] = {d: [] for d in config.disciplines}
-    for result in results:
-        key = f"{slugs[result.discipline]}/{result.year}"
-        cohort_sizes[key] = result.size
-        if result.skipped_reason is not None:
-            skipped.append(
-                {"discipline": result.discipline, "year": result.year, "reason": result.skipped_reason}
-            )
+
+def _cohorts_stage(
+    config: PipelineConfig,
+    by_start: Mapping[int, Mapping[str, AuthorProfile]],
+    threads: int,
+    bundle: _Bundle,
+) -> list[_CohortResult]:
+    """Analyze every (discipline, year) cohort on the pool, then write the
+    kept ones' artifacts in job order."""
+    jobs = [(d, y) for d in config.disciplines for y in config.cohort_years]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda job: _analyze_cohort(by_start.get(job[1], {}), *job, config), jobs))
+    for r in results:
+        if r.skipped_reason is not None:
             continue
-        by_discipline[result.discipline].append(result)
-        if not result.fit.converged:
-            all_converged = False
-            warnings.append(
-                f"fit did not converge for {result.discipline} {result.year}: "
-                f"optimum at bracket edge {result.fit.d_star}"
+        if not r.fit.converged:
+            bundle.all_converged = False
+            bundle.warnings.append(
+                f"fit did not converge for {r.discipline} {r.year}: optimum at bracket edge {r.fit.d_star}"
             )
-
-        base = out / slugs[result.discipline] / str(result.year)
-        base.mkdir(parents=True, exist_ok=True)
-        rel = f"{slugs[result.discipline]}/{result.year}"
-        write_rank_table_csv(base / "rank_table.csv", result.table)
-        write_matrix_csv(base / "transition.csv", result.empirical.matrix)
-        write_delta_q_csv(base / "delta_q.csv", delta_q_profile(result.table))
+        rel = f"{bundle.slugs[r.discipline]}/{r.year}"
+        write_rank_table_csv(bundle.path(f"{rel}/rank_table.csv"), r.table)
+        write_matrix_csv(bundle.path(f"{rel}/transition.csv"), r.empirical.matrix)
+        write_delta_q_csv(bundle.path(f"{rel}/delta_q.csv"), delta_q_profile(r.table))
         null = reshuffle_null(
-            result.table,
+            r.table,
             n_reps=config.null_reps,
-            seed=np.random.SeedSequence(
-                [config.seed, zlib.crc32(result.discipline.encode("utf-8")), result.year]
-            ),
+            seed=np.random.SeedSequence([config.seed, zlib.crc32(r.discipline.encode("utf-8")), r.year]),
         )
-        write_delta_q_csv(base / "null_delta_q.csv", null.profile)
-        write_matrix_csv(base / "null_transition.csv", null.matrix.matrix)
-        _write_json(
-            base / "fit.json",
-            _fit_payload(
-                result.fit,
-                {
-                    "discipline": result.discipline,
-                    "start_year": result.year,
-                    "cohort_size": result.size,
-                    "config_hash": chash,
-                },
-            ),
+        write_delta_q_csv(bundle.path(f"{rel}/null_delta_q.csv"), null.profile)
+        write_matrix_csv(bundle.path(f"{rel}/null_transition.csv"), null.matrix.matrix)
+        write_json(
+            bundle.path(f"{rel}/fit.json"),
+            {
+                **fit_payload(r.fit),
+                "discipline": r.discipline,
+                "start_year": r.year,
+                "cohort_size": r.size,
+                "config_hash": bundle.config_hash,
+            },
         )
-        write_matrix_csv(base / "delta_p.csv", result.gap_matrix)
-        artifacts.extend(
-            f"{rel}/{name}"
-            for name in (
-                "rank_table.csv",
-                "transition.csv",
-                "delta_q.csv",
-                "null_delta_q.csv",
-                "null_transition.csv",
-                "fit.json",
-                "delta_p.csv",
-            )
-        )
+        write_matrix_csv(bundle.path(f"{rel}/delta_p.csv"), r.gap.matrix)
+    return results
 
-    summary_rows: list[dict] = []
+
+def _disciplines_stage(config: PipelineConfig, results: list[_CohortResult], bundle: _Bundle) -> None:
+    """Per discipline: Gini and corner series, pooled fit and trends; then
+    the cross-discipline D-versus-Gini summary."""
+    points: list[dict] = []
     per_discipline: list[dict] = []
-    for discipline in config.disciplines:
-        slug = slugs[discipline]
-        dir_ = out / slug
-        dir_.mkdir(parents=True, exist_ok=True)
-        cohorts = sorted(by_discipline[discipline], key=lambda r: r.year)
-
+    for discipline, slug in bundle.slugs.items():
+        cohorts = sorted(
+            (r for r in results if r.discipline == discipline and r.skipped_reason is None),
+            key=lambda r: r.year,
+        )
         series = cohort_gini_series(
-            profiles,
             discipline,
-            sorted(config.cohort_years),
-            window=config.gini_window,
+            {r.year: r.table.impact1 if config.gini_window == 1 else r.table.impact2 for r in cohorts},
             min_cohort=config.min_cohort_size,
         )
-        write_gini_series_csv(dir_ / "gini_series.csv", series)
-        artifacts.append(f"{slug}/gini_series.csv")
-
-        with (dir_ / "corner_series.csv").open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["year", "top_gap", "bottom_gap"])
-            for r in cohorts:
-                writer.writerow([str(r.year), repr(float(r.top_gap)), repr(float(r.bottom_gap))])
-        artifacts.append(f"{slug}/corner_series.csv")
+        write_gini_series_csv(bundle.path(f"{slug}/gini_series.csv"), series)
+        write_csv(
+            bundle.path(f"{slug}/corner_series.csv"),
+            ["year", "top_gap", "bottom_gap"],
+            ([str(r.year), repr(float(r.gap.top_gap)), repr(float(r.gap.bottom_gap))] for r in cohorts),
+        )
 
         pooled = None
         if cohorts:
             pooled = fit_d_pooled(
-                [r.empirical for r in cohorts],
-                bracket=config.fit_bracket,
-                grid_points=config.fit_grid_points,
+                [r.empirical for r in cohorts], bracket=config.fit_bracket, grid_points=config.fit_grid_points
             )
             if not pooled.converged:
-                all_converged = False
-                warnings.append(f"pooled fit did not converge for {discipline}")
-            _write_json(
-                dir_ / "pooled_fit.json",
-                _fit_payload(
-                    pooled,
-                    {
-                        "discipline": discipline,
-                        "years": [r.year for r in cohorts],
-                        "config_hash": chash,
-                    },
-                ),
+                bundle.all_converged = False
+                bundle.warnings.append(f"pooled fit did not converge for {discipline}")
+            write_json(
+                bundle.path(f"{slug}/pooled_fit.json"),
+                {
+                    **fit_payload(pooled),
+                    "discipline": discipline,
+                    "years": [r.year for r in cohorts],
+                    "config_hash": bundle.config_hash,
+                },
             )
-            artifacts.append(f"{slug}/pooled_fit.json")
 
         years = [float(r.year) for r in cohorts]
-        d_values = [r.fit.d_star for r in cohorts]
         gini_by_year = {int(y): float(g) for y, g in zip(series.years, series.values)}
         shared = [r for r in cohorts if r.year in gini_by_year]
         trends = {
             "discipline": discipline,
-            "config_hash": chash,
-            "d_vs_year": _trend_payload(years, d_values),
-            "gini_vs_year": _trend_payload(
+            "config_hash": bundle.config_hash,
+            "d_vs_year": _trend_or_null(years, [r.fit.d_star for r in cohorts]),
+            "gini_vs_year": _trend_or_null(
                 [float(y) for y in series.years], [float(g) for g in series.values]
             ),
-            "d_vs_gini": _trend_payload(
+            "d_vs_gini": _trend_or_null(
                 [r.fit.d_star for r in shared], [gini_by_year[r.year] for r in shared]
             ),
-            "top_gap_vs_year": _trend_payload(years, [r.top_gap for r in cohorts]),
-            "bottom_gap_vs_year": _trend_payload(years, [r.bottom_gap for r in cohorts]),
+            "top_gap_vs_year": _trend_or_null(years, [r.gap.top_gap for r in cohorts]),
+            "bottom_gap_vs_year": _trend_or_null(years, [r.gap.bottom_gap for r in cohorts]),
         }
-        _write_json(dir_ / "trends.json", trends)
-        artifacts.append(f"{slug}/trends.json")
+        write_json(bundle.path(f"{slug}/trends.json"), trends)
 
-        mean_gini = float(np.mean(series.values)) if len(series.values) else None
         per_discipline.append(
             {
                 "discipline": discipline,
                 "slug": slug,
                 "pooled_d": pooled.d_star if pooled else None,
                 "pooled_converged": pooled.converged if pooled else None,
-                "mean_gini": mean_gini,
+                "mean_gini": float(np.mean(series.values)) if len(series.values) else None,
                 "n_cohorts": len(cohorts),
             }
         )
-        for r in shared:
-            summary_rows.append(
-                {
-                    "discipline": discipline,
-                    "year": r.year,
-                    "d_star": r.fit.d_star,
-                    "gini": gini_by_year[r.year],
-                }
-            )
+        points.extend(
+            {"discipline": discipline, "year": r.year, "d_star": r.fit.d_star, "gini": gini_by_year[r.year]}
+            for r in shared
+        )
 
-    summary_dir = out / "summary"
-    summary_dir.mkdir(parents=True, exist_ok=True)
-    correlation = None
-    if len(summary_rows) >= 3:
-        try:
-            corr = pearson(
-                [row["d_star"] for row in summary_rows],
-                [row["gini"] for row in summary_rows],
-            )
-            correlation = {"r": corr.r, "p": corr.p, "n": corr.n}
-        except ValueError:
-            correlation = None
-    _write_json(
-        summary_dir / "correlation.json",
+    try:
+        corr = pearson([p["d_star"] for p in points], [p["gini"] for p in points])
+        correlation = {"r": corr.r, "p": corr.p, "n": corr.n}
+    except ValueError:
+        correlation = None
+    write_json(
+        bundle.path("summary/correlation.json"),
         {
-            "config_hash": chash,
+            "config_hash": bundle.config_hash,
             "d_vs_gini": correlation,
-            "points": summary_rows,
+            "points": points,
             "per_discipline": per_discipline,
         },
     )
-    artifacts.append("summary/correlation.json")
 
+
+def _manifest_stage(config: PipelineConfig, results: list[_CohortResult], bundle: _Bundle) -> dict:
     manifest = {
         "tool": "rankmobility",
         "version": __version__,
         "created_at": _created_at(),
-        "config_hash": chash,
+        "config_hash": bundle.config_hash,
         "config": config.canonical_dict(),
         "inputs": {"corpus": config.corpus, "rules": config.rules or "builtin"},
         "seed": config.seed,
-        "counts": counts,
-        "cohort_sizes": dict(sorted(cohort_sizes.items())),
-        "skipped": skipped,
-        "warnings": warnings,
-        "artifacts": sorted(artifacts),
+        "counts": bundle.counts,
+        "cohort_sizes": dict(sorted((f"{bundle.slugs[r.discipline]}/{r.year}", r.size) for r in results)),
+        "skipped": [
+            {"discipline": r.discipline, "year": r.year, "reason": r.skipped_reason}
+            for r in results
+            if r.skipped_reason is not None
+        ],
+        "warnings": bundle.warnings,
+        "artifacts": sorted(bundle.artifacts),
     }
-    _write_json(out / "manifest.json", manifest)
-    return RunResult(out_dir=out, manifest=manifest, all_converged=all_converged)
+    write_json(bundle.out / "manifest.json", manifest)
+    return manifest
 
 
 def report_summary(bundle_dir: str | Path) -> dict:
@@ -578,15 +606,14 @@ def report_summary(bundle_dir: str | Path) -> dict:
     }
     report_dir = bundle / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(report_dir / "report.json", report)
-    with (report_dir / "mobility_ranking.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rank", "discipline", "pooled_d"])
-        for i, r in enumerate(mobility):
-            writer.writerow([str(i + 1), r["discipline"], repr(float(r["pooled_d"]))])
-    with (report_dir / "inequality_ranking.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rank", "discipline", "mean_gini"])
-        for i, r in enumerate(inequality):
-            writer.writerow([str(i + 1), r["discipline"], repr(float(r["mean_gini"]))])
+    write_json(report_dir / "report.json", report)
+    for name, ranked, key in (
+        ("mobility_ranking.csv", mobility, "pooled_d"),
+        ("inequality_ranking.csv", inequality, "mean_gini"),
+    ):
+        write_csv(
+            report_dir / name,
+            ["rank", "discipline", key],
+            ([str(i + 1), r["discipline"], repr(float(r[key]))] for i, r in enumerate(ranked)),
+        )
     return report

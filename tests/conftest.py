@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rankmobility.corpus import ingest_lines
+from rankmobility.corpus import ingest_lines, record_to_json
 from rankmobility.disambig import ScoringRuleTable
 
 
@@ -27,6 +27,11 @@ def make_record(
 
 def corpus_of(*records):
     return ingest_lines(json.dumps(r) for r in records)
+
+
+def export_lines(corpus):
+    """The lines export writes for a corpus, without the newlines."""
+    return [record_to_json(pub) for pub in corpus.publications.values()]
 
 
 @pytest.fixture

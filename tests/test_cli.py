@@ -320,3 +320,54 @@ def test_full_command_chain(capsys, tmp_path):
     )
     assert code == 0
     assert len(read_rank_table_csv(sampled)) == 1200
+
+
+def test_short_rank_table_row_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("author_id,impact1,impact2,q1,q2\na,1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "mobility", "--cohort", str(path), "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert "line 2: 2 fields, header has 5" in err
+
+
+def test_short_trend_series_row_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("x,y\n1,2\n1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "trend", "--series", str(path))
+    assert code == 2
+    assert "line 3: 1 fields, header has 2" in err
+
+
+def test_gini_series_skips_years_with_all_zero_impacts(capsys, tmp_path):
+    synth_config = tmp_path / "synth.json"
+    synth_config.write_text(
+        json.dumps(
+            {
+                "n_authors": 120,
+                "seed": 5,
+                "disciplines": ["Chemistry"],
+                "start_years": [2000, 2000],
+                "citation_rate": 0.0,
+            }
+        ),
+        encoding="utf-8",
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    clusters = tmp_path / "clusters.jsonl"
+    assert run_cli(capsys, "synth", "corpus", "--config", str(synth_config), "--out", str(corpus))[0] == 0
+    assert run_cli(capsys, "disambiguate", "--corpus", str(corpus), "--out", str(clusters))[0] == 0
+    for mode, years in (("cohort", "2000:2000"), ("population", "2000:2001")):
+        code, out, err = run_cli(
+            capsys,
+            "gini-series",
+            "--corpus", str(corpus),
+            "--clusters", str(clusters),
+            "--discipline", "Chemistry",
+            "--mode", mode,
+            "--years", years,
+            "--min-size", "20",
+            "--out", str(tmp_path / f"{mode}.csv"),
+        )
+        assert code == 0, err
+        assert json.loads(out)["points"] == 0
+        assert json.loads(out)["skipped_years"] == list(range(2000, int(years[-4:]) + 1))

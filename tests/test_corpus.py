@@ -9,14 +9,14 @@ from rankmobility.corpus import (
     Corpus,
     CorpusError,
     CorpusFilterConfig,
+    export,
     filter_corpus,
     ingest,
     ingest_lines,
-    iter_export_lines,
     record_to_json,
 )
 
-from conftest import corpus_of, make_record
+from conftest import corpus_of, export_lines, make_record
 
 
 def test_ingest_accepts_minimal_record():
@@ -149,7 +149,7 @@ def test_filter_is_idempotent():
     corpus = corpus_of(make_record("P1"), make_record("P2", year=1999))
     once, _ = filter_corpus(corpus, config)
     twice, stats = filter_corpus(once, config)
-    assert list(iter_export_lines(once)) == list(iter_export_lines(twice))
+    assert export_lines(once) == export_lines(twice)
     assert stats.removed == 0
 
 
@@ -160,21 +160,22 @@ def test_filter_config_validation():
         CorpusFilterConfig(year_range=(2005, 2000))
 
 
-def test_export_after_ingest_is_byte_stable():
+def test_export_after_ingest_is_byte_stable(tmp_path):
     record = make_record(
         "P1",
         disciplines="Biology; Chemistry",
         authors=[{"name": "Ada Park", "grants": ["g2", "g1"], "references": ["P9", "P2"]}],
         citing_years=[2005, 2001],
     )
-    first = list(iter_export_lines(corpus_of(record)))
-    second = list(iter_export_lines(ingest_lines(first)))
-    assert first == second
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    export(corpus_of(record), first)
+    export(ingest(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_unicode_preserved_in_export():
     corpus = corpus_of(make_record("P1", authors=[{"name": "José García"}]))
-    (line,) = iter_export_lines(corpus)
+    (line,) = export_lines(corpus)
     assert "José García" in line
 
 
@@ -204,8 +205,8 @@ def test_roundtrip_property(record):
     corpus = corpus_of(record)
     if len(corpus) == 0:
         return
-    first = list(iter_export_lines(corpus))
-    assert list(iter_export_lines(ingest_lines(first))) == first
+    first = export_lines(corpus)
+    assert export_lines(ingest_lines(first)) == first
 
 
 def test_generated_records_conform_to_schema():
@@ -223,7 +224,7 @@ def test_generated_records_conform_to_schema():
             authors=[{"name": "Ada Park", "grants": ["g1"], "references": ["P1"], "email": "a@b.se"}],
         ),
     )
-    for line in iter_export_lines(corpus):
+    for line in export_lines(corpus):
         validator.validate(json.loads(line))
 
 

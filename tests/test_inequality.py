@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmobility.cohort import AuthorProfile, ProfilePublication
+from rankmobility.cohort import AuthorProfile, CohortSpec, ProfilePublication, cohort_impacts
 from rankmobility.inequality import (
     cohort_gini_series,
     gini,
@@ -105,10 +105,18 @@ def chemistry_profiles():
     }
 
 
+def chemistry_impacts(years, window):
+    """Per start year, the Chemistry cohort's impacts in one career window."""
+    profiles = chemistry_profiles()
+    impacts = {}
+    for year in years:
+        _, impact1, impact2 = cohort_impacts(profiles, CohortSpec("Chemistry", year))
+        impacts[year] = impact1 if window == 1 else impact2
+    return impacts
+
+
 def test_cohort_series_first_window():
-    series = cohort_gini_series(
-        chemistry_profiles(), "Chemistry", [2000, 2001], window=1, min_cohort=2
-    )
+    series = cohort_gini_series("Chemistry", chemistry_impacts([2000, 2001], 1), min_cohort=2)
     assert series.discipline == "Chemistry"
     assert series.mode == "cohort"
     assert series.years.tolist() == [2000]
@@ -119,21 +127,18 @@ def test_cohort_series_first_window():
 
 
 def test_cohort_series_second_window():
-    series = cohort_gini_series(
-        chemistry_profiles(), "Chemistry", [2000], window=2, min_cohort=2
-    )
+    series = cohort_gini_series("Chemistry", chemistry_impacts([2000], 2), min_cohort=2)
     assert series.values.tolist() == [0.0]
 
 
-def test_cohort_series_rejects_bad_window():
-    with pytest.raises(ValueError, match="window must be 1 or 2"):
-        cohort_gini_series(chemistry_profiles(), "Chemistry", [2000], window=3)
+def test_cohort_series_skips_all_zero_years_and_sorts():
+    series = cohort_gini_series("Chemistry", {2001: [0, 0, 0], 2000: [1, 2, 3]}, min_cohort=2)
+    assert series.years.tolist() == [2000]
+    assert series.skipped == (2001,)
 
 
 def test_cohort_series_min_size_skips_everything():
-    series = cohort_gini_series(
-        chemistry_profiles(), "Chemistry", [2000, 2001], window=1, min_cohort=5
-    )
+    series = cohort_gini_series("Chemistry", chemistry_impacts([2000, 2001], 1), min_cohort=5)
     assert series.years.tolist() == []
     assert series.skipped == (2000, 2001)
 
@@ -159,9 +164,7 @@ def test_population_series_skips_thin_windows():
 
 
 def test_series_csv_round_trip(tmp_path):
-    series = cohort_gini_series(
-        chemistry_profiles(), "Chemistry", [2000], window=1, min_cohort=2
-    )
+    series = cohort_gini_series("Chemistry", chemistry_impacts([2000], 1), min_cohort=2)
     path = tmp_path / "gini.csv"
     write_gini_series_csv(path, series)
     back = read_gini_series_csv(path, discipline="Chemistry", mode="cohort")

@@ -7,7 +7,6 @@ from rankmobility.diffusion import model_matrix
 from rankmobility.mobility import (
     DEFAULT_BINS,
     RankTable,
-    decile_rank,
     delta_p,
     delta_q_profile,
     read_delta_q_csv,
@@ -27,42 +26,43 @@ def table_from(values1, values2, n_bins=DEFAULT_BINS):
 
 
 def test_thirteen_author_occupancies():
-    ranks = decile_rank([(f"A{k:02d}", float(k)) for k in range(13)])
-    occupancy = np.bincount(list(ranks.values()), minlength=11)[1:]
+    table = table_from([float(k) for k in range(13)], [0.0] * 13)
+    occupancy = np.bincount(table.q1, minlength=11)[1:]
     assert tuple(occupancy) == (2, 1, 1, 2, 1, 1, 2, 1, 1, 1)
 
 
 def test_lowest_value_gets_bin_one_highest_bin_ten():
-    ranks = decile_rank([(f"A{k:02d}", float(k)) for k in range(10)])
-    assert ranks["A00"] == 1
-    assert ranks["A09"] == 10
+    table = table_from([float(k) for k in range(10)], [0.0] * 10)
+    assert table.q1[0] == 1
+    assert table.q1[9] == 10
 
 
 def test_ties_break_by_author_id():
-    ranks = decile_rank([(f"A{k:02d}", 0.0) for k in range(10)])
-    assert ranks["A00"] == 1
-    assert ranks["A09"] == 10
+    table = table_from([0.0] * 10, [0.0] * 10)
+    assert table.q1[0] == 1
+    assert table.q1[9] == 10
+    assert table.q2.tolist() == table.q1.tolist()
 
 
 def test_too_small_cohort_errors():
     with pytest.raises(ValueError, match="cohort too small to rank"):
-        decile_rank([("A", 1.0)] * 9)
+        RankTable.from_impacts(["A"] * 9, [1.0] * 9, [1.0] * 9)
 
 
 def test_duplicate_ids_error():
-    entries = [("A", float(k)) for k in range(10)]
     with pytest.raises(ValueError, match="duplicate author ids"):
-        decile_rank(entries)
+        RankTable.from_impacts(["A"] * 10, [float(k) for k in range(10)], [0.0] * 10)
 
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(min_value=10, max_value=400), seed=st.integers(min_value=0, max_value=2**31))
 def test_occupancies_differ_by_at_most_one(n, seed):
     rng = np.random.default_rng(seed)
-    ranks = decile_rank([(f"A{k:04d}", float(v)) for k, v in enumerate(rng.random(n))])
-    occupancy = np.bincount(list(ranks.values()), minlength=11)[1:]
-    assert occupancy.max() - occupancy.min() <= 1
-    assert occupancy.sum() == n
+    table = table_from(rng.random(n), rng.random(n))
+    for bins in (table.q1, table.q2):
+        occupancy = np.bincount(bins, minlength=11)[1:]
+        assert occupancy.max() - occupancy.min() <= 1
+        assert occupancy.sum() == n
 
 
 def test_rank_table_validation():

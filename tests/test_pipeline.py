@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 import rankmobility
+from rankmobility import cli, cohort, inequality, pipeline
 from rankmobility.corpus import CorpusError, export
 from rankmobility.disambig import read_clusters
 from rankmobility.pipeline import (
@@ -83,9 +85,36 @@ def test_config_from_json_requires_core_keys():
         ({"null_reps": 0}, "null_reps must be at least 1"),
         ({"gini_window": 3}, "gini_window must be 1 or 2"),
         ({"min_cohort_size": 5}, "min_cohort_size must be at least 10"),
+        ({"fit_bracket": [10.0, 1.0]}, "fit_bracket must satisfy 0 < lo < hi"),
     ],
 )
 def test_config_validation(overrides, message):
+    payload = {"corpus": "x", "disciplines": ["A"], "cohort_years": [2000]}
+    payload.update(overrides)
+    with pytest.raises(PipelineError, match=message):
+        PipelineConfig.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"disciplines": "Chemistry"}, "'disciplines' must be a list of strings"),
+        ({"disciplines": ["A", 7]}, "'disciplines' must be a list of strings"),
+        ({"disciplines": ["Chemistry", "Chemistry"]}, "'disciplines' lists 'Chemistry' twice"),
+        ({"cohort_years": 2000}, "'cohort_years' must be a list of integers"),
+        ({"cohort_years": [2000.5]}, "'cohort_years' must be a list of integers"),
+        ({"cohort_years": [2000, 2000]}, "'cohort_years' lists 2000 twice"),
+        ({"fit_bracket": 5}, "'fit_bracket' must be a list of two numbers"),
+        ({"fit_bracket": [0.1, "10"]}, "'fit_bracket' must be a list of two numbers"),
+        ({"null_reps": "5"}, "'null_reps' must be an integer"),
+        ({"rules": 3}, "'rules' must be a path or null"),
+        ({"filter": [1]}, "'filter' must be an object"),
+        ({"filter": {"max_author": 5}}, "unknown filter keys: max_author"),
+        ({"filter": {"disciplines": "Chemistry"}}, "'disciplines' must be a list of strings"),
+        ({"filter": {"year_range": [2000]}}, "'year_range' must be a list of two integers"),
+    ],
+)
+def test_config_types_and_duplicates_are_rejected(overrides, message):
     payload = {"corpus": "x", "disciplines": ["A"], "cohort_years": [2000]}
     payload.update(overrides)
     with pytest.raises(PipelineError, match=message):
@@ -276,3 +305,79 @@ def test_report_summary_ranks_disciplines(bundle):
 def test_report_summary_requires_bundle(tmp_path):
     with pytest.raises(PipelineError, match="not a report bundle"):
         report_summary(tmp_path)
+
+
+def test_cohorts_with_all_zero_impacts_are_skipped_not_fatal(tmp_path):
+    corpus_path = make_corpus_file(tmp_path / "uncited.jsonl", citation_rate=0.0)
+    result = run_pipeline(pipeline_config(corpus_path), tmp_path / "out")
+    assert result.all_converged
+    skipped = result.manifest["skipped"]
+    assert len(skipped) == 4
+    assert all(entry["reason"].startswith("all window-1 impacts are zero") for entry in skipped)
+    assert all(size >= 30 for size in result.manifest["cohort_sizes"].values())
+    assert (result.out_dir / "chemistry" / "gini_series.csv").read_bytes() == b"year,gini,n_authors\r\n"
+
+
+def test_each_cohort_is_built_once(tmp_path, monkeypatch):
+    calls = []
+    original = cohort.build_cohort
+
+    def counting(profiles, spec):
+        calls.append((spec.discipline, spec.start_year))
+        return original(profiles, spec)
+
+    for module in (cohort, inequality, pipeline, cli):
+        if hasattr(module, "build_cohort"):
+            monkeypatch.setattr(module, "build_cohort", counting)
+    corpus_path = make_corpus_file(tmp_path / "corpus.jsonl", n_authors=150)
+    config = pipeline_config(corpus_path, cohort_years=[2001, 2000, 1999])
+    run_pipeline(config, tmp_path / "out", threads=2)
+    assert sorted(calls) == sorted((d, y) for d in config.disciplines for y in config.cohort_years)
+
+
+def test_bundle_gini_series_matches_the_gini_series_command(bundle, tmp_path, capsys):
+    config, result = bundle
+    out = tmp_path / "gini_series.csv"
+    code = cli.main(
+        [
+            "gini-series",
+            "--corpus", config.corpus,
+            "--clusters", str(result.out_dir / "clusters.jsonl"),
+            "--discipline", "Chemistry",
+            "--years", f"{min(COHORT_YEARS)}:{max(COHORT_YEARS)}",
+            "--min-size", str(config.min_cohort_size),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    assert out.read_bytes() == (result.out_dir / "chemistry" / "gini_series.csv").read_bytes()
+
+
+def _load_benchmark_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_and_calls_every_pipeline_name(tmp_path):
+    """The benchmark's tracer wraps functions at the module attributes the
+    pipeline looks up; renaming one, or no longer calling it, breaks a
+    traced benchmark run."""
+    spans = _load_benchmark_spans()
+    before = {(path, attr): spans._resolve(path).__dict__[attr] for path, attr, *_ in spans.WRAPS}
+    corpus_path = make_corpus_file(tmp_path / "corpus.jsonl", n_authors=150)
+    config = pipeline_config(corpus_path, filter={"max_authors": 20})
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_pipeline(config, tmp_path / "out")
+        pipeline.report_summary(tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    after = {(path, attr): spans._resolve(path).__dict__[attr] for path, attr, *_ in spans.WRAPS}
+    assert after == before
+    traced = {span[1] for span in tracer.dump()["spans"]}
+    expected = {name for path, _, name, *_ in spans.WRAPS if path == "rankmobility.pipeline"}
+    assert expected - traced == set()

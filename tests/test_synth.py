@@ -11,9 +11,10 @@ from rankmobility.disambig import (
     disambiguate,
     evaluate_disambiguation,
 )
-from rankmobility.corpus import iter_export_lines
 from rankmobility.inequality import gini
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
+
+from conftest import export_lines
 
 
 def small_config(**overrides):
@@ -30,14 +31,14 @@ def small_config(**overrides):
 def test_same_config_reproduces_corpus_bit_for_bit():
     first_corpus, first_truth = generate_corpus(small_config())
     second_corpus, second_truth = generate_corpus(small_config())
-    assert list(iter_export_lines(first_corpus)) == list(iter_export_lines(second_corpus))
+    assert export_lines(first_corpus) == export_lines(second_corpus)
     assert first_truth == second_truth
 
 
 def test_different_seeds_differ():
     a, _ = generate_corpus(small_config(seed=1))
     b, _ = generate_corpus(small_config(seed=2))
-    assert list(iter_export_lines(a)) != list(iter_export_lines(b))
+    assert export_lines(a) != export_lines(b)
 
 
 def test_truth_covers_every_mention():
@@ -89,7 +90,7 @@ def test_generated_lines_conform_to_schema():
     )
     validator = jsonschema.Draft202012Validator(schema)
     corpus, _ = generate_corpus(small_config(n_authors=30))
-    for line in iter_export_lines(corpus):
+    for line in export_lines(corpus):
         validator.validate(json.loads(line))
 
 
