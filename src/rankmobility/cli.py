@@ -7,7 +7,6 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,15 +45,8 @@ from .mobility import (
     write_matrix_csv,
     write_rank_table_csv,
 )
-from .pipeline import (
-    PipelineConfig,
-    PipelineError,
-    fit_payload,
-    report_summary,
-    run_pipeline,
-    trend_payload,
-    write_json,
-)
+from .jsonio import dumps, write_json
+from .pipeline import PipelineConfig, PipelineError, report_summary, run_pipeline, trend_payload
 from .stats import welch_ttest
 from .synth import SynthConfig, generate_corpus, sample_transitions
 
@@ -75,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(dumps(payload))
 
 
 def _parse_year_range(text: str) -> tuple[int, int]:
@@ -135,18 +127,7 @@ def cmd_disambig_eval(args) -> int:
     clusters = read_clusters(args.pred)
     truth = read_truth(args.truth)
     blocks = block_mentions(ingest(args.corpus)) if args.corpus else None
-    result = evaluate_disambiguation(clusters, truth, blocks=blocks)
-    _print_json(
-        {
-            "precision": result.precision,
-            "recall": result.recall,
-            "f1": result.f1,
-            "predicted_pairs": result.predicted_pairs,
-            "truth_pairs": result.truth_pairs,
-            "matched_pairs": result.matched_pairs,
-            "flags": list(result.flags),
-        }
-    )
+    _print_json(evaluate_disambiguation(clusters, truth, blocks=blocks))
     return EXIT_OK
 
 
@@ -185,10 +166,9 @@ def cmd_null(args) -> int:
 
 def cmd_fit_d(args) -> int:
     fit = fit_d(read_matrix_csv(args.matrix))
-    payload = fit_payload(fit)
     if args.out:
-        write_json(args.out, payload)
-    _print_json(payload)
+        write_json(args.out, fit)
+    _print_json(fit)
     if not fit.converged:
         print("fit did not converge: optimum at bracket edge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -197,10 +177,9 @@ def cmd_fit_d(args) -> int:
 
 def cmd_fit_d_pooled(args) -> int:
     fit = fit_d_pooled([read_matrix_csv(p) for p in args.matrices])
-    payload = fit_payload(fit)
     if args.out:
-        write_json(args.out, payload)
-    _print_json(payload)
+        write_json(args.out, fit)
+    _print_json(fit)
     if not fit.converged:
         print("pooled fit did not converge: optimum at bracket edge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -256,16 +235,7 @@ def _read_column(path: str) -> list[float]:
 
 
 def cmd_compare(args) -> int:
-    result = welch_ttest(_read_column(args.a), _read_column(args.b))
-    _print_json(
-        {
-            "t": result.t,
-            "df": result.df,
-            "p": result.p,
-            "mean_a": result.mean_a,
-            "mean_b": result.mean_b,
-        }
-    )
+    _print_json(welch_ttest(_read_column(args.a), _read_column(args.b)))
     return EXIT_OK
 
 
@@ -302,9 +272,7 @@ def cmd_run(args) -> int:
         raise _UsageError("run requires --config")
     config = PipelineConfig.from_json(args.config)
     if args.seed is not None:
-        payload = config.canonical_dict()
-        payload["seed"] = args.seed
-        config = PipelineConfig.from_json(payload)
+        config = replace(config, seed=args.seed)
     if not args.out_dir:
         raise _UsageError("run requires --out-dir")
     result = run_pipeline(config, args.out_dir, threads=args.threads)

@@ -94,7 +94,8 @@ class CorpusFilterConfig:
     max_authors drops publications with longer author lists; year_range is
     inclusive on both ends; disciplines, when given, keeps only publications
     tagged with at least one allowed label (labels on kept records are not
-    rewritten).
+    rewritten). An empty set of disciplines means no discipline filter,
+    like None, and is stored as None.
     """
 
     max_authors: int = 20
@@ -102,6 +103,8 @@ class CorpusFilterConfig:
     disciplines: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
+        if not self.disciplines:
+            object.__setattr__(self, "disciplines", None)
         if self.max_authors < 1:
             raise ValueError("max_authors must be at least 1")
         if self.year_range is not None and self.year_range[0] > self.year_range[1]:

@@ -28,10 +28,6 @@ _INV_PHI = 2.0 / (1.0 + np.sqrt(5.0))
 STOCHASTIC_TOL = 1e-9
 
 
-class NonConvergenceError(Exception):
-    """Raised by callers that require a converged fit."""
-
-
 def model_matrix(d: float, n_bins: int = DEFAULT_BINS) -> np.ndarray:
     """Column-stochastic Gaussian rank-diffusion kernel.
 

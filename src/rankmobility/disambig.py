@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import AuthorMention, Corpus
+from .jsonio import read_config, read_lines, write_lines
 
 CRITERIA = (
     "orcid_match",
@@ -105,7 +106,7 @@ class ScoringRuleTable:
 
     Weights must be nonnegative and every criterion name must come from
     CRITERIA; the threshold must be positive. Criteria absent from the
-    table contribute nothing.
+    table contribute nothing. Weights and threshold are stored as floats.
     """
 
     weights: Mapping[str, float]
@@ -119,7 +120,8 @@ class ScoringRuleTable:
             raise DisambigError("criterion weights must be nonnegative")
         if not self.threshold > 0:
             raise DisambigError("threshold must be positive")
-        object.__setattr__(self, "weights", dict(self.weights))
+        object.__setattr__(self, "weights", {k: float(w) for k, w in self.weights.items()})
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     def weight(self, criterion: str) -> float:
         return self.weights.get(criterion, 0.0)
@@ -137,12 +139,11 @@ class ScoringRuleTable:
 
     @classmethod
     def _from_payload(cls, payload: object, source: str) -> "ScoringRuleTable":
+        """Other keys, such as the builtin table's comment, are ignored."""
         if not isinstance(payload, dict) or "weights" not in payload or "threshold" not in payload:
             raise DisambigError(f"rule table {source} needs 'weights' and 'threshold'")
-        weights = payload["weights"]
-        if not isinstance(weights, dict):
-            raise DisambigError(f"rule table {source}: weights must be an object")
-        return cls(weights={k: float(v) for k, v in weights.items()}, threshold=float(payload["threshold"]))
+        table = {key: payload[key] for key in ("weights", "threshold")}
+        return read_config(cls, table, f"rule table {source}", DisambigError)
 
 
 def satisfied_criteria(a: AuthorMention, b: AuthorMention) -> tuple[str, ...]:
@@ -318,48 +319,24 @@ def evaluate_disambiguation(
 
 
 def write_clusters(path: str | Path, clusters: Iterable[MentionCluster]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        for cluster in clusters:
-            handle.write(
-                json.dumps(
-                    {"author_id": cluster.author_id, "mention_ids": list(cluster.mention_ids)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
+    write_lines(path, clusters)
 
 
 def read_clusters(path: str | Path) -> list[MentionCluster]:
-    clusters: list[MentionCluster] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            clusters.append(
-                MentionCluster(
-                    author_id=payload["author_id"],
-                    mention_ids=tuple(payload["mention_ids"]),
-                )
-            )
-    return clusters
+    return list(read_lines(path, MentionCluster, "cluster", DisambigError))
+
+
+@dataclass(frozen=True)
+class _TruthLabel:
+    """One line of a truth file: the true author of a mention."""
+
+    author_id: str
+    mention_id: str
 
 
 def write_truth(path: str | Path, truth: Mapping[str, str]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        for mid in sorted(truth):
-            handle.write(
-                json.dumps({"author_id": truth[mid], "mention_id": mid}, sort_keys=True, separators=(",", ":"))
-            )
-            handle.write("\n")
+    write_lines(path, ({"author_id": truth[mid], "mention_id": mid} for mid in sorted(truth)))
 
 
 def read_truth(path: str | Path) -> dict[str, str]:
-    truth: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                payload = json.loads(line)
-                truth[payload["mention_id"]] = payload["author_id"]
-    return truth
+    return {t.mention_id: t.author_id for t in read_lines(path, _TruthLabel, "truth label", DisambigError)}

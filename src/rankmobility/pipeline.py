@@ -22,7 +22,7 @@ import os
 import shutil
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -36,6 +36,7 @@ from .csvio import write_csv
 from .diffusion import DiffusionFit, fit_d, fit_d_pooled, model_matrix
 from .disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters
 from .inequality import cohort_gini_series, write_gini_series_csv
+from .jsonio import FilePath, compact, plain, read_config, write_json
 from .mobility import (
     DeltaPMatrix,
     RankTable,
@@ -55,67 +56,12 @@ class PipelineError(Exception):
     """Configuration or input problems that abort a run."""
 
 
-_CONFIG_KEYS = {
-    "corpus", "disciplines", "cohort_years", "rules", "filter", "null_reps",
-    "seed", "min_cohort_size", "gini_window", "fit_bracket", "fit_grid_points",
-}
-_INT_KEYS = ("null_reps", "seed", "min_cohort_size", "gini_window", "fit_grid_points")
-_FILTER_KEYS = {"max_authors", "year_range", "disciplines"}
-
-
-def _is(value, types) -> bool:
-    """isinstance, except that JSON true and false are not numbers."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _int(key: str, value) -> int:
-    if not _is(value, int):
-        raise PipelineError(f"'{key}' must be an integer")
-    return value
-
-
-def _items(key: str, value, types, kind: str, length: int | None = None) -> tuple:
-    """A JSON list of values of the given types (exactly length of them, if given)."""
-    if (
-        not isinstance(value, (list, tuple))
-        or not all(_is(v, types) for v in value)
-        or length not in (None, len(value))
-    ):
-        raise PipelineError(f"'{key}' must be a list of {kind}")
-    return tuple(value)
-
-
-def _distinct(key: str, items: tuple) -> tuple:
-    for k, item in enumerate(items):
-        if item in items[:k]:
-            raise PipelineError(f"'{key}' lists {item!r} twice")
-    return items
-
-
-def _filter_config(raw) -> CorpusFilterConfig | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, Mapping):
-        raise PipelineError("'filter' must be an object")
-    unknown = set(raw) - _FILTER_KEYS
-    if unknown:
-        raise PipelineError(f"unknown filter keys: {', '.join(sorted(unknown))}")
-    fields = {}
-    if "max_authors" in raw:
-        fields["max_authors"] = _int("max_authors", raw["max_authors"])
-    if raw.get("year_range") is not None:
-        fields["year_range"] = _items("year_range", raw["year_range"], int, "two integers", 2)
-    if raw.get("disciplines"):
-        fields["disciplines"] = frozenset(_items("disciplines", raw["disciplines"], str, "strings"))
-    return CorpusFilterConfig(**fields)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
-    corpus: str
+    corpus: FilePath
     disciplines: tuple[str, ...]
     cohort_years: tuple[int, ...]
-    rules: str | None = None
+    rules: FilePath | None = None
     filter: CorpusFilterConfig | None = None
     null_reps: int = 100
     seed: int = 0
@@ -137,85 +83,23 @@ class PipelineConfig:
             raise PipelineError("min_cohort_size must be at least 10 (decile split)")
         if not 0 < self.fit_bracket[0] < self.fit_bracket[1]:
             raise PipelineError("fit_bracket must satisfy 0 < lo < hi")
+        for key in ("disciplines", "cohort_years"):
+            items = getattr(self, key)
+            for k, item in enumerate(items):
+                if item in items[:k]:
+                    raise PipelineError(f"'{key}' lists {item!r} twice")
 
     @classmethod
     def from_json(cls, source: str | Path | Mapping) -> "PipelineConfig":
         """Read and type-check a config; any problem raises PipelineError."""
-        if isinstance(source, Mapping):
-            payload = dict(source)
-        else:
-            with Path(source).open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        if not isinstance(payload, Mapping):
-            raise PipelineError("pipeline config must be a JSON object")
-        unknown = set(payload) - _CONFIG_KEYS
-        if unknown:
-            raise PipelineError(f"unknown pipeline config keys: {', '.join(sorted(unknown))}")
-        for key in ("corpus", "disciplines", "cohort_years"):
-            if key not in payload:
-                raise PipelineError(f"pipeline config is missing '{key}'")
-        rules = payload.get("rules")
-        if not (rules is None or isinstance(rules, str)):
-            raise PipelineError("'rules' must be a path or null")
-        optional = {key: _int(key, payload[key]) for key in _INT_KEYS if key in payload}
-        if "fit_bracket" in payload:
-            optional["fit_bracket"] = _items("fit_bracket", payload["fit_bracket"], (int, float), "two numbers", 2)
-        return cls(
-            corpus=str(payload["corpus"]),
-            disciplines=_distinct("disciplines", _items("disciplines", payload["disciplines"], str, "strings")),
-            cohort_years=_distinct("cohort_years", _items("cohort_years", payload["cohort_years"], int, "integers")),
-            rules=rules,
-            filter=_filter_config(payload.get("filter")),
-            **optional,
-        )
+        return read_config(cls, source, "pipeline config", PipelineError)
 
     def canonical_dict(self) -> dict:
-        filter_payload = None
-        if self.filter is not None:
-            filter_payload = {
-                "max_authors": self.filter.max_authors,
-                "year_range": list(self.filter.year_range) if self.filter.year_range else None,
-                "disciplines": sorted(self.filter.disciplines) if self.filter.disciplines else None,
-            }
-        return {
-            "corpus": self.corpus,
-            "disciplines": list(self.disciplines),
-            "cohort_years": list(self.cohort_years),
-            "rules": self.rules,
-            "filter": filter_payload,
-            "null_reps": self.null_reps,
-            "seed": self.seed,
-            "min_cohort_size": self.min_cohort_size,
-            "gini_window": self.gini_window,
-            "fit_bracket": list(self.fit_bracket),
-            "fit_grid_points": self.fit_grid_points,
-        }
+        return plain(self)
 
 
 def config_hash(config: PipelineConfig) -> str:
-    canonical = json.dumps(config.canonical_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def write_json(path: str | Path, payload) -> None:
-    """Sorted keys, two-space indent, trailing newline; numpy values as plain JSON."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        json.dump(_jsonable(payload), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    return hashlib.sha256(compact(config).encode("utf-8")).hexdigest()
 
 
 def slugify(label: str) -> str:
@@ -231,11 +115,6 @@ def _created_at() -> str:
     else:
         moment = datetime.now(tz=timezone.utc)
     return moment.replace(microsecond=0).isoformat()
-
-
-def fit_payload(fit: DiffusionFit) -> dict:
-    """The JSON record of a diffusion fit, as written by run and fit-d."""
-    return asdict(fit)
 
 
 def trend_payload(x: Sequence[float], y: Sequence[float]) -> dict:
@@ -438,7 +317,7 @@ def _cohorts_stage(
         write_json(
             bundle.path(f"{rel}/fit.json"),
             {
-                **fit_payload(r.fit),
+                **plain(r.fit),
                 "discipline": r.discipline,
                 "start_year": r.year,
                 "cohort_size": r.size,
@@ -482,7 +361,7 @@ def _disciplines_stage(config: PipelineConfig, results: list[_CohortResult], bun
             write_json(
                 bundle.path(f"{slug}/pooled_fit.json"),
                 {
-                    **fit_payload(pooled),
+                    **plain(pooled),
                     "discipline": discipline,
                     "years": [r.year for r in cohorts],
                     "config_hash": bundle.config_hash,

@@ -15,8 +15,7 @@ the corpus bit for bit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .corpus import Corpus, PublicationRecord
 from .diffusion import model_matrix
+from .jsonio import read_config
 from .mobility import DEFAULT_BINS, RankTable
 
 _SYLLABLES = (
@@ -121,19 +121,8 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, source: str | Path | Mapping) -> "SynthConfig":
-        if isinstance(source, Mapping):
-            payload = dict(source)
-        else:
-            with Path(source).open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown generator config keys: {', '.join(sorted(unknown))}")
-        for key in ("start_years", "disciplines", "collaborators"):
-            if key in payload and isinstance(payload[key], list):
-                payload[key] = tuple(payload[key])
-        return cls(**payload)
+        """Read and type-check a config; any problem raises ValueError."""
+        return read_config(cls, source, "generator config", ValueError)
 
 
 @dataclass

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from rankmobility.cli import main
-from rankmobility.mobility import read_rank_table_csv, write_matrix_csv
+from rankmobility.corpus import export
+from rankmobility.disambig import disambiguate, write_clusters, write_truth
+from rankmobility.mobility import read_rank_table_csv, transition_matrix, write_matrix_csv, write_rank_table_csv
+from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
 
 def run_cli(capsys, *argv):
@@ -371,3 +374,126 @@ def test_gini_series_skips_years_with_all_zero_impacts(capsys, tmp_path):
         assert code == 0, err
         assert json.loads(out)["points"] == 0
         assert json.loads(out)["skipped_years"] == list(range(2000, int(years[-4:]) + 1))
+
+
+def test_filter_with_an_empty_disciplines_file_applies_no_discipline_filter(capsys, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    export(generate_corpus(SynthConfig(n_authors=40, seed=3))[0], corpus)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "filter", "--in", str(corpus), "--out", str(tmp_path / "o"), "--disciplines", str(labels)
+    )
+    assert code == 0
+    assert "discipline_excluded" not in json.loads(out)["by_rule"]
+
+
+# Each input-file flag of each subcommand: the kind of file it takes, and
+# the arguments, with FUZZED where the fuzzed file goes. Every other input
+# is valid.
+FUZZED = "<fuzzed>"
+_COHORT = ["--discipline", "Chemistry", "--start-year", "2000", "--out", "{out}"]
+_SERIES = ["--discipline", "Chemistry", "--years", "2000:2001", "--min-size", "10", "--out", "{out}"]
+_FLAGS = {
+    "ingest --in": ("corpus", ["ingest", "--in", FUZZED, "--out", "{out}"]),
+    "filter --in": ("corpus", ["filter", "--in", FUZZED, "--out", "{out}"]),
+    "filter --disciplines": ("labels", ["filter", "--in", "{corpus}", "--out", "{out}", "--disciplines", FUZZED]),
+    "disambiguate --corpus": ("corpus", ["disambiguate", "--corpus", FUZZED, "--out", "{out}"]),
+    "disambiguate --rules": ("rules", ["disambiguate", "--corpus", "{corpus}", "--rules", FUZZED, "--out", "{out}"]),
+    "disambig-eval --pred": ("clusters", ["disambig-eval", "--pred", FUZZED, "--truth", "{truth}"]),
+    "disambig-eval --truth": ("truth", ["disambig-eval", "--pred", "{clusters}", "--truth", FUZZED]),
+    "disambig-eval --corpus": (
+        "corpus",
+        ["disambig-eval", "--pred", "{clusters}", "--truth", "{truth}", "--corpus", FUZZED],
+    ),
+    "cohort --corpus": ("corpus", ["cohort", "--corpus", FUZZED, "--clusters", "{clusters}", *_COHORT]),
+    "cohort --clusters": ("clusters", ["cohort", "--corpus", "{corpus}", "--clusters", FUZZED, *_COHORT]),
+    "mobility --cohort": ("rank table", ["mobility", "--cohort", FUZZED, "--out", "{out}"]),
+    "null --cohort": ("rank table", ["null", "--cohort", FUZZED, "--reps", "2", "--out", "{out}"]),
+    "fit-d --matrix": ("matrix", ["fit-d", "--matrix", FUZZED]),
+    "fit-d-pooled --matrices": ("matrix", ["fit-d-pooled", "--matrices", "{matrix}", FUZZED]),
+    "gini --cohort": ("rank table", ["gini", "--cohort", FUZZED]),
+    "gini-series --corpus": ("corpus", ["gini-series", "--corpus", FUZZED, "--clusters", "{clusters}", *_SERIES]),
+    "gini-series --clusters": ("clusters", ["gini-series", "--corpus", "{corpus}", "--clusters", FUZZED, *_SERIES]),
+    "trend --series": ("series", ["trend", "--series", FUZZED]),
+    "compare --a": ("sample", ["compare", "--a", FUZZED, "--b", "{sample}"]),
+    "compare --b": ("sample", ["compare", "--a", "{sample}", "--b", FUZZED]),
+    "synth corpus --config": ("generator config", ["synth", "corpus", "--config", FUZZED, "--out", "{out}"]),
+    "run --config": ("pipeline config", ["run", "--config", FUZZED, "--out-dir", "{out}"]),
+}
+
+# Per kind of file: an object whose keys fit that kind but whose values
+# have the wrong JSON types.
+_WRONGLY_TYPED = {
+    "corpus": {"pub_id": 1, "year": "2000", "disciplines": ["A"], "authors": "Ada Park", "citing_years": 2001},
+    "labels": {"Chemistry": True},
+    "rules": {"weights": {"orcid_match": "10"}, "threshold": True},
+    "clusters": {"author_id": 1, "mention_ids": 5},
+    "truth": {"author_id": 1, "mention_id": 2},
+    "rank table": {"author_id": 1, "impact1": "x"},
+    "matrix": {"1": "x"},
+    "series": {"x": "1", "y": None},
+    "sample": {"value": "a"},
+    "generator config": {"n_authors": "50", "seed": True, "disciplines": "Chemistry"},
+    "pipeline config": {"corpus": 5, "disciplines": "Chemistry", "cohort_years": 2000},
+}
+
+_BODIES = {
+    "empty": "",
+    "truncated JSON": '{"a": ',
+    "null": "null",
+    "list": "[1]",
+    "wrongly typed object": None,
+    "CSV with a short row": "a,b\n1,2\n3\n",
+    "non-numeric CSV": "a,b\nx,y\n",
+}
+
+
+def _expected_exit(flag: str, kind: str, body: str) -> int | None:
+    """0 or 2 where the body is valid input for the flag; None where it is
+    not, and the exit code must be 1 or 2."""
+    if kind == "labels" or (kind == "corpus" and flag.split()[0] in ("ingest", "filter", "disambiguate")):
+        return 0  # any text is a label list; corpus readers report bad lines and go on
+    if kind in ("clusters", "truth") and body == "empty":
+        # An empty file is a valid clusters or truth file; cohort then has
+        # no members, and disambig-eval has predicted mentions without labels.
+        return 2 if flag in ("cohort --clusters", "disambig-eval --truth") else 0
+    return None
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """One valid file of each kind."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus, truth = generate_corpus(
+        SynthConfig(n_authors=60, seed=2, disciplines=("Chemistry",), start_years=(2000, 2000))
+    )
+    table = sample_transitions(0.5, 1000, seed=1)
+    paths = {name: root / name for name in ("corpus", "clusters", "truth", "table", "matrix", "sample")}
+    export(corpus, paths["corpus"])
+    write_clusters(paths["clusters"], disambiguate(corpus))
+    write_truth(paths["truth"], truth)
+    write_rank_table_csv(paths["table"], table)
+    write_matrix_csv(paths["matrix"], transition_matrix(table).matrix)
+    paths["sample"].write_text("value\n1\n2\n3\n", encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("body_name", list(_BODIES))
+@pytest.mark.parametrize("flag", list(_FLAGS))
+def test_malformed_input_files_exit_with_a_message_not_a_traceback(
+    capsys, tmp_path, fuzz_inputs, flag, body_name
+):
+    kind, argv = _FLAGS[flag]
+    body = _BODIES[body_name]
+    fuzzed = tmp_path / "fuzzed"
+    fuzzed.write_text(json.dumps(_WRONGLY_TYPED[kind]) if body is None else body, encoding="utf-8")
+    args = [str(fuzzed) if a == FUZZED else a.format(out=tmp_path / "out", **fuzz_inputs) for a in argv]
+    code, _, err = run_cli(capsys, *args)
+    expected = _expected_exit(flag, kind, body_name)
+    if expected is None:
+        assert code in (1, 2), err
+    else:
+        assert code == expected, err
+    if code != 0:
+        assert err.startswith(("usage error: ", "data error: ")), err

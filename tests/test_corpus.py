@@ -30,6 +30,7 @@ def test_ingest_accepts_minimal_record():
     "mutation, reason_part",
     [
         (lambda r: r.pop("year"), "missing required field: year"),
+        (lambda r: r.pop("citing_years"), "missing required field: citing_years"),
         (lambda r: r.__setitem__("year", "2000"), "year must be an integer"),
         (lambda r: r.__setitem__("year", True), "year must be an integer"),
         (lambda r: r.__setitem__("pub_id", ""), "pub_id must be a non-empty string"),
@@ -151,6 +152,16 @@ def test_filter_is_idempotent():
     twice, stats = filter_corpus(once, config)
     assert export_lines(once) == export_lines(twice)
     assert stats.removed == 0
+
+
+def test_filter_with_no_disciplines_applies_no_discipline_filter():
+    corpus = corpus_of(make_record("P1"), make_record("P2", disciplines="History"))
+    for disciplines in (None, frozenset()):
+        config = CorpusFilterConfig(disciplines=disciplines)
+        assert config.disciplines is None
+        kept, stats = filter_corpus(corpus, config)
+        assert set(kept.publications) == {"P1", "P2"}
+        assert stats.removed == 0
 
 
 def test_filter_config_validation():

@@ -121,6 +121,22 @@ def test_rule_table_from_json(tmp_path):
         ScoringRuleTable.from_json(path)
 
 
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"weights": {"email_match": 5}, "threshold": None}, "'threshold' must be a number"),
+        ({"weights": {"email_match": None}, "threshold": 5}, "'weights' must be an object of numbers"),
+        ({"weights": {"email_match": 5}, "threshold": "10"}, "'threshold' must be a number"),
+        ({"weights": {"email_match": True}, "threshold": 5}, "'weights' must be an object of numbers"),
+    ],
+)
+def test_rule_table_from_json_rejects_wrong_types(tmp_path, payload, message):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DisambigError, match=message):
+        ScoringRuleTable.from_json(path)
+
+
 def test_block_key_uses_surname_and_first_initial():
     assert block_key(mention(given="john r", initials="jr", surname="smith")) == ("smith", "j")
 
@@ -286,3 +302,29 @@ def test_cluster_and_truth_files_round_trip(tmp_path):
     write_truth(tpath, truth)
     assert read_clusters(cpath) == clusters
     assert read_truth(tpath) == truth
+
+
+@pytest.mark.parametrize(
+    "reader,valid,line,message",
+    [
+        (read_clusters, '{"author_id": "a", "mention_ids": ["a"]}', "[1]", "cluster must be a JSON object"),
+        (
+            read_clusters,
+            '{"author_id": "a", "mention_ids": ["a"]}',
+            '{"author_id": 1, "mention_ids": 5}',
+            "'author_id' must be a string",
+        ),
+        (read_truth, '{"author_id": "A", "mention_id": "a"}', "null", "truth label must be a JSON object"),
+        (
+            read_truth,
+            '{"author_id": "A", "mention_id": "a"}',
+            '{"author_id": 1, "mention_id": 2}',
+            "'author_id' must be a string",
+        ),
+    ],
+)
+def test_cluster_and_truth_files_reject_malformed_lines(tmp_path, reader, valid, line, message):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(f"{valid}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(DisambigError, match=f"line 3: {message}"):
+        reader(path)

@@ -112,6 +112,7 @@ def test_config_validation(overrides, message):
         ({"filter": {"max_author": 5}}, "unknown filter keys: max_author"),
         ({"filter": {"disciplines": "Chemistry"}}, "'disciplines' must be a list of strings"),
         ({"filter": {"year_range": [2000]}}, "'year_range' must be a list of two integers"),
+        ({"corpus": 5}, "'corpus' must be a path"),
     ],
 )
 def test_config_types_and_duplicates_are_rejected(overrides, message):
@@ -148,6 +149,34 @@ def test_config_hash_is_stable_and_sensitive():
     assert first == second
     assert first != shifted
     assert len(first) == 64
+
+
+@pytest.mark.parametrize(
+    "payload,digest",
+    [
+        (
+            {
+                "corpus": "x",
+                "disciplines": ["A", "B"],
+                "cohort_years": [2001, 2000],
+                "fit_bracket": [1, 10],
+                "filter": {"max_authors": 20},
+            },
+            "d7914ed47df6a5254394eb0e4343698c1ab8be151daf3f24c7a58fc5fcb206f4",
+        ),
+        (
+            {
+                "corpus": "x",
+                "disciplines": ["A"],
+                "cohort_years": [2000],
+                "filter": {"disciplines": [], "year_range": None},
+            },
+            "b794f55fb1cc8ce30d2e4b56923723e494f375dd6781fa9f32d5befe6f2f36f7",
+        ),
+    ],
+)
+def test_config_hash_is_pinned(payload, digest):
+    assert config_hash(PipelineConfig.from_json(payload)) == digest
 
 
 def test_slugify():

@@ -12,6 +12,7 @@ from rankmobility.disambig import (
     evaluate_disambiguation,
 )
 from rankmobility.inequality import gini
+from rankmobility.jsonio import plain
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
 from conftest import export_lines
@@ -230,3 +231,35 @@ def test_config_from_json_accepts_lists_and_files(tmp_path):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert SynthConfig.from_json(path) == from_mapping
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"disciplines": "Chemistry"}, "'disciplines' must be a list of strings"),
+        ({"n_authors": "50"}, "'n_authors' must be an integer"),
+        ({"start_years": 2000}, "'start_years' must be a list of two integers"),
+        ({"seed": True}, "'seed' must be an integer"),
+    ],
+)
+def test_config_from_json_rejects_wrong_types(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        SynthConfig.from_json({"n_authors": 10, "seed": 1, **overrides})
+
+
+def test_config_from_json_rejects_a_null_payload(tmp_path):
+    path = tmp_path / "synth.json"
+    path.write_text("null", encoding="utf-8")
+    with pytest.raises(ValueError, match="generator config must be a JSON object"):
+        SynthConfig.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(n_authors=10, seed=1),
+        SynthConfig(n_authors=10, seed=1, alpha=2, start_years=(2001, 2003), disciplines=("B", "A")),
+    ],
+)
+def test_config_round_trips_through_plain(config):
+    assert SynthConfig.from_json(plain(config)) == config
