@@ -68,11 +68,6 @@ def _require_column_stochastic(matrix: np.ndarray) -> None:
         raise ValueError("transition matrix columns must sum to 1")
 
 
-def frobenius_gap(matrix: np.ndarray, d: float) -> float:
-    """Frobenius norm of (matrix - model_matrix(d))."""
-    return float(np.linalg.norm(matrix - model_matrix(d, matrix.shape[0])))
-
-
 @dataclass(frozen=True)
 class DiffusionFit:
     """Calibration result.

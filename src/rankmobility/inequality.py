@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cohort import AuthorProfile
-from .csvio import read_csv, write_csv
+from .csvio import write_csv
 
 DEFAULT_MIN_COHORT = 100
 
@@ -142,14 +142,3 @@ def write_gini_series_csv(path: str | Path, series: GiniSeries) -> None:
         for y, g, n in zip(series.years, series.values, series.n_authors)
     )
     write_csv(path, _GINI_SERIES_HEADER, rows)
-
-
-def read_gini_series_csv(path: str | Path, discipline: str = "", mode: str = "cohort") -> GiniSeries:
-    rows = list(read_csv(path, "gini series", _GINI_SERIES_HEADER))
-    return GiniSeries(
-        discipline=discipline,
-        mode=mode,
-        years=np.array([int(r[0]) for r in rows], dtype=np.int64),
-        values=np.array([float(r[1]) for r in rows]),
-        n_authors=np.array([int(r[2]) for r in rows], dtype=np.int64),
-    )

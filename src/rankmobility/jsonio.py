@@ -1,7 +1,8 @@
 """The one reader and writer behind every JSON config and record the package handles.
 
 read_config and read_lines build dataclasses from JSON, checking each value
-against its field's declared type (range rules stay in __post_init__).
+against its field's declared type (range rules stay in __post_init__); load
+reads any other JSON file. None of them takes NaN or Infinity.
 dumps and compact are the two encoders: they also take dataclasses,
 frozensets and numpy values, and plain gives the JSON data they write.
 """
@@ -124,23 +125,40 @@ def read_config(cls, source: str | PathLike | Mapping, label: str, error: type[E
     Every key must name a field, every field without a default must be
     given, and every value must have its field's type; lists become the
     declared tuple or frozenset. A problem raises error, with a message
-    naming label or the key; a file that is not JSON raises ValueError.
+    naming label or the key; a file is read as load reads it.
     """
     if isinstance(source, (str, PathLike)):
-        with Path(source).open("r", encoding="utf-8") as handle:
-            source = json.load(handle)
+        source = load(source, label, error)
     return _build(cls, source, label, error)
+
+
+def _no_constants(label: str, error: type[Exception]):
+    """A json parse_constant hook: NaN, Infinity and -Infinity, which Python's
+    json reads but JSON does not allow, raise error naming label."""
+
+    def reject(name: str):
+        raise error(f"{label} holds {name}, which is not a JSON number")
+
+    return reject
+
+
+def load(path: str | PathLike, label: str, error: type[Exception]):
+    """The JSON data in the file at path; NaN or Infinity raises error, and a
+    file that is not JSON raises ValueError."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        return json.load(handle, parse_constant=_no_constants(label, error))
 
 
 def read_lines(path: str | PathLike, cls, label: str, error: type[Exception]) -> Iterator:
     """One cls per non-blank line of a JSON-lines file, each read as
     read_config reads an object; a bad line raises error naming the line."""
+    constant = _no_constants(label, error)
     with Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             try:
-                record = _build(cls, json.loads(line), label, error)
+                record = _build(cls, json.loads(line, parse_constant=constant), label, error)
             except (ValueError, error) as exc:
                 raise error(f"{path}, line {number}: {exc}") from None
             yield record

@@ -98,14 +98,6 @@ class TransitionMatrix:
     n_bins: int
     uniform_columns: tuple[int, ...] = ()
 
-    def prob(self, i: int, j: int) -> float:
-        """P(second-window bin = i | first-window bin = j), bins 1-based."""
-        return float(self.matrix[i - 1, j - 1])
-
-    @property
-    def column_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
 
 def transition_counts(q1: np.ndarray, q2: np.ndarray, n_bins: int) -> np.ndarray:
     counts = np.zeros((n_bins, n_bins), dtype=np.int64)

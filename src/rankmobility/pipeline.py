@@ -17,12 +17,11 @@ pinned.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -36,7 +35,7 @@ from .csvio import write_csv
 from .diffusion import DiffusionFit, fit_d, fit_d_pooled, model_matrix
 from .disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters
 from .inequality import cohort_gini_series, write_gini_series_csv
-from .jsonio import FilePath, compact, plain, read_config, write_json
+from .jsonio import FilePath, compact, load, plain, read_config, write_json
 from .mobility import (
     DeltaPMatrix,
     RankTable,
@@ -440,6 +439,22 @@ def _manifest_stage(config: PipelineConfig, results: list[_CohortResult], bundle
     return manifest
 
 
+@dataclass(frozen=True)
+class _RankedDiscipline:
+    """What report_summary reads of one per_discipline row of a bundle summary."""
+
+    discipline: str
+    pooled_d: float | None
+    mean_gini: float | None
+
+
+def _ranked_fields(row: object) -> object:
+    """The row's _RankedDiscipline keys; its other keys are not read."""
+    if not isinstance(row, dict):
+        return row
+    return {f.name: row[f.name] for f in fields(_RankedDiscipline) if f.name in row}
+
+
 def report_summary(bundle_dir: str | Path) -> dict:
     """Rank disciplines by pooled mobility and by average inequality.
 
@@ -452,27 +467,34 @@ def report_summary(bundle_dir: str | Path) -> dict:
     summary_path = bundle / "summary" / "correlation.json"
     if not summary_path.exists():
         raise PipelineError(f"not a report bundle (missing {summary_path})")
-    with summary_path.open("r", encoding="utf-8") as handle:
-        summary = json.load(handle)
-    rows = summary["per_discipline"]
+    summary = load(summary_path, str(summary_path), PipelineError)
+    if not isinstance(summary, dict) or not isinstance(summary.get("per_discipline"), list):
+        raise PipelineError(f"{summary_path} must be a JSON object with a 'per_discipline' list")
+    try:
+        rows = [
+            read_config(_RankedDiscipline, _ranked_fields(r), "per_discipline row", PipelineError)
+            for r in summary["per_discipline"]
+        ]
+    except PipelineError as exc:
+        raise PipelineError(f"{summary_path}: {exc}") from None
 
     mobility = sorted(
-        (r for r in rows if r["pooled_d"] is not None),
-        key=lambda r: (-r["pooled_d"], r["discipline"]),
+        (r for r in rows if r.pooled_d is not None),
+        key=lambda r: (-r.pooled_d, r.discipline),
     )
     inequality = sorted(
-        (r for r in rows if r["mean_gini"] is not None),
-        key=lambda r: (-r["mean_gini"], r["discipline"]),
+        (r for r in rows if r.mean_gini is not None),
+        key=lambda r: (-r.mean_gini, r.discipline),
     )
 
-    def extract(ranked: list[dict], key: str) -> dict:
+    def extract(ranked: list[_RankedDiscipline], key: str) -> dict:
         payload = {
             "ranking": [
-                {"rank": i + 1, "discipline": r["discipline"], key: r[key]}
+                {"rank": i + 1, "discipline": r.discipline, key: getattr(r, key)}
                 for i, r in enumerate(ranked)
             ],
-            "top5": [r["discipline"] for r in ranked[:5]],
-            "bottom5": [r["discipline"] for r in ranked[-5:]],
+            "top5": [r.discipline for r in ranked[:5]],
+            "bottom5": [r.discipline for r in ranked[-5:]],
         }
         if len(ranked) < 5:
             payload["note"] = "fewer than five disciplines; extracts cover the full ranking"
@@ -493,6 +515,6 @@ def report_summary(bundle_dir: str | Path) -> dict:
         write_csv(
             report_dir / name,
             ["rank", "discipline", key],
-            ([str(i + 1), r["discipline"], repr(float(r[key]))] for i, r in enumerate(ranked)),
+            ([str(i + 1), r.discipline, repr(float(getattr(r, key)))] for i, r in enumerate(ranked)),
         )
     return report

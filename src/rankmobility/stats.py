@@ -124,15 +124,6 @@ def t_quantile(p: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def sem(values: Sequence[float]) -> float:
-    """Standard error of the mean with the n-1 variance denominator."""
-    x = np.asarray(values, dtype=float)
-    n = len(x)
-    if n < 2:
-        raise ValueError("sem needs at least two values")
-    return float(x.std(ddof=1) / sqrt(n))
-
-
 @dataclass(frozen=True)
 class Correlation:
     r: float
@@ -182,9 +173,6 @@ class Regression:
     residual_var: float
     confidence: float
     t_crit: float
-
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
 
     def band(self, x: float | Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(fit, lower, upper) of the confidence band for the mean response."""

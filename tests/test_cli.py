@@ -390,7 +390,7 @@ def test_filter_with_an_empty_disciplines_file_applies_no_discipline_filter(caps
 
 # Each input-file flag of each subcommand: the kind of file it takes, and
 # the arguments, with FUZZED where the fuzzed file goes. Every other input
-# is valid.
+# is valid. The fuzzed file is also the summary of {bundle}.
 FUZZED = "<fuzzed>"
 _COHORT = ["--discipline", "Chemistry", "--start-year", "2000", "--out", "{out}"]
 _SERIES = ["--discipline", "Chemistry", "--years", "2000:2001", "--min-size", "10", "--out", "{out}"]
@@ -420,6 +420,7 @@ _FLAGS = {
     "compare --b": ("sample", ["compare", "--a", "{sample}", "--b", FUZZED]),
     "synth corpus --config": ("generator config", ["synth", "corpus", "--config", FUZZED, "--out", "{out}"]),
     "run --config": ("pipeline config", ["run", "--config", FUZZED, "--out-dir", "{out}"]),
+    "report --bundle": ("report summary", ["report", "--bundle", "{bundle}"]),
 }
 
 # Per kind of file: an object whose keys fit that kind but whose values
@@ -436,6 +437,7 @@ _WRONGLY_TYPED = {
     "sample": {"value": "a"},
     "generator config": {"n_authors": "50", "seed": True, "disciplines": "Chemistry"},
     "pipeline config": {"corpus": 5, "disciplines": "Chemistry", "cohort_years": 2000},
+    "report summary": {"per_discipline": [{"discipline": "Chemistry", "pooled_d": "x", "mean_gini": None}]},
 }
 
 _BODIES = {
@@ -486,9 +488,14 @@ def test_malformed_input_files_exit_with_a_message_not_a_traceback(
 ):
     kind, argv = _FLAGS[flag]
     body = _BODIES[body_name]
-    fuzzed = tmp_path / "fuzzed"
+    bundle = tmp_path / "bundle"
+    fuzzed = bundle / "summary" / "correlation.json"
+    fuzzed.parent.mkdir(parents=True)
     fuzzed.write_text(json.dumps(_WRONGLY_TYPED[kind]) if body is None else body, encoding="utf-8")
-    args = [str(fuzzed) if a == FUZZED else a.format(out=tmp_path / "out", **fuzz_inputs) for a in argv]
+    args = [
+        str(fuzzed) if a == FUZZED else a.format(out=tmp_path / "out", bundle=bundle, **fuzz_inputs)
+        for a in argv
+    ]
     code, _, err = run_cli(capsys, *args)
     expected = _expected_exit(flag, kind, body_name)
     if expected is None:

@@ -8,7 +8,6 @@ from rankmobility.diffusion import (
     DEFAULT_GRID_POINTS,
     fit_d,
     fit_d_pooled,
-    frobenius_gap,
     model_matrix,
 )
 from rankmobility.mobility import TransitionMatrix
@@ -66,13 +65,13 @@ def test_rejects_nonpositive_d(d):
 
 
 def test_frobenius_gap_vanishes_on_exact_member():
-    assert frobenius_gap(model_matrix(0.4), 0.4) == 0.0
-    assert frobenius_gap(model_matrix(0.4), 0.8) > 0.01
+    assert np.linalg.norm(model_matrix(0.4) - model_matrix(0.4)) == 0.0
+    assert np.linalg.norm(model_matrix(0.4) - model_matrix(0.8)) > 0.01
 
 
 def test_frobenius_gap_identity_vs_uniform():
     # norm(I - U) for 10x10 with U = 1/10: sqrt(10 * 0.81 + 90 * 0.01) = 3.
-    assert frobenius_gap(np.eye(10), 1e6) == pytest.approx(3.0, abs=1e-3)
+    assert np.linalg.norm(np.eye(10) - model_matrix(1e6)) == pytest.approx(3.0, abs=1e-3)
 
 
 def test_fit_recovers_exact_member():

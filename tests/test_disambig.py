@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmobility import disambig
 from rankmobility.corpus import AuthorMention
 from rankmobility.disambig import (
     CRITERIA,
@@ -128,6 +131,9 @@ def test_rule_table_from_json(tmp_path):
         ({"weights": {"email_match": None}, "threshold": 5}, "'weights' must be an object of numbers"),
         ({"weights": {"email_match": 5}, "threshold": "10"}, "'threshold' must be a number"),
         ({"weights": {"email_match": True}, "threshold": 5}, "'weights' must be an object of numbers"),
+        ({"weights": {"orcid_match": float("nan")}, "threshold": 5}, "holds NaN, which is not a JSON number"),
+        ({"weights": {"orcid_match": 10}, "threshold": float("inf")}, "holds Infinity, which is not a JSON number"),
+        ({"weights": {"orcid_match": float("-inf")}, "threshold": 5}, "holds -Infinity, which is not a JSON number"),
     ],
 )
 def test_rule_table_from_json_rejects_wrong_types(tmp_path, payload, message):
@@ -184,20 +190,19 @@ def test_clustering_is_order_independent():
     assert forward == backward
 
 
-_ATTRS = st.fixed_dictionaries(
-    {
-        "orcid": st.sampled_from([None, "o1", "o2"]),
-        "email": st.sampled_from([None, "e1", "e2"]),
-        "affiliation": st.sampled_from([None, "i1", "i2"]),
-        "journal": st.sampled_from([None, "j1"]),
-        "grant_ids": st.sets(st.sampled_from(["g1", "g2"]), max_size=2).map(frozenset),
-        "references": st.sets(st.sampled_from(["P1", "P2", "R1"]), max_size=2).map(frozenset),
-        "coauthor_names": st.sets(st.sampled_from(["n1", "n2"]), max_size=2).map(frozenset),
-        "disciplines": st.sets(st.sampled_from(["d1", "d2"]), max_size=2).map(frozenset),
-        "cited_by": st.sets(st.sampled_from(["C1", "C2"]), max_size=2).map(frozenset),
-        "full_given": st.sampled_from([None, "ada"]),
-    }
-)
+_ATTR_VALUES = {
+    "orcid": st.sampled_from([None, "o1", "o2"]),
+    "email": st.sampled_from([None, "e1", "e2"]),
+    "affiliation": st.sampled_from([None, "i1", "i2"]),
+    "journal": st.sampled_from([None, "j1"]),
+    "grant_ids": st.sets(st.sampled_from(["g1", "g2"]), max_size=2).map(frozenset),
+    "references": st.sets(st.sampled_from(["P1", "P2", "R1"]), max_size=2).map(frozenset),
+    "coauthor_names": st.sets(st.sampled_from(["n1", "n2"]), max_size=2).map(frozenset),
+    "disciplines": st.sets(st.sampled_from(["d1", "d2"]), max_size=2).map(frozenset),
+    "cited_by": st.sets(st.sampled_from(["C1", "C2"]), max_size=2).map(frozenset),
+    "full_given": st.sampled_from([None, "ada"]),
+}
+_ATTRS = st.fixed_dictionaries(_ATTR_VALUES)
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,6 +235,62 @@ def test_raising_threshold_only_refines(blocks, low, step):
         for cluster in cluster_block(ms, fine_rules):
             anchors = {coarse[m_id] for m_id in cluster.mention_ids}
             assert len(anchors) == 1
+
+
+# Mentions P0:0 to P5:0 of one block, which cite each other's publications
+# and differ in given names, spelled out or not.
+_BLOCK_MEMBER = st.fixed_dictionaries(
+    {
+        **_ATTR_VALUES,
+        "given": st.sampled_from(["ada", "ann"]),
+        "references": st.sets(st.sampled_from(["P0", "P1", "P2", "P3", "P4", "P5", "R1"]), max_size=3).map(frozenset),
+    }
+)
+# Weights whose float sums depend on the order they are added in.
+_WEIGHTS = st.fixed_dictionaries({name: st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.1, 3.3, 10.0]) for name in CRITERIA})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    members=st.lists(_BLOCK_MEMBER, min_size=1, max_size=6),
+    weights=_WEIGHTS,
+    # Some thresholds that sums of those weights reach, some anywhere.
+    threshold=st.one_of(st.sampled_from([0.3, 0.6, 3.4, 4.4, 11.6]), st.floats(0.01, 20.0)),
+)
+def test_cluster_block_gives_the_components_of_pairs_score_pair_links(members, weights, threshold):
+    rules = ScoringRuleTable(weights=weights, threshold=threshold)
+    ms = [mention(f"P{k}:0", **attrs) for k, attrs in enumerate(members)]
+    component = {m.mention_id: {m.mention_id} for m in ms}
+    for k, a in enumerate(ms):
+        for b in ms[k + 1 :]:
+            if score_pair(a, b, rules) >= rules.threshold and component[a.mention_id] is not component[b.mention_id]:
+                merged = component[a.mention_id] | component[b.mention_id]
+                for mention_id in merged:
+                    component[mention_id] = merged
+    expected = sorted({tuple(sorted(ids)) for ids in component.values()})
+    assert [c.mention_ids for c in cluster_block(ms, rules)] == expected
+
+
+def test_score_pair_adds_weights_as_cluster_block_does():
+    # In criteria order these weights sum to 11.6, largest first to 11.599999999999998.
+    weights = {
+        "orcid_match": 0.2, "email_match": 1.1, "name_detail_match": 3.3, "shared_affiliation": 3.3,
+        "shared_coauthor": 3.3, "shared_grant": 0.1, "same_journal": 0.3,
+    }
+    rules = ScoringRuleTable(weights=weights, threshold=11.6)
+    shared = dict(orcid="o", email="e", affiliation="i", journal="j", grant_ids=frozenset({"g"}),
+                  coauthor_names=frozenset({"n"}))
+    a, b = mention("P1:0", **shared), mention("P2:0", **shared)
+    assert satisfied_criteria(a, b) == tuple(weights)
+    assert score_pair(a, b, rules) < rules.threshold
+    assert len(cluster_block([a, b], rules)) == 2
+
+
+def test_readme_lists_every_criterion_with_its_kind_in_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert rows == [(name, kind) for name, kind, _ in disambig._CRITERIA_TABLE]
+    assert tuple(name for name, _ in rows) == CRITERIA
 
 
 def test_disambiguate_end_to_end_on_tiny_corpus(default_rules):

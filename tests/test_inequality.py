@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmobility.cohort import AuthorProfile, CohortSpec, ProfilePublication, cohort_impacts
+from rankmobility.csvio import read_csv
 from rankmobility.inequality import (
     cohort_gini_series,
     gini,
     population_gini_series,
-    read_gini_series_csv,
     write_gini_series_csv,
 )
 
@@ -167,14 +167,14 @@ def test_series_csv_round_trip(tmp_path):
     series = cohort_gini_series("Chemistry", chemistry_impacts([2000], 1), min_cohort=2)
     path = tmp_path / "gini.csv"
     write_gini_series_csv(path, series)
-    back = read_gini_series_csv(path, discipline="Chemistry", mode="cohort")
-    assert back.years.tolist() == series.years.tolist()
-    assert back.values.tolist() == series.values.tolist()
-    assert back.n_authors.tolist() == series.n_authors.tolist()
+    back = list(read_csv(path, "gini series", ("year", "gini", "n_authors")))
+    assert [int(r[0]) for r in back] == series.years.tolist()
+    assert [float(r[1]) for r in back] == series.values.tolist()
+    assert [int(r[2]) for r in back] == series.n_authors.tolist()
 
 
 def test_series_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("year,value\n2000,0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not a gini series file"):
-        read_gini_series_csv(path)
+        list(read_csv(path, "gini series", ("year", "gini", "n_authors")))

@@ -79,21 +79,21 @@ def test_transition_matrix_identity_for_stable_ranks():
     t = transition_matrix(table_from(values, values))
     assert np.allclose(t.matrix, np.eye(10))
     assert t.uniform_columns == ()
-    assert t.prob(1, 1) == 1.0
-    assert np.allclose(t.column_sums, 1.0)
+    assert t.matrix[0, 0] == 1.0
+    assert np.allclose(t.matrix.sum(axis=0), 1.0)
 
 
 def test_transition_matrix_reversal():
     values = [float(k) for k in range(20)]
     t = transition_matrix(table_from(values, values[::-1]))
     assert np.allclose(t.matrix, np.eye(10)[::-1])
-    assert t.prob(10, 1) == 1.0
+    assert t.matrix[9, 0] == 1.0
 
 
 def test_column_sums_exactly_one_with_two_authors_per_bin():
     rng = np.random.default_rng(3)
     t = transition_matrix(table_from(rng.random(40), rng.random(40)))
-    assert np.abs(t.column_sums - 1.0).max() < 1e-12
+    assert np.abs(t.matrix.sum(axis=0) - 1.0).max() < 1e-12
 
 
 def test_delta_q_profile_values():
@@ -114,6 +114,14 @@ def test_delta_q_empty_and_single_bins():
     assert profile.count[0] == 2
     assert profile.sem[0] == 0.0
     assert np.isnan(profile.sem[1])
+
+
+def test_delta_q_sem_uses_the_n_minus_1_variance():
+    # Bin 1 holds two authors who move up 0 and 2 bins: sqrt(2 / 1) / sqrt(2) = 1.
+    values2 = [0.0, 4.0, 1.0, 2.0, 3.0] + [float(k) for k in range(5, 20)]
+    profile = delta_q_profile(table_from([float(k) for k in range(20)], values2))
+    assert profile.count[0] == 2
+    assert profile.sem[0] == 1.0
 
 
 @settings(max_examples=30, deadline=None)

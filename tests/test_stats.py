@@ -9,7 +9,6 @@ from rankmobility.stats import (
     ols_with_band,
     pearson,
     reg_inc_beta,
-    sem,
     t_cdf,
     t_quantile,
     two_tailed_p,
@@ -123,15 +122,6 @@ def test_t_cdf_inverts_quantile(p, df):
     assert t_cdf(t_quantile(p, df), df) == pytest.approx(p, abs=1e-10)
 
 
-def test_sem_two_values():
-    assert sem([0.0, 2.0]) == 1.0
-
-
-def test_sem_needs_two_values():
-    with pytest.raises(ValueError, match="sem needs at least two values"):
-        sem([1.0])
-
-
 def test_pearson_worked_example():
     # Deviations (-1, 0, 1) and (-1, 1, 0) give r = 1/2; with df = 1 the
     # t statistic is tan(pi/6), so the two-tailed p is exactly 2/3.
@@ -182,7 +172,7 @@ def test_ols_worked_example():
     fit = ols_with_band([0.0, 1.0, 2.0], [0.0, 0.0, 3.0])
     assert fit.slope == pytest.approx(1.5, rel=1e-12)
     assert fit.intercept == pytest.approx(-0.5, rel=1e-12)
-    assert fit.predict(2.0) == pytest.approx(2.5, rel=1e-12)
+    assert fit.band(2.0)[0][0] == pytest.approx(2.5, rel=1e-12)
     assert fit.residual_var == pytest.approx(1.5, rel=1e-12)
     assert fit.t_crit == pytest.approx(T_CRIT_95[0], abs=1e-6)
     mid, lower, upper = fit.band(1.0)

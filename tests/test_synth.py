@@ -240,11 +240,15 @@ def test_config_from_json_accepts_lists_and_files(tmp_path):
         ({"n_authors": "50"}, "'n_authors' must be an integer"),
         ({"start_years": 2000}, "'start_years' must be a list of two integers"),
         ({"seed": True}, "'seed' must be an integer"),
+        ({"alpha": float("nan")}, "holds NaN, which is not a JSON number"),
+        ({"paper_rate": float("inf")}, "holds Infinity, which is not a JSON number"),
     ],
 )
-def test_config_from_json_rejects_wrong_types(overrides, message):
+def test_config_from_json_rejects_wrong_types(tmp_path, overrides, message):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"n_authors": 10, "seed": 1, **overrides}), encoding="utf-8")
     with pytest.raises(ValueError, match=message):
-        SynthConfig.from_json({"n_authors": 10, "seed": 1, **overrides})
+        SynthConfig.from_json(path)
 
 
 def test_config_from_json_rejects_a_null_payload(tmp_path):
