@@ -19,6 +19,14 @@ def normalize_text(value: str) -> str:
         Canonical matching form, e.g. ``"  José  GARCÍA "`` becomes
         ``"jose garcia"``.
     """
+    if value.isascii():
+        # NFKD and the combining marks leave ASCII alone, and casefold is lower.
+        return " ".join(value.lower().split())
+    return _normalize_unicode(value)
+
+
+def _normalize_unicode(value: str) -> str:
+    """normalize_text for any text; for ASCII it is the fast path's oracle."""
     decomposed = unicodedata.normalize("NFKD", value)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return " ".join(stripped.casefold().split())

@@ -23,6 +23,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from math import inf
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -80,8 +81,8 @@ class PipelineConfig:
             raise PipelineError("gini_window must be 1 or 2")
         if self.min_cohort_size < 10:
             raise PipelineError("min_cohort_size must be at least 10 (decile split)")
-        if not 0 < self.fit_bracket[0] < self.fit_bracket[1]:
-            raise PipelineError("fit_bracket must satisfy 0 < lo < hi")
+        if not 0 < self.fit_bracket[0] < self.fit_bracket[1] < inf:
+            raise PipelineError("fit_bracket must satisfy 0 < lo < hi < inf")
         for key in ("disciplines", "cohort_years"):
             items = getattr(self, key)
             for k, item in enumerate(items):

@@ -15,7 +15,8 @@ the corpus bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from math import isfinite
 from pathlib import Path
 from typing import Mapping
 
@@ -86,6 +87,10 @@ class SynthConfig:
     updates_per_year: int = 10
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.n_authors < 1:
             raise ValueError("n_authors must be positive")
         if self.seed is None:

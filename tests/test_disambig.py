@@ -111,6 +111,12 @@ def test_rule_table_validation():
         ScoringRuleTable(weights={"orcid_match": -1}, threshold=1)
     with pytest.raises(DisambigError, match="threshold must be positive"):
         ScoringRuleTable(weights={"orcid_match": 1}, threshold=0)
+    # From Python, unlike from JSON, non-finite numbers reach the checks; a
+    # NaN weight would make every pair's total NaN, which links nothing.
+    with pytest.raises(DisambigError, match="weights must be finite and nonnegative"):
+        ScoringRuleTable(weights={"orcid_match": float("nan")}, threshold=1)
+    with pytest.raises(DisambigError, match="threshold must be positive and finite"):
+        ScoringRuleTable(weights={"orcid_match": 1}, threshold=float("inf"))
 
 
 def test_rule_table_from_json(tmp_path):
@@ -284,6 +290,79 @@ def test_score_pair_adds_weights_as_cluster_block_does():
     assert satisfied_criteria(a, b) == tuple(weights)
     assert score_pair(a, b, rules) < rules.threshold
     assert len(cluster_block([a, b], rules)) == 2
+
+
+def _oracle_clusters(ms, rules):
+    """The mention ids of each connected component of the pairs score_pair
+    links, sorted as cluster_block sorts them."""
+    component = {m.mention_id: {m.mention_id} for m in ms}
+    for k, a in enumerate(ms):
+        for b in ms[k + 1 :]:
+            if score_pair(a, b, rules) >= rules.threshold:
+                merged = component[a.mention_id] | component[b.mention_id]
+                for mention_id in merged:
+                    component[mention_id] = merged
+    return sorted({tuple(sorted(ids)) for ids in component.values()})
+
+
+def _ids(clusters):
+    return [c.mention_ids for c in clusters]
+
+
+# Mentions P0:0, P0:1, P1:0, ... of one block: pairs share a publication.
+def _block_of(members):
+    return [mention(f"P{k // 2}:{k % 2}", **attrs) for k, attrs in enumerate(members)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.lists(_BLOCK_MEMBER, min_size=1, max_size=10),
+    weights=_WEIGHTS,
+    threshold=st.sampled_from([0.3, 3.4, 4.4, 10.0, 11.6]),
+    data=st.data(),
+)
+def test_cluster_block_is_invariant_to_the_order_of_a_block(members, weights, threshold, data):
+    rules = ScoringRuleTable(weights=weights, threshold=threshold)
+    ms = _block_of(members)
+    permuted = data.draw(st.permutations(ms))
+    expected = _oracle_clusters(ms, rules)
+    assert _ids(cluster_block(ms, rules)) == expected
+    assert cluster_block(permuted, rules) == cluster_block(ms, rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.lists(_BLOCK_MEMBER, min_size=1, max_size=8),
+    weights=_WEIGHTS,
+    threshold=st.one_of(st.sampled_from([0.3, 0.6, 3.4, 4.4, 11.6]), st.floats(0.01, 20.0)),
+)
+def test_doubling_every_weight_and_the_threshold_keeps_the_clusters(members, weights, threshold):
+    # Doubling is exact in binary floating point, so every comparison holds.
+    rules = ScoringRuleTable(weights=weights, threshold=threshold)
+    doubled = ScoringRuleTable(weights={k: 2 * w for k, w in weights.items()}, threshold=2 * threshold)
+    ms = _block_of(members)
+    assert _ids(cluster_block(ms, rules)) == _oracle_clusters(ms, rules)
+    assert cluster_block(ms, doubled) == cluster_block(ms, rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.lists(_BLOCK_MEMBER, min_size=5, max_size=14),
+    weights=_WEIGHTS,
+    threshold=st.sampled_from([0.3, 3.4, 4.4, 10.0]),
+    tile=st.integers(1, 4),
+)
+def test_blocks_larger_than_a_tile_give_the_components_score_pair_links(members, weights, threshold, tile):
+    rules = ScoringRuleTable(weights=weights, threshold=threshold)
+    ms = _block_of(members)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(disambig, "_TILE", tile)
+        assert _ids(cluster_block(ms, rules)) == _oracle_clusters(ms, rules)
+
+
+def test_empty_and_single_mention_blocks(default_rules):
+    assert cluster_block([], default_rules) == []
+    assert _ids(cluster_block([mention("P1:0")], default_rules)) == [("P1:0",)]
 
 
 def test_readme_lists_every_criterion_with_its_kind_in_order():

@@ -1,3 +1,7 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankmobility import names
 from rankmobility.names import full_given_name, initials_of, normalize_text, parse_name
 
 
@@ -9,6 +13,21 @@ def test_normalize_strips_diacritics_case_and_whitespace():
 
 def test_normalize_casefolds_beyond_lowercase():
     assert normalize_text("Straße") == "strasse"
+
+
+# ASCII, with the separators str.split treats as whitespace drawn often.
+_ASCII = st.text(st.one_of(st.characters(max_codepoint=127), st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_ASCII)
+def test_ascii_fast_path_equals_the_unicode_path(value):
+    assert value.isascii()
+    assert normalize_text(value) == names._normalize_unicode(value)
+
+
+def test_ascii_fast_path_splits_on_file_separators():
+    assert normalize_text("Ada\x1cB\x1d\tPARK\x1f") == names._normalize_unicode("Ada\x1cB\x1d\tPARK\x1f") == "ada b park"
 
 
 def test_parse_natural_order():

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,7 @@ def test_config_from_json_requires_core_keys():
         ({"gini_window": 3}, "gini_window must be 1 or 2"),
         ({"min_cohort_size": 5}, "min_cohort_size must be at least 10"),
         ({"fit_bracket": [10.0, 1.0]}, "fit_bracket must satisfy 0 < lo < hi"),
+        ({"fit_bracket": [1e-3, float("inf")]}, "fit_bracket must satisfy 0 < lo < hi < inf"),
     ],
 )
 def test_config_validation(overrides, message):
@@ -314,6 +316,55 @@ def test_rerun_reproduces_bundle_bit_for_bit(tmp_path, monkeypatch):
     digests = tree_digest(first.out_dir)
     assert tree_digest(second.out_dir) == digests
     assert tree_digest(threaded.out_dir) == digests
+
+
+def _bundle_bytes(root: Path, lines: list[str], monkeypatch) -> dict[str, bytes]:
+    """Run the pipeline in root on a corpus of these lines, named as in
+    every other such run, and read back every file of the bundle."""
+    root.mkdir()
+    (root / "corpus.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    monkeypatch.chdir(root)
+    config = pipeline_config(Path("corpus.jsonl"), disciplines=["Chemistry"], null_reps=5)
+    out_dir = run_pipeline(config, Path("bundle")).out_dir
+    return {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def _respelled(value):
+    """The same JSON value with every object's keys in reverse order."""
+    if isinstance(value, dict):
+        return {key: _respelled(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_respelled(item) for item in value]
+    return value
+
+
+@pytest.fixture(scope="module")
+def invariance_corpus(tmp_path_factory):
+    path = make_corpus_file(
+        tmp_path_factory.mktemp("invariance") / "corpus.jsonl",
+        n_authors=150, disciplines=("Chemistry",), name_collision_rate=0.2,
+    )
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def test_bundle_does_not_depend_on_the_order_of_corpus_lines(invariance_corpus, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    shuffled = list(invariance_corpus)
+    random.Random(5).shuffle(shuffled)
+    assert shuffled != invariance_corpus
+    reference = _bundle_bytes(tmp_path / "as_written", invariance_corpus, monkeypatch)
+    assert _bundle_bytes(tmp_path / "shuffled", shuffled, monkeypatch) == reference
+
+
+def test_bundle_does_not_depend_on_the_spelling_of_corpus_lines(invariance_corpus, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    respelled = [
+        " " + json.dumps(_respelled(json.loads(line)), separators=(" ,\t", " :  ")) + "\t"
+        for line in invariance_corpus
+    ]
+    assert all(json.loads(a) == json.loads(b) for a, b in zip(respelled, invariance_corpus))
+    reference = _bundle_bytes(tmp_path / "as_written", invariance_corpus, monkeypatch)
+    assert _bundle_bytes(tmp_path / "respelled", respelled, monkeypatch) == reference
 
 
 def test_report_summary_ranks_disciplines(bundle):

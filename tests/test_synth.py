@@ -203,6 +203,9 @@ def test_sample_transitions_custom_bins():
         ({"career_years": 0}, "must be positive"),
         ({"disciplines": ()}, "at least one discipline is required"),
         ({"updates_per_year": 0}, "updates_per_year must be at least 1"),
+        ({"alpha": float("nan")}, "alpha must be finite"),
+        ({"zipf_exponent": float("inf")}, "zipf_exponent must be finite"),
+        ({"productivity_sigma": float("-inf")}, "productivity_sigma must be finite"),
     ],
 )
 def test_config_validation(overrides, message):
