@@ -345,7 +345,7 @@ def test_doubling_every_weight_and_the_threshold_keeps_the_clusters(members, wei
     assert cluster_block(ms, doubled) == cluster_block(ms, rules)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     members=st.lists(_BLOCK_MEMBER, min_size=5, max_size=14),
     weights=_WEIGHTS,
