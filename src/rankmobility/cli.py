@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .cohort import CohortSpec, build_profiles, cohort_impacts, profiles_by_start
+from .cohort import CohortSpec, build_profiles, cohort_impacts
 from .corpus import CorpusError, CorpusFilterConfig, export, filter_corpus, ingest
 from .csvio import read_csv
 from .diffusion import fit_d, fit_d_pooled
@@ -134,9 +134,9 @@ def cmd_disambig_eval(args) -> int:
 def cmd_cohort(args) -> int:
     corpus = ingest(args.corpus)
     clusters = read_clusters(args.clusters)
-    profiles = build_profiles(corpus, clusters)
+    careers = build_profiles(corpus, clusters)
     spec = CohortSpec(discipline=args.discipline, start_year=args.start_year)
-    members, impact1, impact2 = cohort_impacts(profiles, spec)
+    members, impact1, impact2 = cohort_impacts(careers, spec)
     table = RankTable.from_impacts(members, impact1, impact2)
     write_rank_table_csv(args.out, table)
     _print_json({"discipline": args.discipline, "start_year": args.start_year, "size": len(members)})
@@ -195,18 +195,17 @@ def cmd_gini(args) -> int:
 
 def cmd_gini_series(args) -> int:
     corpus = ingest(args.corpus)
-    profiles = build_profiles(corpus, read_clusters(args.clusters))
+    careers = build_profiles(corpus, read_clusters(args.clusters))
     lo, hi = _parse_year_range(args.years)
     years = list(range(lo, hi + 1))
     if args.mode == "cohort":
-        by_start = profiles_by_start(profiles)
         impacts = {}
         for year in years:
-            _, impact1, impact2 = cohort_impacts(by_start.get(year, {}), CohortSpec(args.discipline, year))
+            _, impact1, impact2 = cohort_impacts(careers, CohortSpec(args.discipline, year))
             impacts[year] = impact1 if args.window == 1 else impact2
         series = cohort_gini_series(args.discipline, impacts, min_cohort=args.min_size)
     else:
-        series = population_gini_series(profiles, args.discipline, years, min_authors=args.min_size)
+        series = population_gini_series(careers, args.discipline, years, min_authors=args.min_size)
     write_gini_series_csv(args.out, series)
     _print_json(
         {

@@ -1,34 +1,55 @@
-"""Author profiles and discipline cohorts over the first ten career years."""
+"""Author careers and discipline cohorts over the first ten career years."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .disambig import MentionCluster
 
 
-@dataclass(frozen=True, slots=True)
-class ProfilePublication:
-    pub_id: str
-    year: int
-    disciplines: frozenset[str]
-    c5: int
+@dataclass(frozen=True, eq=False)
+class Careers:
+    """Disambiguated authors as one read-only array table.
 
-
-@dataclass(frozen=True, slots=True)
-class AuthorProfile:
-    """A disambiguated author: career start plus their publication list.
-
-    The career start is the earliest publication year across the whole
-    profile, whatever the discipline; a later first paper in some other
-    field does not restart the clock there.
+    author_ids are sorted. Row k of author and pub says that author
+    author_ids[author[k]] wrote publication pub[k]; each (author,
+    publication) pair is one row, however many of the author's mentions it
+    holds. year, c5 and disciplines are per publication. An author's start
+    is the earliest year among their publications, whatever the discipline;
+    a later first paper in some other field does not restart the clock there.
     """
 
-    author_id: str
-    career_start: int
-    publications: tuple[ProfilePublication, ...]
+    author_ids: tuple[str, ...]
+    author: np.ndarray
+    pub: np.ndarray
+    year: np.ndarray
+    c5: np.ndarray
+    disciplines: tuple[frozenset[str], ...]
+    start: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.author, self.pub, self.year, self.c5, self.start):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.author_ids)
+
+    def impacts(self, discipline: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per author: whether they have a publication tagged with the
+        discipline in the years [lo, hi], and the c5 sum of those publications."""
+        counted = np.fromiter((discipline in d for d in self.disciplines), bool, len(self.disciplines))
+        counted &= (lo <= self.year) & (self.year <= hi)
+        rows = counted[self.pub]
+        authors = self.author[rows]
+        n = len(self.author_ids)
+        active = np.bincount(authors, minlength=n) > 0
+        total = np.bincount(authors, weights=self.c5[self.pub[rows]], minlength=n)
+        return active, total.astype(np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,83 +73,44 @@ class CohortSpec:
         return (self.start_year + 5, self.start_year + 9)
 
 
-def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> dict[str, AuthorProfile]:
-    """Assemble one profile per cluster; publications are deduplicated."""
-    profiles: dict[str, AuthorProfile] = {}
-    for cluster in clusters:
-        pub_ids: dict[str, None] = {}
+def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Careers:
+    """One career per cluster, labelled in author_id order."""
+    index = {pid: k for k, pid in enumerate(corpus.publications)}
+    ordered = sorted(clusters, key=attrgetter("author_id"))
+    labels: list[int] = []
+    pubs: list[int] = []
+    for label, cluster in enumerate(ordered):
         for mid in cluster.mention_ids:
             mention = corpus.mentions.get(mid)
             if mention is None:
                 raise KeyError(f"cluster {cluster.author_id} references unknown mention {mid}")
-            pub_ids.setdefault(mention.pub_id, None)
-        pubs = tuple(
-            ProfilePublication(
-                pub_id=pid,
-                year=corpus.publications[pid].year,
-                disciplines=corpus.publications[pid].disciplines,
-                c5=corpus.c5(pid),
-            )
-            for pid in sorted(pub_ids)
-        )
-        profiles[cluster.author_id] = AuthorProfile(
-            author_id=cluster.author_id,
-            career_start=min(p.year for p in pubs),
-            publications=pubs,
-        )
-    return profiles
-
-
-def profiles_by_start(
-    profiles: Mapping[str, AuthorProfile]
-) -> dict[int, dict[str, AuthorProfile]]:
-    """Profiles grouped by career start year. A cohort only has members of
-    its own start year, so each cohort scan needs only that year's group."""
-    groups: dict[int, dict[str, AuthorProfile]] = {}
-    for aid, profile in profiles.items():
-        groups.setdefault(profile.career_start, {})[aid] = profile
-    return groups
-
-
-def _publishes_in(profile: AuthorProfile, window: tuple[int, int], discipline: str) -> bool:
-    lo, hi = window
-    return any(lo <= p.year <= hi and discipline in p.disciplines for p in profile.publications)
-
-
-def build_cohort(profiles: Mapping[str, AuthorProfile], spec: CohortSpec) -> list[str]:
-    """Author ids (sorted) whose career starts in spec.start_year and who
-    publish in the discipline in both windows."""
-    members = [
-        aid
-        for aid, profile in profiles.items()
-        if profile.career_start == spec.start_year
-        and _publishes_in(profile, spec.window1, spec.discipline)
-        and _publishes_in(profile, spec.window2, spec.discipline)
-    ]
-    members.sort()
-    return members
-
-
-def aggregate_impact(
-    profile: AuthorProfile, window: tuple[int, int], discipline: str | None = None
-) -> int:
-    """Sum of c5 over the profile's publications inside the window.
-
-    With a discipline given, only publications tagged with it count.
-    """
-    lo, hi = window
-    return sum(
-        p.c5
-        for p in profile.publications
-        if lo <= p.year <= hi and (discipline is None or discipline in p.disciplines)
+            labels.append(label)
+            pubs.append(index[mention.pub_id])
+    n_pubs = max(len(index), 1)
+    pairs = np.unique(np.array(labels, dtype=np.int64) * n_pubs + np.array(pubs, dtype=np.int64))
+    author, pub = np.divmod(pairs, n_pubs)
+    records = corpus.publications.values()
+    year = np.fromiter((p.year for p in records), np.int64, len(index))
+    start = np.full(len(ordered), np.iinfo(np.int64).max)
+    np.minimum.at(start, author, year[pub])
+    return Careers(
+        author_ids=tuple(c.author_id for c in ordered),
+        author=author,
+        pub=pub,
+        year=year,
+        c5=np.fromiter(map(corpus.c5, index), np.int64, len(index)),
+        disciplines=tuple(p.disciplines for p in records),
+        start=start,
     )
 
 
-def cohort_impacts(
-    profiles: Mapping[str, AuthorProfile], spec: CohortSpec
-) -> tuple[list[str], list[int], list[int]]:
-    """Member ids with their window-1 and window-2 discipline impacts."""
-    members = build_cohort(profiles, spec)
-    impact1 = [aggregate_impact(profiles[aid], spec.window1, spec.discipline) for aid in members]
-    impact2 = [aggregate_impact(profiles[aid], spec.window2, spec.discipline) for aid in members]
-    return members, impact1, impact2
+def cohort_impacts(careers: Careers, spec: CohortSpec) -> tuple[list[str], list[int], list[int]]:
+    """Member ids (sorted) with their window-1 and window-2 discipline impacts.
+
+    Members start their career in spec.start_year and publish in the
+    discipline in both windows.
+    """
+    active1, impact1 = careers.impacts(spec.discipline, *spec.window1)
+    active2, impact2 = careers.impacts(spec.discipline, *spec.window2)
+    members = np.flatnonzero((careers.start == spec.start_year) & active1 & active2)
+    return [careers.author_ids[k] for k in members], impact1[members].tolist(), impact2[members].tolist()

@@ -131,7 +131,6 @@ class Corpus:
             lines_read=len(self.publications), accepted=len(self.publications)
         )
         self.mentions: dict[str, AuthorMention] = {}
-        self._c5: dict[str, int] = {}
         self._build_mentions()
 
     def __len__(self) -> int:
@@ -186,14 +185,9 @@ class Corpus:
         The publication year itself counts, so the window for a year-2000
         paper is 2000 through 2004 inclusive.
         """
-        cached = self._c5.get(pub_id)
-        if cached is not None:
-            return cached
         pub = self.publications[pub_id]
         horizon = pub.year + IMPACT_WINDOW_YEARS - 1
-        count = sum(1 for y in pub.citing_years if pub.year <= y <= horizon)
-        self._c5[pub_id] = count
-        return count
+        return sum(1 for y in pub.citing_years if pub.year <= y <= horizon)
 
 
 def _norm_or_none(value: str | None) -> str | None:

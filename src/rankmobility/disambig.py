@@ -351,7 +351,23 @@ def write_clusters(path: str | Path, clusters: Iterable[MentionCluster]) -> None
 
 
 def read_clusters(path: str | Path) -> list[MentionCluster]:
-    return list(read_lines(path, MentionCluster, "cluster", DisambigError))
+    """The clusters of a JSON-lines file; a cluster with no mentions, or an
+    author id or a mention id listed twice, raises DisambigError naming the line."""
+    authors: set[str] = set()
+    owner: dict[str, str] = {}
+
+    def check(cluster: MentionCluster) -> None:
+        if not cluster.mention_ids:
+            raise DisambigError(f"cluster {cluster.author_id} lists no mentions")
+        if cluster.author_id in authors:
+            raise DisambigError(f"author_id {cluster.author_id} is listed twice")
+        authors.add(cluster.author_id)
+        for mid in cluster.mention_ids:
+            if mid in owner:
+                raise DisambigError(f"mention {mid} is already in cluster {owner[mid]}")
+            owner[mid] = cluster.author_id
+
+    return list(read_lines(path, MentionCluster, "cluster", DisambigError, check))
 
 
 @dataclass(frozen=True)
@@ -367,4 +383,14 @@ def write_truth(path: str | Path, truth: Mapping[str, str]) -> None:
 
 
 def read_truth(path: str | Path) -> dict[str, str]:
-    return {t.mention_id: t.author_id for t in read_lines(path, _TruthLabel, "truth label", DisambigError)}
+    """Each mention's true author; a mention id labelled twice raises
+    DisambigError naming the line."""
+    seen: set[str] = set()
+
+    def check(label: _TruthLabel) -> None:
+        if label.mention_id in seen:
+            raise DisambigError(f"mention_id {label.mention_id} is labelled twice")
+        seen.add(label.mention_id)
+
+    labels = read_lines(path, _TruthLabel, "truth label", DisambigError, check)
+    return {t.mention_id: t.author_id for t in labels}

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import AuthorProfile
+from .cohort import Careers
 from .csvio import write_csv
 
 DEFAULT_MIN_COHORT = 100
@@ -56,6 +56,34 @@ class GiniSeries:
     skipped: tuple[int, ...] = field(default=())
 
 
+def _series(
+    discipline: str,
+    mode: str,
+    impacts_by_year: Iterable[tuple[int, Sequence[float]]],
+    min_size: int,
+) -> GiniSeries:
+    """The series over (year, impacts) pairs, taken in the order given."""
+    years: list[int] = []
+    values: list[float] = []
+    sizes: list[int] = []
+    skipped: list[int] = []
+    for year, impacts in impacts_by_year:
+        if len(impacts) < min_size or not np.any(impacts):
+            skipped.append(year)
+            continue
+        years.append(year)
+        values.append(gini(impacts))
+        sizes.append(len(impacts))
+    return GiniSeries(
+        discipline=discipline,
+        mode=mode,
+        years=np.array(years, dtype=np.int64),
+        values=np.array(values),
+        n_authors=np.array(sizes, dtype=np.int64),
+        skipped=tuple(skipped),
+    )
+
+
 def cohort_gini_series(
     discipline: str,
     impacts_by_year: Mapping[int, Sequence[float]],
@@ -67,30 +95,12 @@ def cohort_gini_series(
     career window (cohort.cohort_impacts gives both windows). Years are
     taken in ascending order.
     """
-    years: list[int] = []
-    values: list[float] = []
-    sizes: list[int] = []
-    skipped: list[int] = []
-    for year in sorted(impacts_by_year):
-        impacts = impacts_by_year[year]
-        if len(impacts) < min_cohort or not np.any(impacts):
-            skipped.append(year)
-            continue
-        years.append(year)
-        values.append(gini(impacts))
-        sizes.append(len(impacts))
-    return GiniSeries(
-        discipline=discipline,
-        mode="cohort",
-        years=np.array(years, dtype=np.int64),
-        values=np.array(values),
-        n_authors=np.array(sizes, dtype=np.int64),
-        skipped=tuple(skipped),
-    )
+    by_year = ((year, impacts_by_year[year]) for year in sorted(impacts_by_year))
+    return _series(discipline, "cohort", by_year, min_cohort)
 
 
 def population_gini_series(
-    profiles: Mapping[str, AuthorProfile],
+    careers: Careers,
     discipline: str,
     window_start_years: Sequence[int],
     min_authors: int = DEFAULT_MIN_COHORT,
@@ -102,35 +112,13 @@ def population_gini_series(
     the discipline inside [year, year+4], and their impact is the c5 sum of
     those publications.
     """
-    years: list[int] = []
-    values: list[float] = []
-    sizes: list[int] = []
-    skipped: list[int] = []
-    for year in window_start_years:
-        span = (year, year + 4)
-        impacts: list[int] = []
-        for profile in profiles.values():
-            active = [
-                p
-                for p in profile.publications
-                if span[0] <= p.year <= span[1] and discipline in p.disciplines
-            ]
-            if active:
-                impacts.append(sum(p.c5 for p in active))
-        if len(impacts) < min_authors or not any(impacts):
-            skipped.append(year)
-            continue
-        years.append(year)
-        values.append(gini(impacts))
-        sizes.append(len(impacts))
-    return GiniSeries(
-        discipline=discipline,
-        mode="population",
-        years=np.array(years, dtype=np.int64),
-        values=np.array(values),
-        n_authors=np.array(sizes, dtype=np.int64),
-        skipped=tuple(skipped),
-    )
+
+    def population(year: int) -> np.ndarray:
+        active, impacts = careers.impacts(discipline, year, year + 4)
+        return impacts[active]
+
+    by_year = ((year, population(year)) for year in window_start_years)
+    return _series(discipline, "population", by_year, min_authors)
 
 
 _GINI_SERIES_HEADER = ("year", "gini", "n_authors")

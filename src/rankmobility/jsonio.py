@@ -17,7 +17,7 @@ import types
 import typing
 from os import PathLike
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NewType
+from typing import Callable, Iterable, Iterator, Mapping, NewType
 
 import numpy as np
 
@@ -149,9 +149,12 @@ def load(path: str | PathLike, label: str, error: type[Exception]):
         return json.load(handle, parse_constant=_no_constants(label, error))
 
 
-def read_lines(path: str | PathLike, cls, label: str, error: type[Exception]) -> Iterator:
+def read_lines(
+    path: str | PathLike, cls, label: str, error: type[Exception], check: Callable | None = None
+) -> Iterator:
     """One cls per non-blank line of a JSON-lines file, each read as
-    read_config reads an object; a bad line raises error naming the line."""
+    read_config reads an object and then passed to check, which may raise
+    error too; a bad line raises error naming the line."""
     constant = _no_constants(label, error)
     with Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
@@ -159,6 +162,8 @@ def read_lines(path: str | PathLike, cls, label: str, error: type[Exception]) ->
                 continue
             try:
                 record = _build(cls, json.loads(line, parse_constant=constant), label, error)
+                if check is not None:
+                    check(record)
             except (ValueError, error) as exc:
                 raise error(f"{path}, line {number}: {exc}") from None
             yield record

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .cohort import AuthorProfile, CohortSpec, build_profiles, cohort_impacts, profiles_by_start
+from .cohort import Careers, CohortSpec, build_profiles, cohort_impacts
 from .corpus import Corpus, CorpusFilterConfig, filter_corpus, ingest
 from .csvio import write_csv
 from .diffusion import DiffusionFit, fit_d, fit_d_pooled, model_matrix
@@ -187,14 +187,9 @@ class _Bundle:
         return path
 
 
-def _analyze_cohort(
-    profiles: Mapping[str, AuthorProfile],
-    discipline: str,
-    year: int,
-    config: PipelineConfig,
-) -> _CohortResult:
+def _analyze_cohort(careers: Careers, discipline: str, year: int, config: PipelineConfig) -> _CohortResult:
     spec = CohortSpec(discipline=discipline, start_year=year)
-    members, impact1, impact2 = cohort_impacts(profiles, spec)
+    members, impact1, impact2 = cohort_impacts(careers, spec)
     result = _CohortResult(discipline=discipline, year=year, size=len(members))
     if result.size < config.min_cohort_size:
         result.skipped_reason = f"cohort below minimum size ({result.size} < {config.min_cohort_size})"
@@ -231,8 +226,8 @@ def _run(config: PipelineConfig, out: Path, threads: int) -> RunResult:
     bundle = _Bundle(out=out, config_hash=config_hash(config), slugs=_slugs(config.disciplines))
     corpus = _ingest_stage(config, bundle)
     clusters = _disambiguate_stage(config, corpus, bundle)
-    by_start = _profiles_stage(corpus, clusters, bundle)
-    results = _cohorts_stage(config, by_start, threads, bundle)
+    careers = _profiles_stage(corpus, clusters, bundle)
+    results = _cohorts_stage(config, careers, threads, bundle)
     _disciplines_stage(config, results, bundle)
     manifest = _manifest_stage(config, results, bundle)
     return RunResult(out_dir=out, manifest=manifest, all_converged=bundle.all_converged)
@@ -263,12 +258,10 @@ def _disambiguate_stage(config: PipelineConfig, corpus: Corpus, bundle: _Bundle)
     return clusters
 
 
-def _profiles_stage(
-    corpus: Corpus, clusters: list[MentionCluster], bundle: _Bundle
-) -> dict[int, dict[str, AuthorProfile]]:
-    profiles = build_profiles(corpus, clusters)
-    bundle.counts["profiles"] = len(profiles)
-    return profiles_by_start(profiles)
+def _profiles_stage(corpus: Corpus, clusters: list[MentionCluster], bundle: _Bundle) -> Careers:
+    careers = build_profiles(corpus, clusters)
+    bundle.counts["profiles"] = len(careers)
+    return careers
 
 
 def _slugs(disciplines: Sequence[str]) -> dict[str, str]:
@@ -285,16 +278,13 @@ def _slugs(disciplines: Sequence[str]) -> dict[str, str]:
 
 
 def _cohorts_stage(
-    config: PipelineConfig,
-    by_start: Mapping[int, Mapping[str, AuthorProfile]],
-    threads: int,
-    bundle: _Bundle,
+    config: PipelineConfig, careers: Careers, threads: int, bundle: _Bundle
 ) -> list[_CohortResult]:
     """Analyze every (discipline, year) cohort on the pool, then write the
     kept ones' artifacts in job order."""
     jobs = [(d, y) for d in config.disciplines for y in config.cohort_years]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda job: _analyze_cohort(by_start.get(job[1], {}), *job, config), jobs))
+        results = list(pool.map(lambda job: _analyze_cohort(careers, *job, config), jobs))
     for r in results:
         if r.skipped_reason is not None:
             continue

@@ -157,12 +157,11 @@ class _Paper:
     pub_id: str = ""
 
 
-def _make_authors(config: SynthConfig, rng: np.random.Generator) -> list[_Author]:
+def _make_authors(
+    config: SynthConfig, rng: np.random.Generator, journals: Mapping[str, list[str]]
+) -> list[_Author]:
     zipf_p = 1.0 / np.arange(1, config.surname_pool + 1, dtype=float) ** config.zipf_exponent
     zipf_cum = np.cumsum(zipf_p / zipf_p.sum())
-    journals = {
-        d: [f"Journal of {d} {k + 1}" for k in range(6)] for d in config.disciplines
-    }
     authors: list[_Author] = []
     used_names: set[tuple[str, str]] = set()
     for i in range(config.n_authors):
@@ -224,11 +223,11 @@ def _make_authors(config: SynthConfig, rng: np.random.Generator) -> list[_Author
 
 
 def _make_papers(
-    config: SynthConfig, rng: np.random.Generator, authors: list[_Author]
+    config: SynthConfig,
+    rng: np.random.Generator,
+    authors: list[_Author],
+    journals: Mapping[str, list[str]],
 ) -> list[_Paper]:
-    journals = {
-        d: [f"Journal of {d} {k + 1}" for k in range(6)] for d in config.disciplines
-    }
     other = {
         d: tuple(x for x in config.disciplines if x != d) for d in config.disciplines
     }
@@ -372,8 +371,9 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, str]]:
         The corpus, and truth mapping mention_id -> true author id.
     """
     rng = np.random.default_rng(config.seed)
-    authors = _make_authors(config, rng)
-    papers = _make_papers(config, rng, authors)
+    journals = {d: [f"Journal of {d} {k + 1}" for k in range(6)] for d in config.disciplines}
+    authors = _make_authors(config, rng, journals)
+    papers = _make_papers(config, rng, authors, journals)
     _add_references(config, rng, authors, papers)
     _simulate_citations(config, rng, authors, papers)
 

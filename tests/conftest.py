@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from rankmobility.cohort import build_profiles
 from rankmobility.corpus import ingest_lines, record_to_json
-from rankmobility.disambig import ScoringRuleTable
+from rankmobility.disambig import MentionCluster, ScoringRuleTable
 
 
 def make_record(
@@ -37,3 +38,18 @@ def export_lines(corpus):
 @pytest.fixture
 def default_rules():
     return ScoringRuleTable.default()
+
+
+def careers_of(*authors):
+    """Careers of (author_id, [(year, disciplines, c5), ...]) authors, built
+    from a corpus with one single-author publication per entry whose c5
+    citations all come in its own year. Disciplines are ';'-separated."""
+    records, clusters = [], []
+    for author_id, pubs in authors:
+        pub_ids = [f"{author_id}-{k}" for k in range(len(pubs))]
+        records += [
+            make_record(pid, year=year, disciplines=disciplines, citing_years=[year] * c5)
+            for pid, (year, disciplines, c5) in zip(pub_ids, pubs)
+        ]
+        clusters.append(MentionCluster(author_id, tuple(f"{pid}:0" for pid in pub_ids)))
+    return build_profiles(corpus_of(*records), clusters)

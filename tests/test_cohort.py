@@ -1,29 +1,17 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankmobility.cohort import (
-    AuthorProfile,
-    CohortSpec,
-    ProfilePublication,
-    aggregate_impact,
-    build_cohort,
-    build_profiles,
-    cohort_impacts,
-)
+from rankmobility.cohort import CohortSpec, build_profiles, cohort_impacts
 from rankmobility.disambig import MentionCluster
+from rankmobility.inequality import gini, population_gini_series
 
-from conftest import corpus_of, make_record
+from conftest import careers_of, corpus_of, make_record
 
 
-def profile(author_id, *pubs):
-    entries = tuple(
-        ProfilePublication(pub_id=f"{author_id}-{k}", year=year, disciplines=frozenset(disc), c5=c5)
-        for k, (year, disc, c5) in enumerate(pubs)
-    )
-    return AuthorProfile(
-        author_id=author_id,
-        career_start=min(p.year for p in entries),
-        publications=entries,
-    )
+def members_of(careers, spec):
+    return cohort_impacts(careers, spec)[0]
 
 
 def test_windows_are_five_years_each():
@@ -39,24 +27,26 @@ def test_build_profiles_from_corpus():
         make_record("P3", year=1999, disciplines="History", authors=[{"name": "Other One"}]),
     )
     clusters = [
-        MentionCluster("A1", ("P1:0", "P2:0")),
         MentionCluster("A2", ("P3:0",)),
+        MentionCluster("A1", ("P1:0", "P2:0")),
     ]
-    profiles = build_profiles(corpus, clusters)
-    assert set(profiles) == {"A1", "A2"}
-    a1 = profiles["A1"]
-    assert a1.career_start == 2001
-    assert [p.pub_id for p in a1.publications] == ["P1", "P2"]
-    assert a1.publications[0].c5 == 2  # 2009 falls outside [2001, 2005]
-    assert profiles["A2"].career_start == 1999
+    careers = build_profiles(corpus, clusters)
+    pub_ids = list(corpus.publications)
+    assert careers.author_ids == ("A1", "A2")
+    assert len(careers) == 2
+    assert careers.start.tolist() == [2001, 1999]
+    assert [pub_ids[k] for k in careers.pub[careers.author == 0]] == ["P1", "P2"]
+    assert careers.c5[pub_ids.index("P1")] == 2  # 2009 falls outside [2001, 2005]
+    assert not careers.start.flags.writeable
 
 
 def test_build_profiles_deduplicates_shared_publications():
     corpus = corpus_of(
         make_record("P1", authors=[{"name": "Ada Park"}, {"name": "A. Park"}]),
     )
-    profiles = build_profiles(corpus, [MentionCluster("A1", ("P1:0", "P1:1"))])
-    assert [p.pub_id for p in profiles["A1"].publications] == ["P1"]
+    careers = build_profiles(corpus, [MentionCluster("A1", ("P1:0", "P1:1"))])
+    assert careers.author.tolist() == [0]
+    assert careers.pub.tolist() == [0]
 
 
 def test_build_profiles_unknown_mention():
@@ -68,51 +58,140 @@ def test_build_profiles_unknown_mention():
 def test_career_start_is_global_across_disciplines():
     # First paper in another field sets the clock; the author is not in the
     # 2002 chemistry cohort even though chemistry starts for them in 2002.
-    p = profile("A1", (2000, ["History"], 0), (2002, ["Chemistry"], 1), (2007, ["Chemistry"], 2))
-    assert build_cohort({"A1": p}, CohortSpec("Chemistry", 2002)) == []
-    assert build_cohort({"A1": p}, CohortSpec("Chemistry", 2000)) == ["A1"]
+    careers = careers_of(("A1", [(2000, "History", 0), (2002, "Chemistry", 1), (2007, "Chemistry", 2)]))
+    assert members_of(careers, CohortSpec("Chemistry", 2002)) == []
+    assert members_of(careers, CohortSpec("Chemistry", 2000)) == ["A1"]
 
 
 def test_membership_requires_discipline_papers_in_both_windows():
     spec = CohortSpec("Chemistry", 2000)
-    only_first = profile("A1", (2000, ["Chemistry"], 1))
-    only_second = profile("A2", (2000, ["Biology"], 1), (2006, ["Chemistry"], 1))
-    both = profile("A3", (2000, ["Chemistry"], 1), (2005, ["Chemistry"], 1))
-    wrong_tag = profile("A4", (2000, ["Chemistry"], 1), (2006, ["Biology"], 1))
-    profiles = {"A1": only_first, "A2": only_second, "A3": both, "A4": wrong_tag}
-    assert build_cohort(profiles, spec) == ["A3"]
+    careers = careers_of(
+        ("A1", [(2000, "Chemistry", 1)]),
+        ("A2", [(2000, "Biology", 1), (2006, "Chemistry", 1)]),
+        ("A3", [(2000, "Chemistry", 1), (2005, "Chemistry", 1)]),
+        ("A4", [(2000, "Chemistry", 1), (2006, "Biology", 1)]),
+    )
+    assert members_of(careers, spec) == ["A3"]
 
 
 def test_window_edges_are_inclusive():
     spec = CohortSpec("Chemistry", 2000)
-    edges = profile("A1", (2000, ["Chemistry"], 1), (2004, ["Chemistry"], 1), (2009, ["Chemistry"], 1))
-    assert build_cohort({"A1": edges}, spec) == ["A1"]
-    outside = profile("A2", (2000, ["Chemistry"], 1), (2010, ["Chemistry"], 1))
-    assert build_cohort({"A2": outside}, spec) == []
+    edges = careers_of(("A1", [(2000, "Chemistry", 1), (2004, "Chemistry", 1), (2009, "Chemistry", 1)]))
+    assert members_of(edges, spec) == ["A1"]
+    outside = careers_of(("A2", [(2000, "Chemistry", 1), (2010, "Chemistry", 1)]))
+    assert members_of(outside, spec) == []
 
 
 def test_aggregate_impact_sums_windowed_c5():
-    p = profile(
-        "A1",
-        (2000, ["Chemistry"], 3),
-        (2002, ["Chemistry", "Biology"], 5),
-        (2004, ["Biology"], 7),
-        (2006, ["Chemistry"], 11),
+    careers = careers_of(
+        (
+            "A1",
+            [
+                (2000, "Chemistry", 3),
+                (2002, "Chemistry;Biology", 5),
+                (2004, "Biology", 7),
+                (2006, "Chemistry", 11),
+            ],
+        )
     )
-    assert aggregate_impact(p, (2000, 2004)) == 15
-    assert aggregate_impact(p, (2000, 2004), "Chemistry") == 8
-    assert aggregate_impact(p, (2005, 2009), "Chemistry") == 11
-    assert aggregate_impact(p, (2005, 2009), "History") == 0
+    years = careers.year[careers.pub]
+    assert careers.c5[careers.pub[(2000 <= years) & (years <= 2004)]].sum() == 15
+    assert careers.impacts("Chemistry", 2000, 2004)[1].tolist() == [8]
+    assert careers.impacts("Chemistry", 2005, 2009)[1].tolist() == [11]
+    active, total = careers.impacts("History", 2005, 2009)
+    assert total.tolist() == [0]
+    assert active.tolist() == [False]
+    assert total.dtype == np.int64
 
 
 def test_cohort_impacts_are_sorted_and_aligned():
     spec = CohortSpec("Chemistry", 2000)
-    profiles = {
-        "B": profile("B", (2000, ["Chemistry"], 2), (2006, ["Chemistry"], 4)),
-        "A": profile("A", (2000, ["Chemistry"], 1), (2005, ["Chemistry"], 3)),
-        "C": profile("C", (2001, ["Chemistry"], 9), (2006, ["Chemistry"], 9)),
-    }
-    members, impact1, impact2 = cohort_impacts(profiles, spec)
+    careers = careers_of(
+        ("B", [(2000, "Chemistry", 2), (2006, "Chemistry", 4)]),
+        ("A", [(2000, "Chemistry", 1), (2005, "Chemistry", 3)]),
+        ("C", [(2001, "Chemistry", 9), (2006, "Chemistry", 9)]),
+    )
+    members, impact1, impact2 = cohort_impacts(careers, spec)
     assert members == ["A", "B"]
     assert impact1 == [1, 2]
     assert impact2 == [3, 4]
+
+
+@st.composite
+def corpora_and_clusters(draw):
+    """A small corpus, and clusters over some of its mentions in shuffled
+    order; a cluster may hold several mentions of one publication."""
+    pubs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(2000, 2012),
+                st.sampled_from(["A", "B", "A;B"]),
+                st.lists(st.integers(0, 7), max_size=4),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    corpus = corpus_of(
+        *(
+            make_record(
+                f"P{k}",
+                year=year,
+                disciplines=disciplines,
+                citing_years=[year + d for d in delays],
+                authors=[{"name": "Ada Park"}] * n_authors,
+            )
+            for k, (year, disciplines, delays, n_authors) in enumerate(pubs)
+        )
+    )
+    labels = draw(st.lists(st.integers(-1, 5), min_size=len(corpus.mentions), max_size=len(corpus.mentions)))
+    groups: dict[int, list[str]] = {}
+    for mid, label in zip(corpus.mentions, labels):
+        if label >= 0:
+            groups.setdefault(label, []).append(mid)
+    clusters = [MentionCluster(min(mids), tuple(mids)) for mids in groups.values()]
+    return corpus, draw(st.permutations(clusters))
+
+
+def scan(corpus, cluster, discipline, lo, hi):
+    """Whether the cluster's author publishes in the discipline in [lo, hi],
+    and the c5 sum of those publications, by a plain scan."""
+    pub_ids = {corpus.mentions[mid].pub_id for mid in cluster.mention_ids}
+    hits = [
+        pid
+        for pid in pub_ids
+        if lo <= corpus.publications[pid].year <= hi and discipline in corpus.publications[pid].disciplines
+    ]
+    return bool(hits), sum(corpus.c5(pid) for pid in hits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora_and_clusters(), st.sampled_from(["A", "B", "C"]), st.integers(2000, 2004))
+def test_cohort_and_population_impacts_match_a_plain_scan(data, discipline, year):
+    corpus, clusters = data
+    careers = build_profiles(corpus, clusters)
+    assert len(careers) == len(clusters)
+
+    spec = CohortSpec(discipline, year)
+    expected = ([], [], [])
+    for cluster in sorted(clusters, key=lambda c: c.author_id):
+        start = min(corpus.publications[corpus.mentions[mid].pub_id].year for mid in cluster.mention_ids)
+        active1, impact1 = scan(corpus, cluster, discipline, *spec.window1)
+        active2, impact2 = scan(corpus, cluster, discipline, *spec.window2)
+        if start == year and active1 and active2:
+            for column, value in zip(expected, (cluster.author_id, impact1, impact2)):
+                column.append(value)
+    assert cohort_impacts(careers, spec) == expected
+
+    windows = range(1998, 2012)
+    series = population_gini_series(careers, discipline, windows, min_authors=2)
+    points, skipped = [], []
+    for lo in windows:
+        impacts = [total for active, total in (scan(corpus, c, discipline, lo, lo + 4) for c in clusters) if active]
+        if len(impacts) < 2 or not any(impacts):
+            skipped.append(lo)
+        else:
+            points.append((lo, gini(impacts), len(impacts)))
+    assert list(zip(series.years.tolist(), series.values.tolist(), series.n_authors.tolist())) == points
+    assert series.skipped == tuple(skipped)

@@ -461,6 +461,30 @@ def test_cluster_and_truth_files_round_trip(tmp_path):
             '{"author_id": 1, "mention_id": 2}',
             "'author_id' must be a string",
         ),
+        (
+            read_clusters,
+            '{"author_id": "a", "mention_ids": ["a"]}',
+            '{"author_id": "b", "mention_ids": []}',
+            "cluster b lists no mentions",
+        ),
+        (
+            read_clusters,
+            '{"author_id": "a", "mention_ids": ["a"]}',
+            '{"author_id": "a", "mention_ids": ["b"]}',
+            "author_id a is listed twice",
+        ),
+        (
+            read_clusters,
+            '{"author_id": "a", "mention_ids": ["a"]}',
+            '{"author_id": "b", "mention_ids": ["b", "a"]}',
+            "mention a is already in cluster a",
+        ),
+        (
+            read_truth,
+            '{"author_id": "A", "mention_id": "a"}',
+            '{"author_id": "B", "mention_id": "a"}',
+            "mention_id a is labelled twice",
+        ),
     ],
 )
 def test_cluster_and_truth_files_reject_malformed_lines(tmp_path, reader, valid, line, message):

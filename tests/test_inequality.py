@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmobility.cohort import AuthorProfile, CohortSpec, ProfilePublication, cohort_impacts
+from rankmobility.cohort import CohortSpec, cohort_impacts
 from rankmobility.csvio import read_csv
 from rankmobility.inequality import (
     cohort_gini_series,
@@ -12,22 +12,7 @@ from rankmobility.inequality import (
     write_gini_series_csv,
 )
 
-
-def profile(author_id, *pubs):
-    records = tuple(
-        ProfilePublication(
-            pub_id=f"{author_id}:{k}",
-            year=year,
-            disciplines=frozenset(disciplines.split(";")),
-            c5=c5,
-        )
-        for k, (year, disciplines, c5) in enumerate(pubs)
-    )
-    return AuthorProfile(
-        author_id=author_id,
-        career_start=min(p.year for p in records),
-        publications=records,
-    )
+from conftest import careers_of
 
 
 def test_gini_two_point_split():
@@ -91,26 +76,26 @@ def test_gini_rejects_all_zero():
         gini([0.0, 0.0])
 
 
-def chemistry_profiles():
-    return {
-        "a": profile("a", (2000, "Chemistry", 0), (2005, "Chemistry", 3)),
-        "b": profile("b", (2000, "Chemistry", 1), (2005, "Chemistry", 3)),
-        "c": profile("c", (2000, "Chemistry", 2), (2006, "Chemistry", 3)),
-        "d": profile("d", (2000, "Chemistry", 5), (2007, "Chemistry", 3)),
+def chemistry_careers():
+    return careers_of(
+        ("a", [(2000, "Chemistry", 0), (2005, "Chemistry", 3)]),
+        ("b", [(2000, "Chemistry", 1), (2005, "Chemistry", 3)]),
+        ("c", [(2000, "Chemistry", 2), (2006, "Chemistry", 3)]),
+        ("d", [(2000, "Chemistry", 5), (2007, "Chemistry", 3)]),
         # Started in 1999, so outside the 2000 cohort.
-        "e": profile("e", (1999, "Chemistry", 7), (2003, "Chemistry", 4), (2005, "Chemistry", 1)),
+        ("e", [(1999, "Chemistry", 7), (2003, "Chemistry", 4), (2005, "Chemistry", 1)]),
         # No second-window publication, so outside the cohort but in the population.
-        "f": profile("f", (2000, "Chemistry", 10)),
-        "g": profile("g", (2000, "Biology", 6), (2005, "Biology", 2)),
-    }
+        ("f", [(2000, "Chemistry", 10)]),
+        ("g", [(2000, "Biology", 6), (2005, "Biology", 2)]),
+    )
 
 
 def chemistry_impacts(years, window):
     """Per start year, the Chemistry cohort's impacts in one career window."""
-    profiles = chemistry_profiles()
+    careers = chemistry_careers()
     impacts = {}
     for year in years:
-        _, impact1, impact2 = cohort_impacts(profiles, CohortSpec("Chemistry", year))
+        _, impact1, impact2 = cohort_impacts(careers, CohortSpec("Chemistry", year))
         impacts[year] = impact1 if window == 1 else impact2
     return impacts
 
@@ -145,7 +130,7 @@ def test_cohort_series_min_size_skips_everything():
 
 def test_population_series_ignores_career_stage():
     series = population_gini_series(
-        chemistry_profiles(), "Chemistry", [2000], min_authors=2
+        chemistry_careers(), "Chemistry", [2000], min_authors=2
     )
     assert series.mode == "population"
     assert series.years.tolist() == [2000]
@@ -157,7 +142,7 @@ def test_population_series_ignores_career_stage():
 
 def test_population_series_skips_thin_windows():
     series = population_gini_series(
-        chemistry_profiles(), "Chemistry", [2000, 2020], min_authors=2
+        chemistry_careers(), "Chemistry", [2000, 2020], min_authors=2
     )
     assert series.years.tolist() == [2000]
     assert series.skipped == (2020,)

@@ -400,15 +400,15 @@ def test_cohorts_with_all_zero_impacts_are_skipped_not_fatal(tmp_path):
 
 def test_each_cohort_is_built_once(tmp_path, monkeypatch):
     calls = []
-    original = cohort.build_cohort
+    original = cohort.cohort_impacts
 
-    def counting(profiles, spec):
+    def counting(careers, spec):
         calls.append((spec.discipline, spec.start_year))
-        return original(profiles, spec)
+        return original(careers, spec)
 
     for module in (cohort, inequality, pipeline, cli):
-        if hasattr(module, "build_cohort"):
-            monkeypatch.setattr(module, "build_cohort", counting)
+        if hasattr(module, "cohort_impacts"):
+            monkeypatch.setattr(module, "cohort_impacts", counting)
     corpus_path = make_corpus_file(tmp_path / "corpus.jsonl", n_authors=150)
     config = pipeline_config(corpus_path, cohort_years=[2001, 2000, 1999])
     run_pipeline(config, tmp_path / "out", threads=2)
