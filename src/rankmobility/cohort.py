@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,7 +20,8 @@ class Careers:
     author_ids are sorted. Row k of author and pub says that author
     author_ids[author[k]] wrote publication pub[k]; each (author,
     publication) pair is one row, however many of the author's mentions it
-    holds. year, c5 and disciplines are per publication. An author's start
+    holds. year and c5 are per publication, and disciplines maps each label
+    to a mask of the publications tagged with it. An author's start
     is the earliest year among their publications, whatever the discipline;
     a later first paper in some other field does not restart the clock there.
     """
@@ -29,11 +31,11 @@ class Careers:
     pub: np.ndarray
     year: np.ndarray
     c5: np.ndarray
-    disciplines: tuple[frozenset[str], ...]
+    disciplines: Mapping[str, np.ndarray]
     start: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in (self.author, self.pub, self.year, self.c5, self.start):
+        for array in (self.author, self.pub, self.year, self.c5, self.start, *self.disciplines.values()):
             array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -42,8 +44,10 @@ class Careers:
     def impacts(self, discipline: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Per author: whether they have a publication tagged with the
         discipline in the years [lo, hi], and the c5 sum of those publications."""
-        counted = np.fromiter((discipline in d for d in self.disciplines), bool, len(self.disciplines))
-        counted &= (lo <= self.year) & (self.year <= hi)
+        tagged = self.disciplines.get(discipline)
+        if tagged is None:
+            tagged = np.zeros(len(self.year), bool)
+        counted = tagged & (lo <= self.year) & (self.year <= hi)
         rows = counted[self.pub]
         authors = self.author[rows]
         n = len(self.author_ids)
@@ -77,11 +81,12 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
     """One career per cluster, labelled in author_id order."""
     index = {pid: k for k, pid in enumerate(corpus.publications)}
     ordered = sorted(clusters, key=attrgetter("author_id"))
+    mention_of = corpus.mentions.get
     labels: list[int] = []
     pubs: list[int] = []
     for label, cluster in enumerate(ordered):
         for mid in cluster.mention_ids:
-            mention = corpus.mentions.get(mid)
+            mention = mention_of(mid)
             if mention is None:
                 raise KeyError(f"cluster {cluster.author_id} references unknown mention {mid}")
             labels.append(label)
@@ -91,6 +96,10 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
     author, pub = np.divmod(pairs, n_pubs)
     records = corpus.publications.values()
     year = np.fromiter((p.year for p in records), np.int64, len(index))
+    tagged: dict[str, list[int]] = {}
+    for k, p in enumerate(records):
+        for d in p.disciplines:
+            tagged.setdefault(d, []).append(k)
     start = np.full(len(ordered), np.iinfo(np.int64).max)
     np.minimum.at(start, author, year[pub])
     return Careers(
@@ -99,7 +108,7 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
         pub=pub,
         year=year,
         c5=np.fromiter(map(corpus.c5, index), np.int64, len(index)),
-        disciplines=tuple(p.disciplines for p in records),
+        disciplines=MappingProxyType({d: np.bincount(ks, minlength=len(index)) > 0 for d, ks in tagged.items()}),
         start=start,
     )
 

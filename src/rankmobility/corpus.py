@@ -17,9 +17,9 @@ Validation here is hand-rolled so ingestion stays cheap at corpus scale.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
@@ -119,7 +119,11 @@ class FilterStats:
 
 
 class Corpus:
-    """Immutable-after-ingest container of publications and derived mentions."""
+    """Immutable-after-ingest container of publications.
+
+    Its mentions are built from the publications on first use, once per
+    corpus, so stages that only read or write records build none.
+    """
 
     def __init__(self, publications: Iterable[PublicationRecord], stats: IngestStats | None = None):
         self.publications: dict[str, PublicationRecord] = {}
@@ -130,8 +134,7 @@ class Corpus:
         self.stats = stats if stats is not None else IngestStats(
             lines_read=len(self.publications), accepted=len(self.publications)
         )
-        self.mentions: dict[str, AuthorMention] = {}
-        self._build_mentions()
+        self.mentions: Mapping[str, AuthorMention] = _Mentions(self.publications)
 
     def __len__(self) -> int:
         return len(self.publications)
@@ -140,44 +143,6 @@ class Corpus:
         if not isinstance(other, Corpus):
             return NotImplemented
         return self.publications == other.publications
-
-    def _build_mentions(self) -> None:
-        # Pub-level reference union feeds the incoming-citer index used by
-        # the co-citation criterion.
-        citers: dict[str, set[str]] = {}
-        for pub in self.publications.values():
-            refs: set[str] = set()
-            for author in pub.authors:
-                refs.update(author.get("references", ()))
-            for target in refs:
-                citers.setdefault(target, set()).add(pub.pub_id)
-
-        for pub in self.publications.values():
-            cited_by = frozenset(citers.get(pub.pub_id, ()))
-            names = [normalize_text(a["name"].replace(".", " ")) for a in pub.authors]
-            for idx, author in enumerate(pub.authors):
-                given, surname = parse_name(author["name"])
-                coauthors = frozenset(n for k, n in enumerate(names) if k != idx)
-                mention = AuthorMention(
-                    mention_id=f"{pub.pub_id}:{idx}",
-                    pub_id=pub.pub_id,
-                    position=idx,
-                    name=author["name"],
-                    given=given,
-                    surname=surname,
-                    initials=initials_of(given),
-                    full_given=full_given_name(given),
-                    affiliation=_norm_or_none(author.get("affiliation")),
-                    email=_lower_or_none(author.get("email")),
-                    orcid=_strip_or_none(author.get("orcid")),
-                    journal=_norm_or_none(author.get("journal")),
-                    grant_ids=frozenset(author.get("grants", ())),
-                    references=frozenset(author.get("references", ())),
-                    coauthor_names=coauthors,
-                    disciplines=pub.disciplines,
-                    cited_by=cited_by,
-                )
-                self.mentions[mention.mention_id] = mention
 
     def c5(self, pub_id: str) -> int:
         """Citations received within the first five calendar years.
@@ -188,6 +153,82 @@ class Corpus:
         pub = self.publications[pub_id]
         horizon = pub.year + IMPACT_WINDOW_YEARS - 1
         return sum(1 for y in pub.citing_years if pub.year <= y <= horizon)
+
+
+class _Mentions(Mapping[str, AuthorMention]):
+    """Read-only mapping of mention_id to AuthorMention.
+
+    The mentions are built on the first lookup or iteration. The length
+    comes from the publications' author lists, so counting builds nothing.
+    The build takes no lock: the pipeline reads mentions only on its main
+    thread, before its cohort pool starts.
+    """
+
+    def __init__(self, publications: dict[str, PublicationRecord]):
+        self._publications = publications
+        self._count = sum(len(pub.authors) for pub in publications.values())
+        self._built: dict[str, AuthorMention] | None = None
+
+    def _dict(self) -> dict[str, AuthorMention]:
+        if self._built is None:
+            self._built = _build_mentions(self._publications)
+        return self._built
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, mention_id: str) -> AuthorMention:
+        return self._dict()[mention_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._dict())
+
+    def get(self, mention_id: str, default=None):
+        return self._dict().get(mention_id, default)
+
+    def values(self) -> ValuesView[AuthorMention]:
+        return self._dict().values()
+
+
+def _build_mentions(publications: dict[str, PublicationRecord]) -> dict[str, AuthorMention]:
+    # Pub-level reference union feeds the incoming-citer index used by
+    # the co-citation criterion.
+    citers: dict[str, set[str]] = {}
+    for pub in publications.values():
+        refs: set[str] = set()
+        for author in pub.authors:
+            refs.update(author.get("references", ()))
+        for target in refs:
+            citers.setdefault(target, set()).add(pub.pub_id)
+
+    mentions: dict[str, AuthorMention] = {}
+    for pub in publications.values():
+        cited_by = frozenset(citers.get(pub.pub_id, ()))
+        names = [normalize_text(a["name"].replace(".", " ")) for a in pub.authors]
+        for idx, author in enumerate(pub.authors):
+            given, surname = parse_name(author["name"])
+            coauthors = frozenset(n for k, n in enumerate(names) if k != idx)
+            mention = AuthorMention(
+                mention_id=f"{pub.pub_id}:{idx}",
+                pub_id=pub.pub_id,
+                position=idx,
+                name=author["name"],
+                given=given,
+                surname=surname,
+                initials=initials_of(given),
+                full_given=full_given_name(given),
+                affiliation=_norm_or_none(author.get("affiliation")),
+                email=_lower_or_none(author.get("email")),
+                orcid=_strip_or_none(author.get("orcid")),
+                journal=_norm_or_none(author.get("journal")),
+                grant_ids=frozenset(author.get("grants", ())),
+                references=frozenset(author.get("references", ())),
+                coauthor_names=coauthors,
+                disciplines=pub.disciplines,
+                cited_by=cited_by,
+            )
+            mentions[mention.mention_id] = mention
+    return mentions
 
 
 def _norm_or_none(value: str | None) -> str | None:

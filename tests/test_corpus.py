@@ -1,3 +1,5 @@
+import copy
+import itertools
 import json
 from importlib import resources
 
@@ -9,6 +11,8 @@ from rankmobility.corpus import (
     Corpus,
     CorpusError,
     CorpusFilterConfig,
+    _RecordError,
+    _validate_record,
     export,
     filter_corpus,
     ingest,
@@ -220,14 +224,18 @@ def test_roundtrip_property(record):
     assert export_lines(ingest_lines(first)) == first
 
 
-def test_generated_records_conform_to_schema():
+@pytest.fixture(scope="module")
+def record_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
         resources.files("rankmobility.data")
         .joinpath("publication-record.schema.json")
         .read_text("utf-8")
     )
-    validator = jsonschema.Draft202012Validator(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+def test_generated_records_conform_to_schema(record_schema):
     corpus = corpus_of(
         make_record("P1", citing_years=[2001]),
         make_record(
@@ -236,7 +244,145 @@ def test_generated_records_conform_to_schema():
         ),
     )
     for line in export_lines(corpus):
-        validator.validate(json.loads(line))
+        record_schema.validate(json.loads(line))
+
+
+_RECORD_KEYS = ("pub_id", "year", "disciplines", "authors", "citing_years")
+_MENTION_KEYS = ("name", "affiliation", "email", "orcid", "journal", "grants", "references")
+# Where an edit lands: a top-level field, the first author, or one of its fields.
+_PATHS = (
+    *(("record", k) for k in (*_RECORD_KEYS, "extra")),
+    ("authors", 0),
+    *(("author", k) for k in (*_MENTION_KEYS, "extra")),
+)
+_DELETE = object()
+# Values at the validator's and the schema's edges: each JSON type, empty and
+# whitespace-only strings, years as floats, early citations, bad list items.
+_EDGES = (_DELETE, None, True, 0, 1999, 2000.0, 2000.5, "", " ", "x", [], [""], ["G"], [1999], [2001.0],
+          [True], [{}], {}, {"name": "x"})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(1890, 2130) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+# The five differences the README lists, each as an edit of a well-formed
+# record, with whether the validator accepts the result (the schema does not
+# when the validator does, and the other way round).
+_DIFFERENCES = {
+    "unknown_field": (lambda raw, author: raw.update(note="x"), True),
+    "null_mention_field": (lambda raw, author: author.update(orcid=None), True),
+    "whitespace_name": (lambda raw, author: author.update(name=" "), False),
+    "early_citation": (lambda raw, author: raw["citing_years"].append(raw["year"] - 1), False),
+    "float_year": (lambda raw, author: raw.update(year=float(raw["year"])), False),
+}
+
+
+def _edit(raw, path, value) -> None:
+    """Set or delete the field at path, where raw still has a place for it."""
+    where, key = path
+    if where == "record":
+        target = raw
+    else:
+        authors = raw.get("authors")
+        if not isinstance(authors, list) or not authors:
+            return
+        target = authors if where == "authors" else authors[0]
+        if where == "author" and not isinstance(target, dict):
+            return
+    if value is not _DELETE:
+        target[key] = value
+    elif isinstance(target, list) or key in target:
+        del target[key]
+
+
+def _full_record():
+    return make_record(
+        "P1",
+        year=2000,
+        disciplines="Chemistry;Biology",
+        authors=[
+            {"name": "Ada Park", "affiliation": "KTH", "email": "a@b.se", "orcid": "0000-0001", "journal": "J",
+             "grants": ["G1"], "references": ["P0"]},
+            {"name": "Bo Lind"},
+        ],
+        citing_years=[2000, 2003],
+    )
+
+
+@st.composite
+def _raw_records(draw):
+    """Well-formed records with some of the listed differences, then up to
+    three fields deleted, replaced or added."""
+    raw = copy.deepcopy(draw(_RECORD))
+    for difference, _ in draw(st.lists(st.sampled_from(list(_DIFFERENCES.values())), max_size=2)):
+        difference(raw, draw(st.sampled_from(raw["authors"])))
+    for _ in range(draw(st.integers(0, 3))):
+        _edit(raw, draw(st.sampled_from(_PATHS)), draw(st.sampled_from(_EDGES) | _JSON))
+    return raw
+
+
+def _accepts(raw) -> bool:
+    try:
+        _validate_record(raw)
+    except _RecordError:
+        return False
+    return True
+
+
+def _without_schema_only_rejections(raw):
+    """raw without what only the schema rejects: unknown fields, and null
+    for an optional mention field."""
+    if not isinstance(raw, dict):
+        return raw
+    record = {k: v for k, v in raw.items() if k in _RECORD_KEYS}
+    if isinstance(record.get("authors"), list):
+        record["authors"] = [
+            {k: v for k, v in a.items() if k in _MENTION_KEYS and (k == "name" or v is not None)}
+            if isinstance(a, dict) else a
+            for a in record["authors"]
+        ]
+    return record
+
+
+def _has_validator_only_rejection(record) -> bool:
+    """Whether a record the schema accepts has what only the validator
+    rejects: a whitespace-only name, a year or citing year written as a
+    float, or a citation year before the publication year."""
+    years = [record["year"], *record["citing_years"]]
+    return (
+        any(not a["name"].strip() for a in record["authors"])
+        or any(isinstance(y, float) for y in years)
+        or any(y < record["year"] for y in record["citing_years"])
+    )
+
+
+def _differs_only_in_the_listed_ways(raw, schema) -> bool:
+    """Whether the validator's verdict on raw is the schema's, up to the
+    five listed differences."""
+    record = _without_schema_only_rejections(raw)
+    return _accepts(raw) == _accepts(record) == (schema.is_valid(record) and not _has_validator_only_rejection(record))
+
+
+def test_validator_matches_schema_on_single_edits(record_schema):
+    for path, value in itertools.product(_PATHS, _EDGES):
+        raw = _full_record()
+        _edit(raw, path, value)
+        assert _differs_only_in_the_listed_ways(raw, record_schema), (path, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_records())
+def test_validator_matches_schema_on_generated_records(raw, record_schema):
+    assert _differs_only_in_the_listed_ways(raw, record_schema)
+
+
+@pytest.mark.parametrize("difference", _DIFFERENCES)
+def test_each_listed_difference_between_validator_and_schema(difference, record_schema):
+    raw = _full_record()
+    edit, validator_accepts = _DIFFERENCES[difference]
+    edit(raw, raw["authors"][0])
+    assert _accepts(raw) is validator_accepts
+    assert record_schema.is_valid(raw) is not validator_accepts
 
 
 def test_corpus_equality_ignores_stats():

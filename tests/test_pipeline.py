@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import rankmobility
-from rankmobility import cli, cohort, inequality, pipeline
-from rankmobility.corpus import CorpusError, export
+from rankmobility import cli, cohort, corpus, inequality, pipeline
+from rankmobility.corpus import CorpusError, CorpusFilterConfig, export, filter_corpus, ingest
 from rankmobility.disambig import read_clusters
 from rankmobility.pipeline import (
     PipelineConfig,
@@ -413,6 +413,61 @@ def test_each_cohort_is_built_once(tmp_path, monkeypatch):
     config = pipeline_config(corpus_path, cohort_years=[2001, 2000, 1999])
     run_pipeline(config, tmp_path / "out", threads=2)
     assert sorted(calls) == sorted((d, y) for d in config.disciplines for y in config.cohort_years)
+
+
+@pytest.fixture
+def mention_builds(monkeypatch):
+    """The size of each mention table any corpus builds from here on."""
+    built = []
+    original = corpus._build_mentions
+
+    def counting(publications):
+        mentions = original(publications)
+        built.append(len(mentions))
+        return mentions
+
+    monkeypatch.setattr(corpus, "_build_mentions", counting)
+    return built
+
+
+def test_mentions_are_built_only_by_the_stages_that_read_them(tmp_path, capsys, mention_builds):
+    synth_config = tmp_path / "synth.json"
+    synth_config.write_text(json.dumps(
+        {"n_authors": 150, "seed": 6, "disciplines": ["Chemistry", "Biology"], "start_years": list(COHORT_YEARS)}
+    ), encoding="utf-8")
+    generated, canonical, filtered = (tmp_path / f"{name}.jsonl" for name in ("generated", "canonical", "filtered"))
+    assert cli.main(["synth", "corpus", "--config", str(synth_config), "--out", str(generated)]) == 0
+    synth_info = json.loads(capsys.readouterr().out)
+    assert cli.main(["ingest", "--in", str(generated), "--out", str(canonical)]) == 0
+    assert cli.main(["filter", "--in", str(canonical), "--out", str(filtered), "--max-authors", "3"]) == 0
+    capsys.readouterr()
+    assert mention_builds == []
+
+    lines = generated.read_text(encoding="utf-8").splitlines()
+    assert synth_info["mentions"] == sum(len(json.loads(line)["authors"]) for line in lines)
+    synthetic, _ = generate_corpus(SynthConfig(n_authors=150, seed=6, disciplines=("Chemistry", "Biology"),
+                                               start_years=COHORT_YEARS))
+    export(synthetic, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == generated.read_bytes()
+    kept, stats = filter_corpus(ingest(canonical), CorpusFilterConfig(max_authors=3))
+    export(kept, tmp_path / "kept.jsonl")
+    assert stats.removed > 0
+    n_mentions = len(kept.mentions)
+    assert mention_builds == []
+    assert [m.mention_id for m in kept.mentions.values()] == list(kept.mentions)
+    assert kept.mentions.get("no such mention") is None
+    assert mention_builds == [n_mentions]
+
+    mention_builds.clear()
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({
+        "corpus": str(canonical), "disciplines": ["Chemistry", "Biology"], "cohort_years": list(COHORT_YEARS),
+        "filter": {"max_authors": 3}, "null_reps": 10, "min_cohort_size": 30, "seed": 13,
+    }), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(tmp_path / "bundle")]) == 0
+    counts = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))["counts"]
+    assert counts["filter_removed"] == stats.removed
+    assert mention_builds == [counts["mentions"]] == [n_mentions]
 
 
 def test_bundle_gini_series_matches_the_gini_series_command(bundle, tmp_path, capsys):
