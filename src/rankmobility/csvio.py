@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -18,12 +20,19 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
         writer.writerows(rows)
 
 
-def read_csv(path: str | Path, kind: str, header: Sequence[str] | None = None) -> Iterator[list[str]]:
+def read_csv(
+    path: str | Path,
+    kind: str,
+    header: Sequence[str] | None = None,
+    parse: Callable[[list[str]], T] | None = None,
+) -> Iterator[list[str] | T]:
     """Yield the non-blank rows below the header row, one at a time.
 
     The file must start with a header row, equal to header when one is
     given. Every row must have as many fields as the header; a row that
-    does not raises ValueError naming its line.
+    does not raises ValueError naming its line. When parse is given, each
+    row is yielded as parse(row), and a ValueError it raises is re-raised
+    naming the row's line.
     """
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -35,9 +44,11 @@ def read_csv(path: str | Path, kind: str, header: Sequence[str] | None = None) -
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(found):
-                raise ValueError(
-                    f"{kind} file {path}, line {reader.line_num}: "
-                    f"{len(row)} fields, header has {len(found)}"
-                )
+            try:
+                if len(row) != len(found):
+                    raise ValueError(f"{len(row)} fields, header has {len(found)}")
+                if parse is not None:
+                    row = parse(row)
+            except ValueError as exc:
+                raise ValueError(f"{kind} file {path}, line {reader.line_num}: {exc}") from None
             yield row

@@ -21,7 +21,8 @@ from .mobility import DEFAULT_BINS, TransitionMatrix
 
 DEFAULT_BRACKET = (1e-3, 10.0)
 DEFAULT_GRID_POINTS = 200
-DEFAULT_TOL = 1e-6
+# Golden-section search stops once the bracketing interval is this narrow.
+GOLDEN_TOL = 1e-6
 # 2 / (1 + sqrt(5)): fraction of the interval kept each golden-section step.
 _INV_PHI = 2.0 / (1.0 + np.sqrt(5.0))
 
@@ -61,6 +62,8 @@ def _as_matrix(matrix: TransitionMatrix | np.ndarray) -> np.ndarray:
 def _require_column_stochastic(matrix: np.ndarray) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("transition matrix must be square")
+    if not np.isfinite(matrix).all():
+        raise ValueError("transition matrix has non-finite entries")
     if (matrix < -STOCHASTIC_TOL).any():
         raise ValueError("transition matrix has negative entries")
     sums = matrix.sum(axis=0)
@@ -85,8 +88,8 @@ class DiffusionFit:
     n_matrices: int = 1
 
 
-def _golden_section(objective, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
-    """Minimize a unimodal function on [lo, hi] to interval width tol."""
+def _golden_section(objective, lo: float, hi: float) -> tuple[float, float, int]:
+    """Minimize a unimodal function on [lo, hi] to interval width GOLDEN_TOL."""
     a, b = lo, hi
     h = b - a
     x1 = b - _INV_PHI * h
@@ -94,7 +97,7 @@ def _golden_section(objective, lo: float, hi: float, tol: float) -> tuple[float,
     f1 = objective(x1)
     f2 = objective(x2)
     iterations = 0
-    while h > tol:
+    while h > GOLDEN_TOL:
         iterations += 1
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -111,49 +114,45 @@ def _golden_section(objective, lo: float, hi: float, tol: float) -> tuple[float,
 
 
 def _fit(
-    matrices: Sequence[np.ndarray],
+    matrices: Sequence[TransitionMatrix | np.ndarray],
     bracket: tuple[float, float],
     grid_points: int,
-    tol: float,
 ) -> DiffusionFit:
+    """Check the matrices and fit parameters, then calibrate one D to all matrices."""
+    if not matrices:
+        raise ValueError("need at least one matrix to fit")
+    arrays = [_as_matrix(m) for m in matrices]
+    for m in arrays:
+        _require_column_stochastic(m)
+    if len({m.shape for m in arrays}) > 1:
+        raise ValueError("all matrices must share one shape")
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
     if grid_points < 2:
         raise ValueError("grid needs at least two points")
-    n_bins = matrices[0].shape[0]
+    n_bins = arrays[0].shape[0]
 
     def objective(d: float) -> float:
         model = model_matrix(d, n_bins)
-        return float(sum(np.linalg.norm(m - model) for m in matrices))
+        return float(sum(np.linalg.norm(m - model) for m in arrays))
 
     grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
     values = np.array([objective(d) for d in grid])
     best = int(values.argmin())
-
-    if best == 0 or best == grid_points - 1:
-        edge = grid[best]
-        return DiffusionFit(
-            d_star=float(edge),
-            objective=float(values[best]),
-            bracket=bracket,
-            grid_points=grid_points,
-            iterations=0,
-            converged=False,
-            n_matrices=len(matrices),
-        )
-
-    d_star, obj, iterations = _golden_section(
-        objective, float(grid[best - 1]), float(grid[best + 1]), tol
-    )
+    converged = 0 < best < grid_points - 1
+    if converged:
+        d_star, obj, iterations = _golden_section(objective, float(grid[best - 1]), float(grid[best + 1]))
+    else:
+        d_star, obj, iterations = grid[best], values[best], 0
     return DiffusionFit(
         d_star=float(d_star),
         objective=float(obj),
         bracket=bracket,
         grid_points=grid_points,
         iterations=iterations,
-        converged=True,
-        n_matrices=len(matrices),
+        converged=converged,
+        n_matrices=len(arrays),
     )
 
 
@@ -161,38 +160,24 @@ def fit_d(
     matrix: TransitionMatrix | np.ndarray,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = DEFAULT_TOL,
 ) -> DiffusionFit:
     """Calibrate D against one observed transition matrix.
 
     The objective is evaluated on a log-spaced grid over the bracket, then
     the surrounding cell of the grid minimum is refined by golden-section
-    search down to an interval of width tol.
+    search down to an interval of width GOLDEN_TOL.
     """
-    m = _as_matrix(matrix)
-    _require_column_stochastic(m)
-    return _fit([m], bracket, grid_points, tol)
+    return _fit([matrix], bracket, grid_points)
 
 
 def fit_d_pooled(
     matrices: Sequence[TransitionMatrix | np.ndarray],
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = DEFAULT_TOL,
 ) -> DiffusionFit:
     """Calibrate a single D against several matrices jointly.
 
     Minimizes the sum of per-matrix Frobenius gaps, pooling cohorts that are
     assumed to share one mobility level.
     """
-    if not matrices:
-        raise ValueError("need at least one matrix to fit")
-    arrays = []
-    for matrix in matrices:
-        m = _as_matrix(matrix)
-        _require_column_stochastic(m)
-        arrays.append(m)
-    shapes = {a.shape for a in arrays}
-    if len(shapes) > 1:
-        raise ValueError("all matrices must share one shape")
-    return _fit(arrays, bracket, grid_points, tol)
+    return _fit(matrices, bracket, grid_points)

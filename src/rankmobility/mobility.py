@@ -73,30 +73,25 @@ class RankTable:
         )
 
 
-def _counts_to_matrix(counts: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    column_totals = counts.sum(axis=0)
-    n_bins = counts.shape[0]
-    matrix = np.empty_like(counts, dtype=float)
-    uniform: list[int] = []
-    for j in range(n_bins):
-        if column_totals[j] == 0:
-            # No observations starting in this bin: fall back to a uniform
-            # column and flag it rather than emit NaNs.
-            matrix[:, j] = 1.0 / n_bins
-            uniform.append(j + 1)
-        else:
-            matrix[:, j] = counts[:, j] / column_totals[j]
-    return matrix, tuple(uniform)
-
-
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Column-stochastic rank transition estimate with its sample counts."""
+    """Column-stochastic rank transition estimate.
+
+    A starting bin with no observations gets a uniform column rather than
+    NaNs; uniform_columns lists those bins, 1-based.
+    """
 
     matrix: np.ndarray
-    column_counts: np.ndarray
-    n_bins: int
     uniform_columns: tuple[int, ...] = ()
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "TransitionMatrix":
+        """Normalize an (ending bin, starting bin) count matrix per column."""
+        totals = counts.sum(axis=0)
+        empty = totals == 0
+        matrix = np.full(counts.shape, 1.0 / counts.shape[0])
+        np.divide(counts, totals, out=matrix, where=~empty)
+        return cls(matrix=matrix, uniform_columns=tuple(int(j) + 1 for j in np.flatnonzero(empty)))
 
 
 def transition_counts(q1: np.ndarray, q2: np.ndarray, n_bins: int) -> np.ndarray:
@@ -107,14 +102,7 @@ def transition_counts(q1: np.ndarray, q2: np.ndarray, n_bins: int) -> np.ndarray
 
 def transition_matrix(table: RankTable) -> TransitionMatrix:
     """Estimate the rank transition matrix of a cohort."""
-    counts = transition_counts(table.q1, table.q2, table.n_bins)
-    matrix, uniform = _counts_to_matrix(counts)
-    return TransitionMatrix(
-        matrix=matrix,
-        column_counts=counts.sum(axis=0),
-        n_bins=table.n_bins,
-        uniform_columns=uniform,
-    )
+    return TransitionMatrix.from_counts(transition_counts(table.q1, table.q2, table.n_bins))
 
 
 @dataclass(eq=False)
@@ -131,9 +119,19 @@ class DeltaQProfile:
     count: np.ndarray
 
 
-def _profile_from_moments(
-    total: np.ndarray, total_sq: np.ndarray, count: np.ndarray, n_bins: int
-) -> DeltaQProfile:
+def _profile(counts: np.ndarray) -> DeltaQProfile:
+    """Decile-change profile of an (ending bin, starting bin) count matrix.
+
+    Every author in cell (i, j) moved by exactly i - j, so the per-column
+    moments are count-weighted sums of that offset. All sums are of
+    integer-valued doubles, hence exact in any order.
+    """
+    n_bins = counts.shape[0]
+    bins = np.arange(n_bins)
+    offset = (bins[:, None] - bins[None, :]).astype(float)
+    count = counts.sum(axis=0)
+    total = (counts * offset).sum(axis=0)
+    total_sq = (counts * offset * offset).sum(axis=0)
     mean = np.full(n_bins, np.nan)
     sem = np.full(n_bins, np.nan)
     nonzero = count > 0
@@ -142,23 +140,12 @@ def _profile_from_moments(
     if multi.any():
         var = (total_sq[multi] - count[multi] * mean[multi] ** 2) / (count[multi] - 1)
         sem[multi] = np.sqrt(np.maximum(var, 0.0) / count[multi])
-    return DeltaQProfile(
-        deciles=np.arange(1, n_bins + 1, dtype=np.int64),
-        mean=mean,
-        sem=sem,
-        count=count.astype(np.int64),
-    )
+    return DeltaQProfile(deciles=bins + 1, mean=mean, sem=sem, count=count)
 
 
 def delta_q_profile(table: RankTable) -> DeltaQProfile:
     """Per starting decile: mean and SEM of (second decile - first decile)."""
-    dq = (table.q2 - table.q1).astype(float)
-    n_bins = table.n_bins
-    idx = table.q1 - 1
-    total = np.bincount(idx, weights=dq, minlength=n_bins)
-    total_sq = np.bincount(idx, weights=dq * dq, minlength=n_bins)
-    count = np.bincount(idx, minlength=n_bins)
-    return _profile_from_moments(total, total_sq, count, n_bins)
+    return _profile(transition_counts(table.q1, table.q2, table.n_bins))
 
 
 @dataclass(eq=False)
@@ -175,9 +162,10 @@ def reshuffle_null(
 ) -> ReshuffleNull:
     """Permutation null: second-window impacts reshuffled across authors.
 
-    Each repetition permutes impact2, re-ranks, and contributes to pooled
-    per-decile moments and transition counts. Repetitions draw from spawned
-    child streams of the seed, so results do not depend on execution order.
+    Each repetition permutes impact2, re-ranks, and adds its transition
+    counts to a pooled count matrix, from which both the null profile and
+    the null matrix follow. Repetitions draw from spawned child streams of
+    the seed, so results do not depend on execution order.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -185,35 +173,13 @@ def reshuffle_null(
     n_bins = table.n_bins
     ids_arr = np.array(table.author_ids)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(n_reps)
 
-    total = np.zeros(n_bins)
-    total_sq = np.zeros(n_bins)
-    count = np.zeros(n_bins, dtype=np.int64)
-    counts_matrix = np.zeros((n_bins, n_bins), dtype=np.int64)
-    idx = table.q1 - 1
-    for child in children:
+    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
+    for child in seq.spawn(n_reps):
         rng = np.random.default_rng(child)
-        permuted = table.impact2[rng.permutation(n)]
-        q2 = _assign_deciles(ids_arr, permuted, n_bins)
-        dq = (q2 - table.q1).astype(float)
-        total += np.bincount(idx, weights=dq, minlength=n_bins)
-        total_sq += np.bincount(idx, weights=dq * dq, minlength=n_bins)
-        count += np.bincount(idx, minlength=n_bins)
-        counts_matrix += transition_counts(table.q1, q2, n_bins)
-
-    matrix, uniform = _counts_to_matrix(counts_matrix)
-    null_matrix = TransitionMatrix(
-        matrix=matrix,
-        column_counts=counts_matrix.sum(axis=0),
-        n_bins=n_bins,
-        uniform_columns=uniform,
-    )
-    return ReshuffleNull(
-        profile=_profile_from_moments(total, total_sq, count, n_bins),
-        matrix=null_matrix,
-        n_reps=n_reps,
-    )
+        q2 = _assign_deciles(ids_arr, table.impact2[rng.permutation(n)], n_bins)
+        counts += transition_counts(table.q1, q2, n_bins)
+    return ReshuffleNull(profile=_profile(counts), matrix=TransitionMatrix.from_counts(counts), n_reps=n_reps)
 
 
 @dataclass(eq=False)
@@ -273,18 +239,26 @@ def write_rank_table_csv(path: str | Path, table: RankTable) -> None:
 
 
 def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTable:
+    """Read a rank table; a decile outside 1..n_bins is an error naming its line."""
+
+    def parse(row: list[str]) -> tuple[str, float, float, int, int]:
+        q1, q2 = int(row[3]), int(row[4])
+        if not (0 < q1 <= n_bins and 0 < q2 <= n_bins):
+            raise ValueError(f"decile outside 1..{n_bins}")
+        return row[0], float(row[1]), float(row[2]), q1, q2
+
     # Converted row by row: rank tables are the one large CSV input.
     ids: list[str] = []
     i1: list[float] = []
     i2: list[float] = []
     q1: list[int] = []
     q2: list[int] = []
-    for row in read_csv(path, "rank table", _RANK_TABLE_HEADER):
-        ids.append(row[0])
-        i1.append(float(row[1]))
-        i2.append(float(row[2]))
-        q1.append(int(row[3]))
-        q2.append(int(row[4]))
+    for aid, a, b, c, d in read_csv(path, "rank table", _RANK_TABLE_HEADER, parse):
+        ids.append(aid)
+        i1.append(a)
+        i2.append(b)
+        q1.append(c)
+        q2.append(d)
     return RankTable(
         author_ids=tuple(ids),
         impact1=np.array(i1),

@@ -33,7 +33,7 @@ from . import __version__
 from .cohort import Careers, CohortSpec, build_profiles, cohort_impacts
 from .corpus import Corpus, CorpusFilterConfig, filter_corpus, ingest
 from .csvio import write_csv
-from .diffusion import DiffusionFit, fit_d, fit_d_pooled, model_matrix
+from .diffusion import DEFAULT_BRACKET, DEFAULT_GRID_POINTS, DiffusionFit, fit_d, fit_d_pooled, model_matrix
 from .disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters
 from .inequality import cohort_gini_series, write_gini_series_csv
 from .jsonio import FilePath, compact, load, plain, read_config, write_json
@@ -67,8 +67,8 @@ class PipelineConfig:
     seed: int = 0
     min_cohort_size: int = 100
     gini_window: int = 1
-    fit_bracket: tuple[float, float] = (1e-3, 10.0)
-    fit_grid_points: int = 200
+    fit_bracket: tuple[float, float] = DEFAULT_BRACKET
+    fit_grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
         if not self.disciplines:

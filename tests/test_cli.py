@@ -84,12 +84,57 @@ def test_bad_year_range_is_a_usage_error(capsys, tmp_path):
     assert "expected a year range" in err
 
 
-def test_malformed_rank_table_is_a_data_error(capsys, tmp_path):
+def rank_table_text(bad_row=None, column=3, value=None):
+    # 20 authors, two per decile, staying put; one cell may be overwritten.
+    rows = [[f"A{k:02d}", f"{k}.0", f"{k}.0", str(k // 2 + 1), str(k // 2 + 1)] for k in range(20)]
+    if bad_row is not None:
+        rows[bad_row][column] = value
+    return "author_id,impact1,impact2,q1,q2\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("command", ["mobility", "null", "gini"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("year,gini,n_authors\n2000,0.5,40\n", "not a rank table file"),
+        (rank_table_text(6, 3, "0"), "line 8: decile outside 1..10"),
+        (rank_table_text(6, 3, "12"), "line 8: decile outside 1..10"),
+        (rank_table_text(19, 4, "11"), "line 21: decile outside 1..10"),
+        (rank_table_text(0, 4, "-1"), "line 2: decile outside 1..10"),
+        (rank_table_text(3, 3, "2.5"), "line 5: invalid literal"),
+    ],
+    ids=["other-header", "q1=0", "q1=12", "q2=11", "q2=-1", "q1=2.5"],
+)
+def test_malformed_rank_table_is_a_data_error(capsys, tmp_path, command, text, message):
     path = tmp_path / "table.csv"
-    path.write_text("year,gini,n_authors\n2000,0.5,40\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "mobility", "--cohort", str(path), "--out", str(tmp_path / "m"))
+    path.write_text(text, encoding="utf-8")
+    outputs = {"mobility": ["--out", str(tmp_path / "m")], "null": ["--reps", "2", "--out", str(tmp_path / "n")]}
+    code, out, err = run_cli(capsys, command, "--cohort", str(path), *outputs.get(command, []))
     assert code == 2
+    assert out == ""
     assert err.startswith("data error:")
+    assert message in err
+
+
+def test_well_formed_rank_table_passes_each_command(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(rank_table_text(), encoding="utf-8")
+    assert run_cli(capsys, "mobility", "--cohort", str(path), "--out", str(tmp_path / "m"))[0] == 0
+    assert run_cli(capsys, "null", "--cohort", str(path), "--reps", "2", "--out", str(tmp_path / "n"))[0] == 0
+    assert run_cli(capsys, "gini", "--cohort", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("command", ["fit-d", "fit-d-pooled"])
+def test_non_finite_matrix_entry_is_a_data_error(capsys, tmp_path, command):
+    good = tmp_path / "good.csv"
+    write_matrix_csv(good, np.full((10, 10), 0.1))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(good.read_text(encoding="utf-8").replace("0.1", "nan", 1), encoding="utf-8")
+    flags = ["--matrix", str(bad)] if command == "fit-d" else ["--matrices", str(good), str(bad)]
+    code, out, err = run_cli(capsys, command, *flags)
+    assert code == 2
+    assert out == ""
+    assert "transition matrix has non-finite entries" in err
 
 
 def test_unconverged_fit_exits_3(capsys, tmp_path):

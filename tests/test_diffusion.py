@@ -86,11 +86,7 @@ def test_fit_recovers_exact_member():
 
 
 def test_fit_accepts_transition_matrix_wrapper():
-    tm = TransitionMatrix(
-        matrix=model_matrix(0.7),
-        column_counts=np.full(10, 7, dtype=np.int64),
-        n_bins=10,
-    )
+    tm = TransitionMatrix(matrix=model_matrix(0.7))
     assert fit_d(tm).d_star == pytest.approx(0.7, abs=1e-5)
 
 
@@ -117,6 +113,16 @@ def test_rejects_negative_entries():
     m[:, 0] = [-0.2, 0.6, 0.6]
     with pytest.raises(ValueError, match="transition matrix has negative entries"):
         fit_d(m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_entries(value):
+    m = model_matrix(0.5)
+    m[3, 4] = value
+    with pytest.raises(ValueError, match="transition matrix has non-finite entries"):
+        fit_d(m)
+    with pytest.raises(ValueError, match="transition matrix has non-finite entries"):
+        fit_d_pooled([model_matrix(0.5), m])
 
 
 def test_rejects_columns_not_summing_to_one():

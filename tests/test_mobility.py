@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankmobility.diffusion import model_matrix
 from rankmobility.mobility import (
     DEFAULT_BINS,
     RankTable,
+    _assign_deciles,
     delta_p,
     delta_q_profile,
     read_delta_q_csv,
@@ -163,6 +164,136 @@ def test_reshuffle_rejects_zero_reps():
     table = table_from(rng.random(20), rng.random(20))
     with pytest.raises(ValueError, match="n_reps"):
         reshuffle_null(table, n_reps=0)
+
+
+def oracle_profile(q1, q2, n_bins):
+    """Per-author moment accumulation, as delta_q_profile once computed it."""
+    idx = q1 - 1
+    dq = (q2 - q1).astype(float)
+    return (
+        np.bincount(idx, weights=dq, minlength=n_bins),
+        np.bincount(idx, weights=dq * dq, minlength=n_bins),
+        np.bincount(idx, minlength=n_bins),
+    )
+
+
+def oracle_finish(total, total_sq, count, n_bins):
+    mean = np.full(n_bins, np.nan)
+    sem = np.full(n_bins, np.nan)
+    nonzero = count > 0
+    mean[nonzero] = total[nonzero] / count[nonzero]
+    multi = count > 1
+    if multi.any():
+        var = (total_sq[multi] - count[multi] * mean[multi] ** 2) / (count[multi] - 1)
+        sem[multi] = np.sqrt(np.maximum(var, 0.0) / count[multi])
+    return mean, sem, count.astype(np.int64)
+
+
+def oracle_matrix(counts):
+    n_bins = counts.shape[0]
+    matrix = np.empty_like(counts, dtype=float)
+    uniform = []
+    for j in range(n_bins):
+        total = counts[:, j].sum()
+        if total == 0:
+            matrix[:, j] = 1.0 / n_bins
+            uniform.append(j + 1)
+        else:
+            matrix[:, j] = counts[:, j] / total
+    return matrix, tuple(uniform)
+
+
+def oracle_null(table, n_reps, seed):
+    """The per-repetition loop reshuffle_null once ran."""
+    n, n_bins = len(table), table.n_bins
+    ids = np.array(table.author_ids)
+    total, total_sq = np.zeros(n_bins), np.zeros(n_bins)
+    count = np.zeros(n_bins, dtype=np.int64)
+    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
+    for child in np.random.SeedSequence(seed).spawn(n_reps):
+        q2 = _assign_deciles(ids, table.impact2[np.random.default_rng(child).permutation(n)], n_bins)
+        t, t_sq, c = oracle_profile(table.q1, q2, n_bins)
+        total += t
+        total_sq += t_sq
+        count += c
+        for a, b in zip(q2, table.q1):
+            counts[a - 1, b - 1] += 1
+    return oracle_finish(total, total_sq, count, n_bins), oracle_matrix(counts)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def deciles_table(draw):
+    # Deciles drawn freely rather than ranked, so bins may be empty or hold
+    # a single author; impact2 values repeat, so re-ranking meets ties.
+    n_bins = draw(st.integers(min_value=2, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=40))
+    q = st.lists(st.integers(min_value=1, max_value=n_bins), min_size=n, max_size=n)
+    impact2 = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n))
+    return RankTable(
+        author_ids=tuple(f"A{k:02d}" for k in range(n)),
+        impact1=np.zeros(n),
+        impact2=np.array(impact2, dtype=float),
+        q1=np.array(draw(q), dtype=np.int64),
+        q2=np.array(draw(q), dtype=np.int64),
+        n_bins=n_bins,
+    )
+
+
+SPARSE_TABLE = RankTable(
+    author_ids=("A", "B", "C", "D"),
+    impact1=np.zeros(4),
+    impact2=np.array([3.0, 1.0, 1.0, 2.0]),
+    q1=np.array([1, 1, 3, 5], dtype=np.int64),
+    q2=np.array([5, 2, 3, 1], dtype=np.int64),
+    n_bins=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=deciles_table())
+@example(table=SPARSE_TABLE)
+def test_delta_q_profile_equals_per_author_oracle(table):
+    mean, sem, count = oracle_finish(*oracle_profile(table.q1, table.q2, table.n_bins), table.n_bins)
+    profile = delta_q_profile(table)
+    assert same_bits(profile.mean, mean)
+    assert same_bits(profile.sem, sem)
+    assert same_bits(profile.count, count)
+    assert same_bits(profile.deciles, np.arange(1, table.n_bins + 1, dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=deciles_table(), n_reps=st.integers(min_value=1, max_value=5), seed=st.integers(0, 2**32 - 1))
+@example(table=SPARSE_TABLE, n_reps=3, seed=0)
+def test_reshuffle_null_equals_per_repetition_oracle(table, n_reps, seed):
+    (mean, sem, count), (matrix, uniform) = oracle_null(table, n_reps, seed)
+    null = reshuffle_null(table, n_reps=n_reps, seed=seed)
+    assert same_bits(null.profile.mean, mean)
+    assert same_bits(null.profile.sem, sem)
+    assert same_bits(null.profile.count, count)
+    assert same_bits(null.matrix.matrix, matrix)
+    assert null.matrix.uniform_columns == uniform
+    assert null.n_reps == n_reps
+
+
+def test_transition_matrix_equals_column_loop_oracle():
+    rng = np.random.default_rng(6)
+    for n_bins in range(2, 11):
+        q1 = rng.integers(1, n_bins + 1, size=15)
+        q1[q1 == 2] = 1  # leave starting bin 2 empty
+        table = RankTable(tuple(f"A{k}" for k in range(15)), np.zeros(15), np.zeros(15),
+                          q1, rng.integers(1, n_bins + 1, size=15), n_bins=n_bins)
+        counts = np.zeros((n_bins, n_bins), dtype=np.int64)
+        for a, b in zip(table.q2, table.q1):
+            counts[a - 1, b - 1] += 1
+        matrix, uniform = oracle_matrix(counts)
+        estimate = transition_matrix(table)
+        assert same_bits(estimate.matrix, matrix)
+        assert estimate.uniform_columns == uniform
+        assert 2 in uniform
 
 
 def test_delta_p_corners_and_zero_column_sums():
