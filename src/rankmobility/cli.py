@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .cohort import CohortSpec, build_profiles, cohort_impacts
 from .corpus import CorpusError, CorpusFilterConfig, export, filter_corpus, ingest
-from .csvio import read_csv
+from .csvio import finite_float, read_csv
 from .diffusion import fit_d, fit_d_pooled
 from .disambig import (
     DisambigError,
@@ -219,10 +219,10 @@ def cmd_gini_series(args) -> int:
 
 
 def cmd_trend(args) -> int:
-    rows = list(read_csv(args.series, "series"))
+    rows = list(read_csv(args.series, "series", parse=lambda row: [finite_float(v) for v in row[:2]]))
     if rows and len(rows[0]) < 2:
         raise ValueError(f"series file needs an x and a y column: {args.series}")
-    payload = trend_payload([float(r[0]) for r in rows], [float(r[1]) for r in rows])
+    payload = trend_payload([r[0] for r in rows], [r[1] for r in rows])
     if args.out:
         write_json(args.out, payload)
     _print_json({k: payload[k] for k in ("n", "r", "p", "slope", "intercept")})
@@ -230,7 +230,7 @@ def cmd_trend(args) -> int:
 
 
 def _read_column(path: str) -> list[float]:
-    return [float(row[0]) for row in read_csv(path, "sample")]
+    return list(read_csv(path, "sample", parse=lambda row: finite_float(row[0])))
 
 
 def cmd_compare(args) -> int:

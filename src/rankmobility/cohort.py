@@ -81,18 +81,16 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
     """One career per cluster, labelled in author_id order."""
     index = {pid: k for k, pid in enumerate(corpus.publications)}
     ordered = sorted(clusters, key=attrgetter("author_id"))
-    mention_of = corpus.mentions.get
-    labels: list[int] = []
-    pubs: list[int] = []
-    for label, cluster in enumerate(ordered):
-        for mid in cluster.mention_ids:
-            mention = mention_of(mid)
-            if mention is None:
-                raise KeyError(f"cluster {cluster.author_id} references unknown mention {mid}")
-            labels.append(label)
-            pubs.append(index[mention.pub_id])
+    sizes = [len(c.mention_ids) for c in ordered]
+    mention_ids = [mid for c in ordered for mid in c.mention_ids]
+    row_of = dict(zip(corpus.mentions.ids, range(len(corpus.mentions))))
+    rows = np.fromiter((row_of.get(mid, -1) for mid in mention_ids), np.int64, len(mention_ids))
+    labels = np.repeat(np.arange(len(ordered), dtype=np.int64), sizes)
+    if (unknown := np.flatnonzero(rows < 0)).size:
+        k = unknown[0]
+        raise KeyError(f"cluster {ordered[labels[k]].author_id} references unknown mention {mention_ids[k]}")
     n_pubs = max(len(index), 1)
-    pairs = np.unique(np.array(labels, dtype=np.int64) * n_pubs + np.array(pubs, dtype=np.int64))
+    pairs = np.unique(labels * n_pubs + corpus.mentions.pub[rows])
     author, pub = np.divmod(pairs, n_pubs)
     records = corpus.publications.values()
     year = np.fromiter((p.year for p in records), np.int64, len(index))

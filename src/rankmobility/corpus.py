@@ -17,9 +17,15 @@ Validation here is hand-rolled so ingestion stays cheap at corpus scale.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Mapping, ValuesView
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, count, repeat
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
@@ -40,7 +46,7 @@ class PublicationRecord:
 
     ``authors`` keeps the raw mention payloads (with set-valued fields
     sorted) so that exporting a corpus is byte-stable; matching-oriented
-    derived forms live on :class:`AuthorMention`.
+    derived forms live in the corpus's :class:`MentionTable`.
     """
 
     pub_id: str
@@ -58,7 +64,9 @@ class AuthorMention:
     diacritic-stripped, whitespace-collapsed); ``name`` is the raw form.
     ``coauthor_names`` holds normalized full names of the other mentions on
     the same publication, ``cited_by`` the pub_ids of corpus publications
-    whose reference lists include this mention's publication.
+    whose reference lists include this mention's publication. Only
+    _build_mentions builds these, as the reference that the MentionTable's
+    columns are tested against.
     """
 
     mention_id: str
@@ -121,8 +129,8 @@ class FilterStats:
 class Corpus:
     """Immutable-after-ingest container of publications.
 
-    Its mentions are built from the publications on first use, once per
-    corpus, so stages that only read or write records build none.
+    Its mentions are a MentionTable whose columns are built on first use,
+    once per corpus, so stages that only read or write records build none.
     """
 
     def __init__(self, publications: Iterable[PublicationRecord], stats: IngestStats | None = None):
@@ -134,7 +142,7 @@ class Corpus:
         self.stats = stats if stats is not None else IngestStats(
             lines_read=len(self.publications), accepted=len(self.publications)
         )
-        self.mentions: Mapping[str, AuthorMention] = _Mentions(self.publications)
+        self.mentions = MentionTable(self.publications)
 
     def __len__(self) -> int:
         return len(self.publications)
@@ -155,39 +163,155 @@ class Corpus:
         return sum(1 for y in pub.citing_years if pub.year <= y <= horizon)
 
 
-class _Mentions(Mapping[str, AuthorMention]):
-    """Read-only mapping of mention_id to AuthorMention.
+class MentionTable:
+    """Every author mention of a corpus as numpy columns, one row per mention
+    in corpus order.
 
-    The mentions are built on the first lookup or iteration. The length
-    comes from the publications' author lists, so counting builds nothing.
-    The build takes no lock: the pipeline reads mentions only on its main
-    thread, before its cohort pool starts.
+    Row r is author slot r - first[pub[r]] of publication pub[r], and its
+    mention id is "{pub_id}:{slot}". Counting the rows and reading pub build
+    nothing more. The coded columns are built on first use, once per table,
+    and each distinct raw string is normalized or parsed only once. A column
+    holds, per row, the value the AuthorMention of that row has under the
+    same name, as its index in values(column); a missing value is -1. A
+    reference to a publication of the corpus has the publication's index as
+    its code. given_detail is the given name when it is spelled out (the
+    mention's full_given is set), else missing. The build takes no lock: the
+    pipeline reads mentions only on its main thread, before its cohort pool
+    starts.
     """
 
     def __init__(self, publications: dict[str, PublicationRecord]):
         self._publications = publications
-        self._count = sum(len(pub.authors) for pub in publications.values())
-        self._built: dict[str, AuthorMention] | None = None
-
-    def _dict(self) -> dict[str, AuthorMention]:
-        if self._built is None:
-            self._built = _build_mentions(self._publications)
-        return self._built
+        sizes = np.fromiter((len(p.authors) for p in publications.values()), np.int64, len(publications))
+        self.first = _indptr(sizes)
+        self.pub = np.repeat(np.arange(len(sizes)), sizes)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.pub)
 
-    def __getitem__(self, mention_id: str) -> AuthorMention:
-        return self._dict()[mention_id]
+    @cached_property
+    def ids(self) -> list[str]:
+        return [f"{pid}:{k}" for pid, pub in self._publications.items() for k in range(len(pub.authors))]
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._dict())
+    @cached_property
+    def _columns(self) -> _Columns:
+        return _build_columns(self._publications, self.pub)
 
-    def get(self, mention_id: str, default=None):
-        return self._dict().get(mention_id, default)
+    def block_keys(self) -> tuple[np.ndarray, list[tuple[str, str]]]:
+        """Each row's (surname, first initial) as an index into the list of
+        distinct keys, which is returned too."""
+        return self._columns.key, self._columns.keys
 
-    def values(self) -> ValuesView[AuthorMention]:
-        return self._dict().values()
+    def codes(self, column: str) -> np.ndarray:
+        """The code of a single-valued column (orcid, email, given_detail,
+        affiliation, journal) per row."""
+        return self._columns.codes[column]
+
+    def pairs(self, column: str) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, codes) of a set-valued column (coauthor_names, grant_ids,
+        disciplines, references, cited_by): row rows[k] holds the value of
+        code codes[k], rows ascending."""
+        if column == "coauthor_names":
+            # The full names of the other authors of the row's publication.
+            sizes = np.diff(self.first)[self.pub]
+            rows = np.repeat(np.arange(len(self)), sizes)
+            others = _ranges(self.first[self.pub], sizes)
+            rows, others = rows[others != rows], others[others != rows]
+            # Two coauthors may share a full name; the row holds it once.
+            span = len(self._columns.values["coauthor_names"])
+            return np.divmod(np.unique(rows * span + self._columns.full_name[others]), max(span, 1))
+        indptr, flat, per_pub = self._columns.sets[column]
+        if not per_pub:
+            return np.repeat(np.arange(len(self)), np.diff(indptr)), flat
+        sizes = np.diff(indptr)[self.pub]
+        return np.repeat(np.arange(len(self)), sizes), flat[_ranges(indptr[self.pub], sizes)]
+
+    def values(self, column: str) -> list:
+        """The distinct values of a column, indexed by code."""
+        return self._columns.values[column]
+
+
+class _Columns(NamedTuple):
+    """The coded columns of a MentionTable. A set column is CSR: (indptr,
+    codes, per_pub), where per_pub says it is indexed by publication."""
+
+    key: np.ndarray
+    keys: list[tuple[str, str]]
+    full_name: np.ndarray
+    codes: dict[str, np.ndarray]
+    sets: dict[str, tuple[np.ndarray, np.ndarray, bool]]
+    values: dict[str, list]
+
+
+def _build_columns(publications: dict[str, PublicationRecord], pub: np.ndarray) -> _Columns:
+    records = publications.values()
+    authors = [author for record in records for author in record.authors]
+    name, raw_names = _code(map(itemgetter("name"), authors))
+    parsed = [parse_name(raw) for raw in raw_names]
+    key, keys = _code((surname, initials_of(given)[:1]) for given, surname in parsed)
+    full_name, full_names = _code(normalize_text(raw.replace(".", " ")) for raw in raw_names)
+    values: dict[str, list] = {"coauthor_names": full_names}
+    codes: dict[str, np.ndarray] = {}
+    codes["given_detail"], values["given_detail"] = _forms(name, parsed, _given_detail)
+    for column, form in (("orcid", _strip_or_none), ("email", _lower_or_none),
+                         ("affiliation", _norm_or_none), ("journal", _norm_or_none)):
+        raw, distinct = _code(map(dict.get, authors, repeat(column)))
+        codes[column], values[column] = _forms(raw, distinct, form)
+
+    sets: dict[str, tuple[np.ndarray, np.ndarray, bool]] = {}
+    for column, field_name, seed in (("grant_ids", "grants", ()), ("references", "references", publications)):
+        lists = list(map(dict.get, authors, repeat(field_name), repeat(())))
+        sizes = np.fromiter(map(len, lists), np.int64, len(authors))
+        flat, values[column] = _code(chain.from_iterable(lists), seed)
+        sets[column] = (_indptr(sizes), flat, False)
+    sizes = np.fromiter((len(record.disciplines) for record in records), np.int64, len(publications))
+    flat, values["disciplines"] = _code(chain.from_iterable(record.disciplines for record in records))
+    sets["disciplines"] = (_indptr(sizes), flat, True)
+    # A publication cites every corpus publication that any of its authors references.
+    indptr, refs, _ = sets["references"]
+    citer = pub[np.repeat(np.arange(len(authors)), np.diff(indptr))]
+    n_pubs = len(publications)
+    cited = refs < n_pubs
+    target, citer = np.divmod(np.unique(refs[cited] * n_pubs + citer[cited]), max(n_pubs, 1))
+    sets["cited_by"] = (_indptr(np.bincount(target, minlength=n_pubs)), citer, True)
+    values["cited_by"] = list(publications)
+    return _Columns(key[name], keys, full_name[name], codes, sets, values)
+
+
+def _code(values: Iterable, seed: Iterable = ()) -> tuple[np.ndarray, list]:
+    """Each value's index in the list of distinct values, which is returned
+    too: the seed values first, then the others as first seen."""
+    index = {value: k for k, value in enumerate(seed)}
+    # A new value is first coded by its position in values (past the seed);
+    # ranking those codes among the distinct values' makes them consecutive.
+    codes = np.fromiter(map(index.setdefault, values, count(len(index))), np.int64)
+    return np.searchsorted(np.fromiter(index.values(), np.int64, len(index)), codes), list(index)
+
+
+def _forms(raw: np.ndarray, distinct: list, form) -> tuple[np.ndarray, list]:
+    """Codes of the form of each raw value, computed once per distinct raw
+    value, with the distinct forms; a form of None is coded -1."""
+    index: dict = {}
+    lookup = [-1 if (f := form(value)) is None else index.setdefault(f, len(index)) for value in distinct]
+    return np.array(lookup, np.int64)[raw], list(index)
+
+
+def _given_detail(parsed: tuple[str, str]) -> str | None:
+    """The given name of a parsed (given, surname) when it is spelled out."""
+    given = parsed[0]
+    return given if full_given_name(given) is not None else None
+
+
+def _indptr(sizes: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[k] .. starts[k] + sizes[k] - 1."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - (ends - sizes), sizes) + np.arange(sizes.sum())
 
 
 def _build_mentions(publications: dict[str, PublicationRecord]) -> dict[str, AuthorMention]:

@@ -7,6 +7,7 @@ each cell themselves (floats with repr, so reading back is exact).
 from __future__ import annotations
 
 import csv
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -52,3 +53,11 @@ def read_csv(
             except ValueError as exc:
                 raise ValueError(f"{kind} file {path}, line {reader.line_num}: {exc}") from None
             yield row
+
+
+def finite_float(text: str) -> float:
+    """float(text), raising ValueError for a NaN or an infinity as well."""
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value

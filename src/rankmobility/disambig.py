@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, count, repeat
 from math import comb, inf
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,25 +29,27 @@ class DisambigError(Exception):
     """Bad rule table or inconsistent cluster/truth inputs."""
 
 
-# The pair criteria, one (criterion, kind, value) row each: value reads what
-# the criterion compares from a mention. By kind, _holds compares two values
-# and _operands encodes a block's values for cluster_block's hit matrices.
+# The pair criteria, one (criterion, kind, value, column) row each: value
+# reads what the criterion compares from an AuthorMention, and column names
+# the MentionTable column that holds the same values coded. By kind, _holds
+# compares two values and Block.operand encodes a block's codes for
+# cluster_block's hit matrices.
 _CRITERIA_TABLE = (
-    ("orcid_match", "same", attrgetter("orcid")),
-    ("email_match", "same", attrgetter("email")),
+    ("orcid_match", "same", attrgetter("orcid"), "orcid"),
+    ("email_match", "same", attrgetter("email"), "email"),
     # Spelled-out given names agreeing beyond the blocking key.
-    ("name_detail_match", "same", lambda m: m.given if m.full_given is not None else None),
-    ("shared_affiliation", "same", attrgetter("affiliation")),
-    ("shared_coauthor", "overlap", attrgetter("coauthor_names")),
-    ("shared_grant", "overlap", attrgetter("grant_ids")),
-    ("same_journal", "same", attrgetter("journal")),
-    ("shared_discipline", "overlap", attrgetter("disciplines")),
-    ("self_citation", "cites", attrgetter("pub_id", "references")),
-    ("bibliographic_coupling", "overlap", attrgetter("references")),
-    ("co_citation", "overlap", attrgetter("cited_by")),
+    ("name_detail_match", "same", lambda m: m.given if m.full_given is not None else None, "given_detail"),
+    ("shared_affiliation", "same", attrgetter("affiliation"), "affiliation"),
+    ("shared_coauthor", "overlap", attrgetter("coauthor_names"), "coauthor_names"),
+    ("shared_grant", "overlap", attrgetter("grant_ids"), "grant_ids"),
+    ("same_journal", "same", attrgetter("journal"), "journal"),
+    ("shared_discipline", "overlap", attrgetter("disciplines"), "disciplines"),
+    ("self_citation", "cites", attrgetter("pub_id", "references"), "references"),
+    ("bibliographic_coupling", "overlap", attrgetter("references"), "references"),
+    ("co_citation", "overlap", attrgetter("cited_by"), "cited_by"),
 )
 
-CRITERIA = tuple(name for name, _, _ in _CRITERIA_TABLE)
+CRITERIA = tuple(row[0] for row in _CRITERIA_TABLE)
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def _holds(kind: str, x, y) -> bool:
 
 def satisfied_criteria(a: AuthorMention, b: AuthorMention) -> tuple[str, ...]:
     """Names of all criteria the pair satisfies, in CRITERIA order."""
-    return tuple(name for name, kind, value in _CRITERIA_TABLE if _holds(kind, value(a), value(b)))
+    return tuple(name for name, kind, value, _ in _CRITERIA_TABLE if _holds(kind, value(a), value(b)))
 
 
 def score_pair(a: AuthorMention, b: AuthorMention, rules: ScoringRuleTable) -> float:
@@ -123,12 +124,9 @@ def block_key(mention: AuthorMention) -> BlockKey:
     return (mention.surname, mention.initials[:1])
 
 
-def block_mentions(corpus: Corpus) -> dict[BlockKey, list[AuthorMention]]:
+def block_mentions(corpus: Corpus) -> dict[BlockKey, Block]:
     """Group mentions by (surname, first initial), keys sorted."""
-    blocks: dict[BlockKey, list[AuthorMention]] = {}
-    for mention in corpus.mentions.values():
-        blocks.setdefault(block_key(mention), []).append(mention)
-    return dict(sorted(blocks.items()))
+    return _Blocks(corpus.mentions).by_key()
 
 
 @dataclass(frozen=True)
@@ -139,52 +137,146 @@ class MentionCluster:
     mention_ids: tuple[str, ...]
 
 
+class _Member(NamedTuple):
+    mention_id: str
+
+
+class _Blocks:
+    """The blocks of a mention table, with what cluster_block scores them by.
+
+    The rows are laid out block by block (in table order within a block), so
+    that each block is a run bounds[b]:bounds[b + 1] of that layout. Each
+    criterion's encoding of every block is prepared at once, on the first
+    block that asks for it, so a block's operand is a few slices of it.
+    """
+
+    def __init__(self, table):
+        key, keys = table.block_keys()
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = np.empty(len(keys), np.int64)
+        rank[ranked] = np.arange(len(keys))
+        self.keys = [keys[k] for k in ranked]
+        self.table = table
+        self.block = rank[key]
+        self.order = np.argsort(self.block, kind="stable")
+        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(self.block, minlength=len(keys)))))
+        # Each row's position in its block.
+        self.local = np.empty(len(key), np.int64)
+        self.local[self.order] = np.arange(len(key)) - self.bounds[self.block[self.order]]
+        ids = table.ids
+        self.ids = [ids[r] for r in self.order.tolist()]
+        self._prepared: dict[tuple[str, str], tuple] = {}
+
+    def by_key(self) -> dict[BlockKey, Block]:
+        return {key: Block(self, b) for b, key in enumerate(self.keys)}
+
+    def prepared(self, kind: str, column: str) -> tuple:
+        """A criterion's encoding of every block.
+
+        same: which blocks have two rows with one value, and every row's
+        code in block layout, where a missing value gets a negative code of
+        its own. overlap and cites: per block, its number of columns and
+        where its (row, column) incidence entries start, then those entries
+        as row positions in the block and column numbers; for cites also
+        each row's publication column in block layout.
+        """
+        if (kind, column) not in self._prepared:
+            self._prepared[kind, column] = self._prepare(kind, column)
+        return self._prepared[kind, column]
+
+    def _prepare(self, kind: str, column: str) -> tuple:
+        block, n_blocks = self.block, len(self.keys)
+        if kind == "same":
+            codes = self.table.codes(column)
+            held = codes >= 0
+            span = int(codes.max(initial=0)) + 1
+            groups, counts = np.unique(block[held] * span + codes[held], return_counts=True)
+            shared = np.zeros(n_blocks, bool)
+            shared[groups[counts > 1] // span] = True
+            codes = np.where(held, codes, -1 - np.arange(len(codes)))
+            return shared, codes[self.order]
+        rows, codes = self.table.pairs(column)
+        if kind == "cites":
+            # A reference counts when it is to the publication of a row of the same block.
+            pub = self.table.pub
+            span = int(max(codes.max(initial=0), pub.max(initial=0))) + 1
+            own = block * span + pub
+            found = np.isin(block[rows] * span + codes, own)
+            rows, codes = rows[found], codes[found]
+        else:
+            span = int(codes.max(initial=0)) + 1
+        # A block's columns are the distinct codes of its rows' entries.
+        groups, inverse, counts = np.unique(block[rows] * span + codes, return_inverse=True, return_counts=True)
+        if kind == "overlap":
+            # Only the values that at least two of the block's rows hold.
+            kept = counts > 1
+            rows, inverse = rows[kept[inverse]], (np.cumsum(kept) - 1)[inverse[kept[inverse]]]
+            groups = groups[kept]
+        width = np.bincount(groups // span, minlength=n_blocks)
+        first = np.cumsum(width) - width
+        entry_block = block[rows]
+        sort = np.argsort(entry_block, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(np.bincount(entry_block, minlength=n_blocks))))
+        prepared = (width, starts, self.local[rows][sort], (inverse - first[entry_block])[sort])
+        if kind == "overlap":
+            return prepared
+        # Each row's publication is its column, or else the block's empty last one.
+        at = np.searchsorted(groups, own)
+        found = at < len(groups)
+        found[found] = groups[at[found]] == own[found]
+        return (*prepared, np.where(found, at - first[block], width[block])[self.order])
+
+
+class Block:
+    """The rows of one block of a mention table, as block_mentions gives
+    them and cluster_block takes them. Iterating a block yields each row's
+    mention id as an item with a mention_id field."""
+
+    def __init__(self, blocks: _Blocks, b: int):
+        self._blocks = blocks
+        self._b = b
+        self._lo, self._hi = int(blocks.bounds[b]), int(blocks.bounds[b + 1])
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __iter__(self):
+        return map(_Member, self.mention_ids)
+
+    @property
+    def mention_ids(self) -> list[str]:
+        return self._blocks.ids[self._lo:self._hi]
+
+    def operand(self, kind: str, column: str):
+        """What the block's hit matrix for a criterion is computed from, or
+        None when no pair of the block can satisfy it.
+
+        same: one integer code per row, compared by broadcasting. overlap:
+        an incidence matrix B of rows × the values that at least two of them
+        hold, so B @ B.T is positive where two sets intersect. cites: an
+        incidence R of rows × the block's publications that some row
+        references, plus an empty last column, and each row's publication
+        as a column of R; C = R[:, publication] is references × pub ids.
+        """
+        b, n = self._b, len(self)
+        if kind == "same":
+            shared, codes = self._blocks.prepared(kind, column)
+            return codes[self._lo:self._hi] if shared[b] else None
+        width, starts, rows, cols, *publication = self._blocks.prepared(kind, column)
+        if not width[b]:
+            return None
+        entries = slice(starts[b], starts[b + 1])
+        if kind == "overlap":
+            matrix = np.zeros((n, width[b]), dtype=np.float32)
+            matrix[rows[entries], cols[entries]] = 1.0
+            return matrix
+        matrix = np.zeros((n, width[b] + 1), dtype=bool)
+        matrix[rows[entries], cols[entries]] = True
+        return matrix, publication[0][self._lo:self._hi]
+
+
 # Rows of a block that cluster_block scores at a time.
 _TILE = 256
-
-
-def _operands(kind: str, values: list):
-    """What a criterion's hit matrix is computed from, or None when no pair
-    of the block can satisfy it.
-
-    same: one integer code per mention, compared by broadcasting. overlap:
-    an incidence matrix B of mentions × the values that at least two of
-    them hold, so B @ B.T is positive where two sets intersect. cites: an
-    incidence R of mentions × the block's publications that some mention
-    references, plus an empty last column, and each mention's publication
-    as a column of R; C = R[:, publication] is references × pub ids.
-    """
-    n = len(values)
-    index: dict = {}
-    if kind == "same":
-        codes = np.fromiter(map(index.setdefault, values, count()), np.int64, n)
-        missing = np.flatnonzero(codes == index.pop(None, -1))
-        # None matches nothing: each gets a code of its own, below zero.
-        codes[missing] = -1 - missing
-        return codes if len(index) < n - len(missing) else None
-    if kind == "overlap":
-        sizes = np.fromiter(map(len, values), np.int64, n)
-        codes = np.fromiter(map(index.setdefault, chain.from_iterable(values), count()), np.int64, sizes.sum())
-        keep = np.bincount(codes, minlength=1) > 1
-        if not keep.any():
-            return None
-        held = keep[codes]
-        matrix = np.zeros((n, np.count_nonzero(keep)), dtype=np.float32)
-        matrix[np.repeat(np.arange(n), sizes)[held], (np.cumsum(keep) - 1)[codes[held]]] = 1.0
-        return matrix
-    pub_ids, references = zip(*values) if values else ((), ())
-    pub_codes = np.fromiter(map(index.setdefault, pub_ids, count()), np.int64, n)
-    sizes = np.fromiter(map(len, references), np.int64, n)
-    ref_codes = np.fromiter(map(index.get, chain.from_iterable(references), repeat(-1)), np.int64, sizes.sum())
-    found = ref_codes >= 0
-    if not found.any():
-        return None
-    cited = np.zeros(n, dtype=bool)
-    cited[ref_codes[found]] = True
-    column = np.where(cited, np.cumsum(cited) - 1, np.count_nonzero(cited))
-    matrix = np.zeros((n, column.max() + 1), dtype=bool)
-    matrix[np.repeat(np.arange(n), sizes)[found], column[ref_codes[found]]] = True
-    return matrix, column[pub_codes]
 
 
 def _hits(kind: str, operand, rows: slice, cols: slice) -> np.ndarray:
@@ -211,23 +303,23 @@ def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
-def cluster_block(mentions: Sequence[AuthorMention], rules: ScoringRuleTable) -> list[MentionCluster]:
+def cluster_block(block: Block, rules: ScoringRuleTable) -> list[MentionCluster]:
     """Single-linkage clustering of one block.
 
     Each positively weighted criterion gives an n × n hit matrix, built by
-    its kind from the block's values (see _operands). The hits' weights are
-    added largest first, the order score_pair adds them in, so every pair's
+    its kind from the block's codes (see Block.operand). The hits' weights
+    are added largest first, the order score_pair adds them in, so every pair's
     total and its linked/not decision equal score_pair's: adding 0.0 for a
     miss changes nothing. Rows are scored in tiles of _TILE against the rows
     from the tile on, so the score matrices take O(_TILE × n) memory (an
     incidence matrix takes n × the values at least two mentions share).
     Clusters are the connected components of the pairs at the threshold.
     """
-    n = len(mentions)
+    n = len(block)
     checks = []
-    for name, kind, value in sorted(_CRITERIA_TABLE, key=lambda row: -rules.weight(row[0])):
+    for name, kind, _, column in sorted(_CRITERIA_TABLE, key=lambda row: -rules.weight(row[0])):
         weight = rules.weight(name)
-        if weight > 0 and (operand := _operands(kind, list(map(value, mentions)))) is not None:
+        if weight > 0 and (operand := block.operand(kind, column)) is not None:
             checks.append((weight, kind, operand))
 
     parent = np.arange(n)
@@ -241,8 +333,8 @@ def cluster_block(mentions: Sequence[AuthorMention], rules: ScoringRuleTable) ->
         _merge(parent, a + start, b + start)
 
     groups: dict[int, list[str]] = {}
-    for root, mention in zip(parent.tolist(), mentions):
-        groups.setdefault(root, []).append(mention.mention_id)
+    for root, mention_id in zip(parent.tolist(), block.mention_ids):
+        groups.setdefault(root, []).append(mention_id)
     clusters = [
         MentionCluster(author_id=min(ids), mention_ids=tuple(sorted(ids)))
         for ids in groups.values()
@@ -256,8 +348,8 @@ def disambiguate(corpus: Corpus, rules: ScoringRuleTable | None = None) -> list[
     if rules is None:
         rules = ScoringRuleTable.default()
     clusters: list[MentionCluster] = []
-    for _, members in block_mentions(corpus).items():
-        clusters.extend(cluster_block(members, rules))
+    for block in block_mentions(corpus).values():
+        clusters.extend(cluster_block(block, rules))
     clusters.sort(key=lambda c: c.author_id)
     return clusters
 
@@ -276,7 +368,7 @@ class DisambigEval:
 def evaluate_disambiguation(
     clusters: Sequence[MentionCluster],
     truth: Mapping[str, str],
-    blocks: Mapping[BlockKey, Sequence[AuthorMention]] | None = None,
+    blocks: Mapping[BlockKey, Iterable] | None = None,
 ) -> DisambigEval:
     """Pairwise precision/recall/F1 of predicted clusters against truth.
 

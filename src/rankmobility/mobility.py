@@ -224,7 +224,7 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    matrix = np.array([[float(v) for v in row] for row in read_csv(path, "matrix")], dtype=float)
+    matrix = np.array(list(read_csv(path, "matrix", parse=lambda row: [float(v) for v in row])), dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix file is not square with header: {path}")
     return matrix
@@ -278,10 +278,14 @@ def write_delta_q_csv(path: str | Path, profile: DeltaQProfile) -> None:
 
 
 def read_delta_q_csv(path: str | Path) -> DeltaQProfile:
-    rows = list(read_csv(path, "decile-change profile", _DELTA_Q_HEADER))
+    def parse(row: list[str]) -> tuple[int, float, float, int]:
+        return int(row[0]), float(row[1]), float(row[2]), int(row[3])
+
+    rows = list(read_csv(path, "decile-change profile", _DELTA_Q_HEADER, parse))
+    deciles, mean, sem, count = zip(*rows) if rows else ((), (), (), ())
     return DeltaQProfile(
-        deciles=np.array([int(r[0]) for r in rows], dtype=np.int64),
-        mean=np.array([float(r[1]) for r in rows]),
-        sem=np.array([float(r[2]) for r in rows]),
-        count=np.array([int(r[3]) for r in rows], dtype=np.int64),
+        deciles=np.array(deciles, dtype=np.int64),
+        mean=np.array(mean, dtype=float),
+        sem=np.array(sem, dtype=float),
+        count=np.array(count, dtype=np.int64),
     )

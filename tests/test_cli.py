@@ -137,6 +137,55 @@ def test_non_finite_matrix_entry_is_a_data_error(capsys, tmp_path, command):
     assert "transition matrix has non-finite entries" in err
 
 
+def _numeric_inputs(tmp_path, command, cell):
+    """The flags of a numeric command whose last input file has cell in
+    line 3 (None: a well-formed file), and that file."""
+    if command in ("fit-d", "fit-d-pooled"):
+        matrix = np.full((10, 10), 0.5 / 9) + np.eye(10) * (0.5 - 0.5 / 9)
+        good = tmp_path / "good.csv"
+        write_matrix_csv(good, matrix)
+        text = good.read_text(encoding="utf-8")
+    elif command == "trend":
+        text = "x,y\n2000,0.1\n2001,0.3\n2002,0.2\n2003,0.6\n"
+    else:
+        good = tmp_path / "good.csv"
+        good.write_text("v\n1.5\n2.5\n0.5\n", encoding="utf-8")
+        text = "v\n2.0\n3.5\n1.0\n"
+    lines = text.splitlines(keepends=True)
+    if cell is not None:
+        fields = lines[2].rstrip("\r\n").split(",")
+        fields[-1] = cell
+        lines[2] = ",".join(fields) + "\r\n"
+    path = tmp_path / "input.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    flags = {
+        "fit-d": ["--matrix", str(path)],
+        "fit-d-pooled": ["--matrices", str(tmp_path / "good.csv"), str(path)],
+        "trend": ["--series", str(path)],
+        "compare": ["--a", str(tmp_path / "good.csv"), "--b", str(path)],
+    }
+    return flags[command], path
+
+
+@pytest.mark.parametrize("cell", [None, "abc", "nan", "inf"], ids=["well-formed", "abc", "nan", "inf"])
+@pytest.mark.parametrize("command", ["fit-d", "fit-d-pooled", "trend", "compare"])
+def test_bad_numeric_cell_is_a_data_error_naming_its_line(capsys, tmp_path, command, cell):
+    flags, path = _numeric_inputs(tmp_path, command, cell)
+    code, out, err = run_cli(capsys, command, *flags)
+    if cell is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+        return
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error:")
+    if command.startswith("fit-d") and cell != "abc":
+        # A matrix cell may be any float; the fit rejects non-finite ones.
+        assert "transition matrix has non-finite entries" in err
+    else:
+        assert f"{path}, line 3:" in err
+
+
 def test_unconverged_fit_exits_3(capsys, tmp_path):
     path = tmp_path / "uniform.csv"
     write_matrix_csv(path, np.full((10, 10), 0.1))

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmobility.cohort import CohortSpec, build_profiles, cohort_impacts
+from rankmobility.corpus import _build_mentions
 from rankmobility.disambig import MentionCluster
 from rankmobility.inequality import gini, population_gini_series
 
@@ -49,10 +52,13 @@ def test_build_profiles_deduplicates_shared_publications():
     assert careers.pub.tolist() == [0]
 
 
-def test_build_profiles_unknown_mention():
-    corpus = corpus_of(make_record("P1"))
-    with pytest.raises(KeyError, match="unknown mention"):
-        build_profiles(corpus, [MentionCluster("A1", ("P9:0",))])
+@pytest.mark.parametrize("mention_id", ["P9:0", "P1:1", "P1:01", "P1:+0", "P1: 0", "P1:", "P1", "A:P1:1", "A:0"])
+def test_build_profiles_unknown_mention(mention_id):
+    corpus = corpus_of(make_record("P1"), make_record("A:P1"))
+    careers = build_profiles(corpus, [MentionCluster("A1", ("A:P1:0", "P1:0"))])
+    assert careers.pub.tolist() == [0, 1]
+    with pytest.raises(KeyError, match=re.escape(f"cluster A2 references unknown mention {mention_id}")):
+        build_profiles(corpus, [MentionCluster("A1", ("P1:0",)), MentionCluster("A2", (mention_id,))])
 
 
 def test_career_start_is_global_across_disciplines():
@@ -147,7 +153,7 @@ def corpora_and_clusters(draw):
     )
     labels = draw(st.lists(st.integers(-1, 5), min_size=len(corpus.mentions), max_size=len(corpus.mentions)))
     groups: dict[int, list[str]] = {}
-    for mid, label in zip(corpus.mentions, labels):
+    for mid, label in zip(corpus.mentions.ids, labels):
         if label >= 0:
             groups.setdefault(label, []).append(mid)
     clusters = [MentionCluster(min(mids), tuple(mids)) for mids in groups.values()]
@@ -157,7 +163,8 @@ def corpora_and_clusters(draw):
 def scan(corpus, cluster, discipline, lo, hi):
     """Whether the cluster's author publishes in the discipline in [lo, hi],
     and the c5 sum of those publications, by a plain scan."""
-    pub_ids = {corpus.mentions[mid].pub_id for mid in cluster.mention_ids}
+    mentions = _build_mentions(corpus.publications)
+    pub_ids = {mentions[mid].pub_id for mid in cluster.mention_ids}
     hits = [
         pid
         for pid in pub_ids
@@ -174,9 +181,10 @@ def test_cohort_and_population_impacts_match_a_plain_scan(data, discipline, year
     assert len(careers) == len(clusters)
 
     spec = CohortSpec(discipline, year)
+    mentions = _build_mentions(corpus.publications)
     expected = ([], [], [])
     for cluster in sorted(clusters, key=lambda c: c.author_id):
-        start = min(corpus.publications[corpus.mentions[mid].pub_id].year for mid in cluster.mention_ids)
+        start = min(corpus.publications[mentions[mid].pub_id].year for mid in cluster.mention_ids)
         active1, impact1 = scan(corpus, cluster, discipline, *spec.window1)
         active2, impact2 = scan(corpus, cluster, discipline, *spec.window2)
         if start == year and active1 and active2:

@@ -11,6 +11,7 @@ from rankmobility.corpus import (
     Corpus,
     CorpusError,
     CorpusFilterConfig,
+    _build_mentions,
     _RecordError,
     _validate_record,
     export,
@@ -110,7 +111,8 @@ def test_mention_derivation():
         make_record("P0", year=1999),
         make_record("P2", year=2001, authors=[{"name": "C. Citer", "references": ["P1"]}]),
     )
-    m = corpus.mentions["P1:0"]
+    mentions = _build_mentions(corpus.publications)
+    m = mentions["P1:0"]
     assert m.surname == "garcia"
     assert m.given == "jose"
     assert m.initials == "j"
@@ -121,10 +123,10 @@ def test_mention_derivation():
     assert m.grant_ids == frozenset({"g1", "g2"})
     assert m.coauthor_names == frozenset({"b quick"})
     assert m.cited_by == frozenset({"P2"})
-    second = corpus.mentions["P1:1"]
+    second = mentions["P1:1"]
     assert second.full_given is None
     assert second.cited_by == frozenset({"P2"})
-    assert corpus.mentions["P0:0"].cited_by == frozenset({"P1"})
+    assert mentions["P0:0"].cited_by == frozenset({"P1"})
 
 
 def test_filter_rules_and_counters():

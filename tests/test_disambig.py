@@ -2,12 +2,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankmobility import disambig
-from rankmobility.corpus import AuthorMention
+from rankmobility.corpus import AuthorMention, Corpus, PublicationRecord, _build_mentions
 from rankmobility.disambig import (
     CRITERIA,
     DisambigError,
@@ -51,6 +52,41 @@ def mention(mention_id="M:0", **overrides):
     )
     base.update(overrides)
     return AuthorMention(**base)
+
+
+class HandMadeTable:
+    """What block_mentions reads from a MentionTable, over hand-made
+    AuthorMentions whose values need come from no corpus: each column codes
+    the values the criteria's oracles read from the mentions, and a
+    reference to one of their publications has that publication's code."""
+
+    def __init__(self, mentions):
+        self.mentions = list(mentions)
+        self.ids = [m.mention_id for m in self.mentions]
+        self._pubs = {}
+        self.pub = np.array([self._pubs.setdefault(m.pub_id, len(self._pubs)) for m in self.mentions], np.int64)
+
+    def block_keys(self):
+        keys = {}
+        codes = [keys.setdefault(block_key(m), len(keys)) for m in self.mentions]
+        return np.array(codes, np.int64), list(keys)
+
+    def codes(self, column):
+        value = next(v for _, kind, v, c in disambig._CRITERIA_TABLE if (kind, c) == ("same", column))
+        index = {None: -1}
+        return np.array([index.setdefault(value(m), len(index) - 1) for m in self.mentions], np.int64)
+
+    def pairs(self, column):
+        index = dict(self._pubs)
+        rows = [r for r, m in enumerate(self.mentions) for _ in getattr(m, column)]
+        codes = [index.setdefault(v, len(index)) for m in self.mentions for v in getattr(m, column)]
+        return np.array(rows, np.int64), np.array(codes, np.int64)
+
+
+def as_block(mentions):
+    """The one block of hand-made mentions that share a blocking key."""
+    [block] = disambig._Blocks(HandMadeTable(mentions)).by_key().values()
+    return block
 
 
 def test_default_table_loads_and_orcid_is_decisive(default_rules):
@@ -171,7 +207,7 @@ def test_single_linkage_chains_evidence():
     a = mention("P1:0", email="e@x.y")
     b = mention("P2:0", email="e@x.y", affiliation="inst", grant_ids=frozenset({"g"}))
     c = mention("P3:0", affiliation="inst", grant_ids=frozenset({"g"}))
-    clusters = cluster_block([a, b, c], rules)
+    clusters = cluster_block(as_block([a, b, c]), rules)
     assert len(clusters) == 1
     assert clusters[0].mention_ids == ("P1:0", "P2:0", "P3:0")
     assert clusters[0].author_id == "P1:0"
@@ -179,7 +215,7 @@ def test_single_linkage_chains_evidence():
 
 def test_no_links_means_singletons():
     rules = ScoringRuleTable(weights={"orcid_match": 10}, threshold=10)
-    clusters = cluster_block([mention("P1:0"), mention("P2:0")], rules)
+    clusters = cluster_block(as_block([mention("P1:0"), mention("P2:0")]), rules)
     assert [c.mention_ids for c in clusters] == [("P1:0",), ("P2:0",)]
 
 
@@ -191,8 +227,8 @@ def test_clustering_is_order_independent():
         mention("P3:0", email="b@x.y"),
         mention("P4:0", email="b@x.y"),
     ]
-    forward = cluster_block(ms, rules)
-    backward = cluster_block(list(reversed(ms)), rules)
+    forward = cluster_block(as_block(ms), rules)
+    backward = cluster_block(as_block(list(reversed(ms))), rules)
     assert forward == backward
 
 
@@ -237,8 +273,8 @@ def test_raising_threshold_only_refines(blocks, low, step):
     fine_rules = ScoringRuleTable(weights=weights, threshold=low + step)
     for block_no, attrs_list in enumerate(blocks):
         ms = [mention(f"P{block_no}x{k}:0", **attrs) for k, attrs in enumerate(attrs_list)]
-        coarse = {m_id: c.author_id for c in cluster_block(ms, coarse_rules) for m_id in c.mention_ids}
-        for cluster in cluster_block(ms, fine_rules):
+        coarse = {m_id: c.author_id for c in cluster_block(as_block(ms), coarse_rules) for m_id in c.mention_ids}
+        for cluster in cluster_block(as_block(ms), fine_rules):
             anchors = {coarse[m_id] for m_id in cluster.mention_ids}
             assert len(anchors) == 1
 
@@ -274,7 +310,7 @@ def test_cluster_block_gives_the_components_of_pairs_score_pair_links(members, w
                 for mention_id in merged:
                     component[mention_id] = merged
     expected = sorted({tuple(sorted(ids)) for ids in component.values()})
-    assert [c.mention_ids for c in cluster_block(ms, rules)] == expected
+    assert [c.mention_ids for c in cluster_block(as_block(ms), rules)] == expected
 
 
 def test_score_pair_adds_weights_as_cluster_block_does():
@@ -289,7 +325,7 @@ def test_score_pair_adds_weights_as_cluster_block_does():
     a, b = mention("P1:0", **shared), mention("P2:0", **shared)
     assert satisfied_criteria(a, b) == tuple(weights)
     assert score_pair(a, b, rules) < rules.threshold
-    assert len(cluster_block([a, b], rules)) == 2
+    assert len(cluster_block(as_block([a, b]), rules)) == 2
 
 
 def _oracle_clusters(ms, rules):
@@ -326,8 +362,8 @@ def test_cluster_block_is_invariant_to_the_order_of_a_block(members, weights, th
     ms = _block_of(members)
     permuted = data.draw(st.permutations(ms))
     expected = _oracle_clusters(ms, rules)
-    assert _ids(cluster_block(ms, rules)) == expected
-    assert cluster_block(permuted, rules) == cluster_block(ms, rules)
+    assert _ids(cluster_block(as_block(ms), rules)) == expected
+    assert cluster_block(as_block(permuted), rules) == cluster_block(as_block(ms), rules)
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,8 +377,8 @@ def test_doubling_every_weight_and_the_threshold_keeps_the_clusters(members, wei
     rules = ScoringRuleTable(weights=weights, threshold=threshold)
     doubled = ScoringRuleTable(weights={k: 2 * w for k, w in weights.items()}, threshold=2 * threshold)
     ms = _block_of(members)
-    assert _ids(cluster_block(ms, rules)) == _oracle_clusters(ms, rules)
-    assert cluster_block(ms, doubled) == cluster_block(ms, rules)
+    assert _ids(cluster_block(as_block(ms), rules)) == _oracle_clusters(ms, rules)
+    assert cluster_block(as_block(ms), doubled) == cluster_block(as_block(ms), rules)
 
 
 @settings(max_examples=150, deadline=None)
@@ -357,18 +393,108 @@ def test_blocks_larger_than_a_tile_give_the_components_score_pair_links(members,
     ms = _block_of(members)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(disambig, "_TILE", tile)
-        assert _ids(cluster_block(ms, rules)) == _oracle_clusters(ms, rules)
+        assert _ids(cluster_block(as_block(ms), rules)) == _oracle_clusters(ms, rules)
+
+
+# Corpora for the mention table's oracle test, built from records directly
+# so that optional fields may be empty or whitespace, as ingest never leaves
+# them. Names include non-ASCII and comma-order forms that block together,
+# and a publication may list two authors whose names normalize alike.
+_PUB_IDS = ["P1", "P2", "Q:1", "Q:1:2", "R"]
+_NAMES = ["José García", "Jose Garcia", "García, José", "J. García", "GARCIA,  J.", "Ada Park", "ada  park",
+          "A. Park", "Park, Ada", "Ann Park", "Ångström, Åsa", "A Angstrom", "Park"]
+_TEXT = st.sampled_from([None, "", "  ", "x1", " X1 ", "Ünï  Bonn", "uni bonn"])
+_AUTHOR = st.fixed_dictionaries(
+    {"name": st.sampled_from(_NAMES)},
+    optional={
+        "orcid": _TEXT, "email": _TEXT, "affiliation": _TEXT, "journal": _TEXT,
+        "grants": st.lists(st.sampled_from(["g1", "g2", "G1"]), unique=True, max_size=2),
+        # References to corpus publications, the citing one included, and to others.
+        "references": st.lists(st.sampled_from(_PUB_IDS + ["X", "Q"]), unique=True, max_size=3),
+    },
+)
+
+
+@st.composite
+def _corpora(draw):
+    pub_ids = draw(st.lists(st.sampled_from(_PUB_IDS), unique=True, min_size=1, max_size=len(_PUB_IDS)))
+    return Corpus(
+        PublicationRecord(
+            pub_id=pub_id,
+            year=2000,
+            disciplines=frozenset(draw(st.sets(st.sampled_from(["A", "B", "C"]), max_size=2))),
+            authors=tuple(draw(st.lists(_AUTHOR, min_size=1, max_size=4))),
+            citing_years=(),
+        )
+        for pub_id in pub_ids
+    )
+
+
+def _decoded(table, column):
+    """Each row's set of values of a set-valued column."""
+    values = table.values(column)
+    held = [set() for _ in range(len(table))]
+    for row, code in zip(*table.pairs(column)):
+        held[row].add(values[code])
+    return held
+
+
+# One corpus with every case above, so that each run checks all of them.
+_EVERY_CASE = Corpus([
+    PublicationRecord("Q:1", 2000, frozenset({"A"}), (
+        {"name": "José García", "orcid": " x1 ", "email": "  ", "affiliation": "Ünï  Bonn",
+         "references": ["Q:1", "X"]},
+        {"name": "García, José", "journal": "", "grants": ["g1"]},
+        {"name": "Jose  Garcia", "affiliation": "uni bonn", "grants": ["g1", "g2"]},
+    ), ()),
+    PublicationRecord("P1", 2001, frozenset({"A", "B"}), (
+        {"name": "J. Garcia", "orcid": "x1", "email": "", "references": ["Q:1", "Q"]},
+        {"name": "Ada Park", "references": ["P1"]},
+    ), ()),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=_corpora(), weights=_WEIGHTS, threshold=st.sampled_from([0.3, 3.4, 4.4, 10.0, 11.6]))
+@example(corpus=_EVERY_CASE, weights=dict.fromkeys(CRITERIA, 1.1), threshold=3.4)
+def test_mention_table_codes_what_the_oracle_mentions_hold(corpus, weights, threshold):
+    mentions = _build_mentions(corpus.publications)
+    table = corpus.mentions
+    assert table.ids == list(mentions)
+    pub_ids = list(corpus.publications)
+    key, keys = table.block_keys()
+    sets = {column: _decoded(table, column) for _, kind, _, column in disambig._CRITERIA_TABLE if kind != "same"}
+    for row, m in enumerate(mentions.values()):
+        assert (pub_ids[table.pub[row]], keys[key[row]]) == (m.pub_id, block_key(m))
+        for name, kind, value, column in disambig._CRITERIA_TABLE:
+            if kind == "same":
+                code = table.codes(column)[row]
+                decoded = None if code < 0 else table.values(column)[code]
+            elif kind == "overlap":
+                decoded = sets[column][row]
+            else:
+                decoded = (pub_ids[table.pub[row]], sets[column][row])
+            assert decoded == value(m), (name, m)
+
+    rules = ScoringRuleTable(weights=weights, threshold=threshold)
+    blocks = {}
+    for m in mentions.values():
+        blocks.setdefault(block_key(m), []).append(m)
+    expected = sorted(ids for ms in blocks.values() for ids in _oracle_clusters(ms, rules))
+    clusters = disambiguate(corpus, rules)
+    assert _ids(clusters) == expected
+    assert [c.author_id for c in clusters] == [ids[0] for ids in expected]
 
 
 def test_empty_and_single_mention_blocks(default_rules):
-    assert cluster_block([], default_rules) == []
-    assert _ids(cluster_block([mention("P1:0")], default_rules)) == [("P1:0",)]
+    assert disambiguate(corpus_of(), default_rules) == []
+    assert _ids(cluster_block(as_block([mention("P1:0")]), default_rules)) == [("P1:0",)]
 
 
 def test_readme_lists_every_criterion_with_its_kind_in_order():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, flags=re.MULTILINE)
-    assert rows == [(name, kind) for name, kind, _ in disambig._CRITERIA_TABLE]
+    assert rows == [(name, kind) for name, kind, *_ in disambig._CRITERIA_TABLE]
     assert tuple(name for name, _ in rows) == CRITERIA
 
 

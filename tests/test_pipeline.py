@@ -9,7 +9,7 @@ import pytest
 import rankmobility
 from rankmobility import cli, cohort, corpus, inequality, pipeline
 from rankmobility.corpus import CorpusError, CorpusFilterConfig, export, filter_corpus, ingest
-from rankmobility.disambig import read_clusters
+from rankmobility.disambig import block_mentions, read_clusters
 from rankmobility.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -417,16 +417,23 @@ def test_each_cohort_is_built_once(tmp_path, monkeypatch):
 
 @pytest.fixture
 def mention_builds(monkeypatch):
-    """The size of each mention table any corpus builds from here on."""
-    built = []
-    original = corpus._build_mentions
+    """The row count of each mention table and of each AuthorMention mapping
+    any corpus builds from here on. _build_mentions is the one builder of
+    AuthorMentions; the run path builds tables, never AuthorMentions."""
+    built = {"tables": [], "mentions": []}
+    build_columns, build_mentions = corpus._build_columns, corpus._build_mentions
 
-    def counting(publications):
-        mentions = original(publications)
-        built.append(len(mentions))
+    def counting_columns(publications, pub):
+        built["tables"].append(len(pub))
+        return build_columns(publications, pub)
+
+    def counting_mentions(publications):
+        mentions = build_mentions(publications)
+        built["mentions"].append(len(mentions))
         return mentions
 
-    monkeypatch.setattr(corpus, "_build_mentions", counting)
+    monkeypatch.setattr(corpus, "_build_columns", counting_columns)
+    monkeypatch.setattr(corpus, "_build_mentions", counting_mentions)
     return built
 
 
@@ -441,7 +448,7 @@ def test_mentions_are_built_only_by_the_stages_that_read_them(tmp_path, capsys, 
     assert cli.main(["ingest", "--in", str(generated), "--out", str(canonical)]) == 0
     assert cli.main(["filter", "--in", str(canonical), "--out", str(filtered), "--max-authors", "3"]) == 0
     capsys.readouterr()
-    assert mention_builds == []
+    assert mention_builds == {"tables": [], "mentions": []}
 
     lines = generated.read_text(encoding="utf-8").splitlines()
     assert synth_info["mentions"] == sum(len(json.loads(line)["authors"]) for line in lines)
@@ -453,12 +460,11 @@ def test_mentions_are_built_only_by_the_stages_that_read_them(tmp_path, capsys, 
     export(kept, tmp_path / "kept.jsonl")
     assert stats.removed > 0
     n_mentions = len(kept.mentions)
-    assert mention_builds == []
-    assert [m.mention_id for m in kept.mentions.values()] == list(kept.mentions)
-    assert kept.mentions.get("no such mention") is None
-    assert mention_builds == [n_mentions]
+    assert mention_builds == {"tables": [], "mentions": []}
+    assert len(kept.mentions.block_keys()[0]) == len(kept.mentions.codes("orcid")) == n_mentions
+    assert mention_builds == {"tables": [n_mentions], "mentions": []}
 
-    mention_builds.clear()
+    mention_builds["tables"].clear()
     config = tmp_path / "pipeline.json"
     config.write_text(json.dumps({
         "corpus": str(canonical), "disciplines": ["Chemistry", "Biology"], "cohort_years": list(COHORT_YEARS),
@@ -467,7 +473,8 @@ def test_mentions_are_built_only_by_the_stages_that_read_them(tmp_path, capsys, 
     assert cli.main(["run", "--config", str(config), "--out-dir", str(tmp_path / "bundle")]) == 0
     counts = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))["counts"]
     assert counts["filter_removed"] == stats.removed
-    assert mention_builds == [counts["mentions"]] == [n_mentions]
+    assert mention_builds == {"tables": [n_mentions], "mentions": []}
+    assert counts["mentions"] == n_mentions
 
 
 def test_bundle_gini_series_matches_the_gini_series_command(bundle, tmp_path, capsys):
@@ -516,3 +523,24 @@ def test_benchmark_tracer_finds_and_calls_every_pipeline_name(tmp_path):
     traced = {span[1] for span in tracer.dump()["spans"]}
     expected = {name for path, _, name, *_ in spans.WRAPS if path == "rankmobility.pipeline"}
     assert expected - traced == set()
+
+
+def test_traced_run_records_one_cluster_block_span_per_block(tmp_path):
+    """The benchmark counts blocks, the largest block and candidate pairs from
+    the cluster_block spans of a traced run, so each block must be scored by
+    one cluster_block call whose first argument has the block's length."""
+    spans = _load_benchmark_spans()
+    corpus_path = make_corpus_file(tmp_path / "corpus.jsonl", n_authors=150)
+    config = pipeline_config(corpus_path, filter={"max_authors": 3})
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_pipeline(config, tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    summary = spans.TraceSummary(tracer.dump())
+    kept, _ = filter_corpus(ingest(corpus_path), config.filter)
+    sizes = [len(block) for block in block_mentions(kept).values()]
+    traced = [span[6] for span in sorted(summary.of("disambig.cluster_block"), key=lambda span: span[4])]
+    assert traced == sizes
+    assert summary.blocks() == (len(sizes), max(sizes), sum(n * (n - 1) // 2 for n in sizes))

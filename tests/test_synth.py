@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from rankmobility.corpus import _build_mentions
 from rankmobility.disambig import (
     ScoringRuleTable,
     block_mentions,
@@ -65,9 +66,10 @@ def test_zero_collision_rate_means_names_identify_authors():
     corpus, truth = generate_corpus(
         small_config(name_collision_rate=0.0, p_initials_only=0.0)
     )
+    mentions = _build_mentions(corpus.publications)
     labels_by_name: dict[str, set[str]] = {}
     for mid, label in truth.items():
-        labels_by_name.setdefault(corpus.mentions[mid].name, set()).add(label)
+        labels_by_name.setdefault(mentions[mid].name, set()).add(label)
     assert all(len(labels) == 1 for labels in labels_by_name.values())
     assert len(labels_by_name) == len(set(truth.values()))
 
@@ -76,9 +78,10 @@ def test_high_collision_rate_produces_shared_names():
     corpus, truth = generate_corpus(
         small_config(n_authors=80, name_collision_rate=0.5, p_initials_only=0.0)
     )
+    mentions = _build_mentions(corpus.publications)
     labels_by_name: dict[str, set[str]] = {}
     for mid, label in truth.items():
-        labels_by_name.setdefault(corpus.mentions[mid].name, set()).add(label)
+        labels_by_name.setdefault(mentions[mid].name, set()).add(label)
     assert max(len(labels) for labels in labels_by_name.values()) >= 2
 
 
