@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .cohort import Careers, CohortSpec, build_profiles, cohort_impacts
-from .corpus import Corpus, CorpusFilterConfig, filter_corpus, ingest
+from .corpus import Corpus, CorpusFilterConfig, collector_paused, filter_corpus, ingest
 from .csvio import write_csv
 from .diffusion import DEFAULT_BRACKET, DEFAULT_GRID_POINTS, DiffusionFit, fit_d, fit_d_pooled, model_matrix
 from .disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters
@@ -203,13 +203,18 @@ def _analyze_cohort(careers: Careers, discipline: str, year: int, config: Pipeli
     return result
 
 
+@collector_paused()
 def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) -> RunResult:
     """Execute the full analysis and write the report bundle.
 
     threads sets the size of the pool that analyzes cohorts; no output
     depends on it. The output directory must not already contain files. On
     any failure the partially written bundle is removed before the error
-    propagates.
+    propagates. The cyclic garbage collector is paused for the whole
+    process until the run returns or fails, cohort pool included, because
+    the corpus stays alive for the whole run; the few thousand cyclic
+    objects a run creates are left to the next collection
+    (:func:`collector_paused`).
     """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):

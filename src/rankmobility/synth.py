@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, PublicationRecord
+from .corpus import Corpus, PublicationRecord, collector_paused
 from .diffusion import model_matrix
 from .jsonio import read_config
 from .mobility import DEFAULT_BINS, RankTable
@@ -43,6 +43,19 @@ def _pseudo_word(index: int, syllables: int) -> str:
     return "".join(parts).capitalize()
 
 
+def _surname(index: int) -> str:
+    return _pseudo_word(index + 50_000, 2 + index % 2)
+
+
+def _given(index: int) -> str:
+    return _pseudo_word(index + 7_001, 2)
+
+
+# Draws allowed for one fresh name before the name space counts as used up.
+# A fresh name takes a handful of draws unless nearly every name is taken.
+_MAX_NAME_DRAWS = 100_000
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs of the generator; n_authors and seed have no defaults.
@@ -58,6 +71,12 @@ class SynthConfig:
     group. The attribute-noise probabilities drop fields from individual
     mentions. updates_per_year controls how often attachment weights
     refresh within a simulated year.
+
+    Surnames are drawn from surname_pool indices with Zipf weights and
+    given names uniformly from given_pool indices. Both pools count
+    indices, not names: pseudo-words repeat, so the distinct surnames can
+    be fewer (1,950 for the default 3,000). Generation fails with
+    ValueError when a fresh identity finds no unused full name.
     """
 
     n_authors: int
@@ -123,6 +142,8 @@ class SynthConfig:
             raise ValueError("at least one discipline is required")
         if self.updates_per_year < 1:
             raise ValueError("updates_per_year must be at least 1")
+        if self.surname_pool < 1 or self.given_pool < 1:
+            raise ValueError("surname_pool and given_pool must be positive")
 
     @classmethod
     def from_json(cls, source: str | Path | Mapping) -> "SynthConfig":
@@ -162,6 +183,9 @@ def _make_authors(
 ) -> list[_Author]:
     zipf_p = 1.0 / np.arange(1, config.surname_pool + 1, dtype=float) ** config.zipf_exponent
     zipf_cum = np.cumsum(zipf_p / zipf_p.sum())
+    n_names = len({_surname(k) for k in range(config.surname_pool)}) * len(
+        {_given(k) for k in range(config.given_pool)}
+    )
     authors: list[_Author] = []
     used_names: set[tuple[str, str]] = set()
     for i in range(config.n_authors):
@@ -172,13 +196,21 @@ def _make_authors(
             given, surname = donor.given, donor.surname
         else:
             # Fresh identities never reuse a taken full name, so at zero
-            # collision rate names identify authors exactly.
-            while True:
+            # collision rate names identify authors exactly. No draw is
+            # tried once every name is taken.
+            for _ in range(_MAX_NAME_DRAWS if len(used_names) < n_names else 0):
                 s_idx = int(np.searchsorted(zipf_cum, rng.random(), side="right"))
-                surname = _pseudo_word(s_idx + 50_000, 2 + s_idx % 2)
-                given = _pseudo_word(int(rng.integers(config.given_pool)) + 7_001, 2)
+                surname = _surname(s_idx)
+                given = _given(int(rng.integers(config.given_pool)))
                 if (given, surname) not in used_names:
                     break
+            else:
+                raise ValueError(
+                    f"no unused full name found for fresh author {i}: "
+                    f"{len(used_names)} of the {n_names} distinct full names from surname_pool "
+                    f"{config.surname_pool} and given_pool {config.given_pool} are taken; "
+                    "raise a pool or name_collision_rate"
+                )
             used_names.add((given, surname))
         grants = tuple(f"G-{i}-{k}" for k in range(int(rng.integers(1, 4))))
         authors.append(
@@ -362,8 +394,12 @@ def _simulate_citations(
                         author_citations[a] += int(events)
 
 
+@collector_paused()
 def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, str]]:
     """Generate a corpus and its ground-truth mention labels.
+
+    The cyclic garbage collector is paused for the whole process while the
+    corpus is generated (:func:`~rankmobility.corpus.collector_paused`).
 
     Returns
     -------

@@ -1,4 +1,6 @@
+import gc
 import json
+from contextlib import contextmanager
 
 import pytest
 
@@ -33,6 +35,30 @@ def corpus_of(*records):
 def export_lines(corpus):
     """The lines export writes for a corpus, without the newlines."""
     return [record_to_json(pub) for pub in corpus.publications.values()]
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that leaves the cyclic garbage collector disabled, so a
+    leaked pause shows up in the test that leaked it, not in later ones."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+@contextmanager
+def collector_set(enabled):
+    """Switch the cyclic garbage collector on or off for the block, and back
+    on after it."""
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankmobility
 from rankmobility.cli import main
 from rankmobility.corpus import export
 from rankmobility.disambig import disambiguate, write_clusters, write_truth
@@ -45,6 +50,35 @@ def test_bare_synth_needs_a_subcommand(capsys):
     code, _, err = run_cli(capsys, "synth")
     assert code == 1
     assert "synth needs a subcommand" in err
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (
+            {"n_authors": 300, "seed": 1, "surname_pool": 5, "given_pool": 5},
+            "fresh author 25: 25 of the 25 distinct full names",
+        ),
+        # Zipf weights this steep leave only the first surname reachable.
+        (
+            {"n_authors": 6, "seed": 1, "surname_pool": 5, "given_pool": 5, "zipf_exponent": 60},
+            "fresh author 5: 5 of the 25 distinct full names",
+        ),
+    ],
+    ids=["names_used_up", "names_unreachable"],
+)
+def test_synth_corpus_without_a_fresh_name_exits_2_in_seconds(tmp_path, config, message):
+    # A child process, so that a hang fails the test instead of stalling it.
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(rankmobility.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "rankmobility.cli", "synth", "corpus", "--config", str(path),
+            "--out", str(tmp_path / "corpus.jsonl")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert f"data error: no unused full name found for {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_requires_config(capsys):

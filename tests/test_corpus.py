@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 from importlib import resources
@@ -21,7 +22,7 @@ from rankmobility.corpus import (
     record_to_json,
 )
 
-from conftest import corpus_of, export_lines, make_record
+from conftest import collector_set, corpus_of, export_lines, make_record
 
 
 def test_ingest_accepts_minimal_record():
@@ -80,6 +81,29 @@ def test_duplicate_pub_id_aborts():
 def test_ingest_missing_file():
     with pytest.raises(CorpusError, match="cannot read corpus"):
         ingest("/nonexistent/corpus.jsonl")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+@pytest.mark.parametrize(
+    "records,error",
+    [
+        ([make_record("P1"), make_record("P2")], None),
+        ([make_record("P1"), make_record("P1")], "duplicate pub_id"),
+        (None, "cannot read corpus"),
+    ],
+    ids=["ingested", "duplicate", "unreadable"],
+)
+def test_ingest_keeps_the_collector_state(tmp_path, records, error, enabled):
+    path = tmp_path / "corpus.jsonl"
+    if records is not None:
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with collector_set(enabled):
+        if error is None:
+            assert len(ingest(path)) == 2
+        else:
+            with pytest.raises(CorpusError, match=error):
+                ingest(path)
+        assert gc.isenabled() is enabled
 
 
 def test_c5_counts_five_calendar_years_inclusive():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -19,6 +20,8 @@ from rankmobility.pipeline import (
     slugify,
 )
 from rankmobility.synth import SynthConfig, generate_corpus
+
+from conftest import collector_set
 
 COHORT_YEARS = (2000, 2001)
 
@@ -272,6 +275,34 @@ def test_run_refuses_nonempty_directory(bundle, tmp_path):
     with pytest.raises(PipelineError, match="output directory is not empty"):
         run_pipeline(config, target)
     assert (target / "keep.txt").read_text(encoding="utf-8") == "do not clobber"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_failed_run_keeps_the_collector_state(bundle, tmp_path, enabled):
+    config, _ = bundle
+    (tmp_path / "keep.txt").write_text("occupied", encoding="utf-8")
+    with collector_set(enabled):
+        with pytest.raises(PipelineError, match="output directory is not empty"):
+            run_pipeline(config, tmp_path)
+        assert gc.isenabled() is enabled
+
+
+def test_run_triggers_no_garbage_collection(bundle, tmp_path):
+    config, first = bundle
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        result = run_pipeline(config, tmp_path / "out", threads=2)
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
+    assert gc.isenabled()
+    assert result.manifest["counts"] == first.manifest["counts"]
 
 
 def test_failed_run_removes_partial_bundle(tmp_path):

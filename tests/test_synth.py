@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from importlib import resources
@@ -14,9 +15,10 @@ from rankmobility.disambig import (
 )
 from rankmobility.inequality import gini
 from rankmobility.jsonio import plain
+from rankmobility import synth
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
-from conftest import export_lines
+from conftest import collector_set, export_lines
 
 
 def small_config(**overrides):
@@ -206,6 +208,8 @@ def test_sample_transitions_custom_bins():
         ({"career_years": 0}, "must be positive"),
         ({"disciplines": ()}, "at least one discipline is required"),
         ({"updates_per_year": 0}, "updates_per_year must be at least 1"),
+        ({"surname_pool": 0}, "surname_pool and given_pool must be positive"),
+        ({"given_pool": 0}, "surname_pool and given_pool must be positive"),
         ({"alpha": float("nan")}, "alpha must be finite"),
         ({"zipf_exponent": float("inf")}, "zipf_exponent must be finite"),
         ({"productivity_sigma": float("-inf")}, "productivity_sigma must be finite"),
@@ -273,3 +277,21 @@ def test_config_from_json_rejects_a_null_payload(tmp_path):
 )
 def test_config_round_trips_through_plain(config):
     assert SynthConfig.from_json(plain(config)) == config
+
+
+def test_surname_pool_counts_indices_not_distinct_surnames():
+    assert len({synth._surname(k) for k in range(SynthConfig.surname_pool)}) == 1950
+
+
+def test_fresh_authors_can_take_every_name():
+    # 5 surnames x 5 given names; one more author fails (test_cli.py).
+    _, truth = generate_corpus(SynthConfig(n_authors=25, seed=1, surname_pool=5, given_pool=5))
+    assert len(set(truth.values())) == 25
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_failed_generation_keeps_the_collector_state(enabled):
+    with collector_set(enabled):
+        with pytest.raises(ValueError, match="no unused full name"):
+            generate_corpus(SynthConfig(n_authors=300, seed=1, surname_pool=5, given_pool=5))
+        assert gc.isenabled() is enabled
