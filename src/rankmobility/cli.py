@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .cohort import CohortSpec, build_profiles, cohort_impacts
-from .corpus import CorpusError, CorpusFilterConfig, export, filter_corpus, ingest
+from .corpus import CorpusError, CorpusFilterConfig, collector_paused, export, filter_corpus, ingest
 from .csvio import finite_float, read_csv
 from .diffusion import fit_d, fit_d_pooled
 from .disambig import (
@@ -164,26 +164,23 @@ def cmd_null(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit_d(args) -> int:
-    fit = fit_d(read_matrix_csv(args.matrix))
+def _report_fit(args, fit, failure: str) -> int:
     if args.out:
         write_json(args.out, fit)
     _print_json(fit)
     if not fit.converged:
-        print("fit did not converge: optimum at bracket edge", file=sys.stderr)
+        print(f"{failure}: optimum at bracket edge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
+
+
+def cmd_fit_d(args) -> int:
+    return _report_fit(args, fit_d(read_matrix_csv(args.matrix)), "fit did not converge")
 
 
 def cmd_fit_d_pooled(args) -> int:
     fit = fit_d_pooled([read_matrix_csv(p) for p in args.matrices])
-    if args.out:
-        write_json(args.out, fit)
-    _print_json(fit)
-    if not fit.converged:
-        print("pooled fit did not converge: optimum at bracket edge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _report_fit(args, fit, "pooled fit did not converge")
 
 
 def cmd_gini(args) -> int:
@@ -301,7 +298,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="seed override where applicable")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for the pipeline")
     parser.add_argument("--out-dir", default=None, help="output directory for run")
-    parser.add_argument("--config", default=None, help="config file for run / synth corpus")
+    parser.add_argument("--config", default=None, help="config file for run")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("ingest", help="validate and canonicalize a corpus file")
@@ -388,16 +385,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="synthetic data generators")
     synth_sub = p.add_subparsers(dest="synth_command", metavar="WHAT")
+    # SUPPRESS keeps a --seed given before the subcommand, as for run below.
     ps = synth_sub.add_parser("corpus", help="generate a corpus with ground-truth labels")
     ps.add_argument("--config", required=True)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     ps.add_argument("--out", required=True)
     ps.add_argument("--truth-out", default=None)
     ps.set_defaults(handler=cmd_synth_corpus)
     ps = synth_sub.add_parser("transitions", help="sample a rank table from the diffusion kernel")
     ps.add_argument("--d", type=float, required=True)
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     ps.add_argument("--out", required=True)
     ps.set_defaults(handler=cmd_synth_transitions)
 
@@ -426,7 +424,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise _UsageError("synth needs a subcommand: corpus or transitions")
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return args.handler(args)
+        # A command keeps what it reads alive while it works on it, so the
+        # collector stays off for all of it, not only for its ingest.
+        with collector_paused():
+            return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

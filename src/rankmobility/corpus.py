@@ -81,38 +81,6 @@ class PublicationRecord:
     citing_years: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorMention:
-    """A single (publication, author slot) occurrence with derived match keys.
-
-    All string attributes except ``name`` are normalized (case-folded,
-    diacritic-stripped, whitespace-collapsed); ``name`` is the raw form.
-    ``coauthor_names`` holds normalized full names of the other mentions on
-    the same publication, ``cited_by`` the pub_ids of corpus publications
-    whose reference lists include this mention's publication. Only
-    _build_mentions builds these, as the reference that the MentionTable's
-    columns are tested against.
-    """
-
-    mention_id: str
-    pub_id: str
-    position: int
-    name: str
-    given: str
-    surname: str
-    initials: str
-    full_given: str | None
-    affiliation: str | None
-    email: str | None
-    orcid: str | None
-    journal: str | None
-    grant_ids: frozenset[str]
-    references: frozenset[str]
-    coauthor_names: frozenset[str]
-    disciplines: frozenset[str]
-    cited_by: frozenset[str]
-
-
 @dataclass(slots=True)
 class IngestStats:
     lines_read: int = 0
@@ -196,13 +164,17 @@ class MentionTable:
     mention id is "{pub_id}:{slot}". Counting the rows and reading pub build
     nothing more. The coded columns are built on first use, once per table,
     and each distinct raw string is normalized or parsed only once. A column
-    holds, per row, the value the AuthorMention of that row has under the
-    same name, as its index in values(column); a missing value is -1. A
-    reference to a publication of the corpus has the publication's index as
-    its code. given_detail is the given name when it is spelled out (the
-    mention's full_given is set), else missing. The build takes no lock: the
-    pipeline reads mentions only on its main thread, before its cohort pool
-    starts.
+    holds, per row, its value as an index into values(column); a missing
+    value is -1. A reference to a publication of the corpus has the
+    publication's index as its code. orcid, email, affiliation and journal
+    are the author's fields, normalized; given_detail is the parsed given
+    name when it is spelled out, else missing; grant_ids and references are
+    the author's lists; coauthor_names are the normalized full names of the
+    publication's other authors; disciplines are the publication's, and
+    cited_by are the corpus publications that reference it. The tests check
+    every column against a scalar description of each mention, built one
+    mention at a time. The build takes no lock: the pipeline reads mentions
+    only on its main thread, before its cohort pool starts.
     """
 
     def __init__(self, publications: dict[str, PublicationRecord]):
@@ -337,47 +309,6 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The concatenated ranges starts[k] .. starts[k] + sizes[k] - 1."""
     ends = np.cumsum(sizes)
     return np.repeat(starts - (ends - sizes), sizes) + np.arange(sizes.sum())
-
-
-def _build_mentions(publications: dict[str, PublicationRecord]) -> dict[str, AuthorMention]:
-    # Pub-level reference union feeds the incoming-citer index used by
-    # the co-citation criterion.
-    citers: dict[str, set[str]] = {}
-    for pub in publications.values():
-        refs: set[str] = set()
-        for author in pub.authors:
-            refs.update(author.get("references", ()))
-        for target in refs:
-            citers.setdefault(target, set()).add(pub.pub_id)
-
-    mentions: dict[str, AuthorMention] = {}
-    for pub in publications.values():
-        cited_by = frozenset(citers.get(pub.pub_id, ()))
-        names = [normalize_text(a["name"].replace(".", " ")) for a in pub.authors]
-        for idx, author in enumerate(pub.authors):
-            given, surname = parse_name(author["name"])
-            coauthors = frozenset(n for k, n in enumerate(names) if k != idx)
-            mention = AuthorMention(
-                mention_id=f"{pub.pub_id}:{idx}",
-                pub_id=pub.pub_id,
-                position=idx,
-                name=author["name"],
-                given=given,
-                surname=surname,
-                initials=initials_of(given),
-                full_given=full_given_name(given),
-                affiliation=_norm_or_none(author.get("affiliation")),
-                email=_lower_or_none(author.get("email")),
-                orcid=_strip_or_none(author.get("orcid")),
-                journal=_norm_or_none(author.get("journal")),
-                grant_ids=frozenset(author.get("grants", ())),
-                references=frozenset(author.get("references", ())),
-                coauthor_names=coauthors,
-                disciplines=pub.disciplines,
-                cited_by=cited_by,
-            )
-            mentions[mention.mention_id] = mention
-    return mentions
 
 
 def _norm_or_none(value: str | None) -> str | None:

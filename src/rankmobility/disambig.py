@@ -13,13 +13,12 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from math import comb, inf
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import AuthorMention, Corpus
+from .corpus import Corpus
 from .jsonio import load, read_config, read_lines, write_lines
 
 BlockKey = tuple[str, str]
@@ -29,24 +28,24 @@ class DisambigError(Exception):
     """Bad rule table or inconsistent cluster/truth inputs."""
 
 
-# The pair criteria, one (criterion, kind, value, column) row each: value
-# reads what the criterion compares from an AuthorMention, and column names
-# the MentionTable column that holds the same values coded. By kind, _holds
-# compares two values and Block.operand encodes a block's codes for
-# cluster_block's hit matrices.
+# The pair criteria, one (criterion, kind, column) row each: column names
+# the MentionTable column that holds the values the criterion compares, and
+# kind how Block.operand encodes a block's codes for cluster_block's hit
+# matrices: same (both set and equal), overlap (the sets intersect) or cites
+# (one row's publication is among the other's references).
 _CRITERIA_TABLE = (
-    ("orcid_match", "same", attrgetter("orcid"), "orcid"),
-    ("email_match", "same", attrgetter("email"), "email"),
+    ("orcid_match", "same", "orcid"),
+    ("email_match", "same", "email"),
     # Spelled-out given names agreeing beyond the blocking key.
-    ("name_detail_match", "same", lambda m: m.given if m.full_given is not None else None, "given_detail"),
-    ("shared_affiliation", "same", attrgetter("affiliation"), "affiliation"),
-    ("shared_coauthor", "overlap", attrgetter("coauthor_names"), "coauthor_names"),
-    ("shared_grant", "overlap", attrgetter("grant_ids"), "grant_ids"),
-    ("same_journal", "same", attrgetter("journal"), "journal"),
-    ("shared_discipline", "overlap", attrgetter("disciplines"), "disciplines"),
-    ("self_citation", "cites", attrgetter("pub_id", "references"), "references"),
-    ("bibliographic_coupling", "overlap", attrgetter("references"), "references"),
-    ("co_citation", "overlap", attrgetter("cited_by"), "cited_by"),
+    ("name_detail_match", "same", "given_detail"),
+    ("shared_affiliation", "same", "affiliation"),
+    ("shared_coauthor", "overlap", "coauthor_names"),
+    ("shared_grant", "overlap", "grant_ids"),
+    ("same_journal", "same", "journal"),
+    ("shared_discipline", "overlap", "disciplines"),
+    ("self_citation", "cites", "references"),
+    ("bibliographic_coupling", "overlap", "references"),
+    ("co_citation", "overlap", "cited_by"),
 )
 
 CRITERIA = tuple(row[0] for row in _CRITERIA_TABLE)
@@ -95,33 +94,6 @@ class ScoringRuleTable:
             raise DisambigError(f"rule table {source} needs 'weights' and 'threshold'")
         table = {key: payload[key] for key in ("weights", "threshold")}
         return read_config(cls, table, f"rule table {source}", DisambigError)
-
-
-def _holds(kind: str, x, y) -> bool:
-    """Whether two mentions' values x and y match: for same, both are set and
-    equal; for overlap, the sets intersect; for cites, one (pub_id,
-    references) pair's pub_id is in the other's references. This scalar form
-    is what cluster_block's matrices are tested against."""
-    if kind == "same":
-        return x is not None and x == y
-    if kind == "overlap":
-        return not x.isdisjoint(y)
-    return x[0] in y[1] or y[0] in x[1]
-
-
-def satisfied_criteria(a: AuthorMention, b: AuthorMention) -> tuple[str, ...]:
-    """Names of all criteria the pair satisfies, in CRITERIA order."""
-    return tuple(name for name, kind, value, _ in _CRITERIA_TABLE if _holds(kind, value(a), value(b)))
-
-
-def score_pair(a: AuthorMention, b: AuthorMention, rules: ScoringRuleTable) -> float:
-    """Sum of the weights of every satisfied criterion (symmetric in a, b),
-    added largest first as cluster_block adds them, so both round alike."""
-    return sum(sorted((rules.weight(name) for name in satisfied_criteria(a, b)), reverse=True))
-
-
-def block_key(mention: AuthorMention) -> BlockKey:
-    return (mention.surname, mention.initials[:1])
 
 
 def block_mentions(corpus: Corpus) -> dict[BlockKey, Block]:
@@ -308,16 +280,17 @@ def cluster_block(block: Block, rules: ScoringRuleTable) -> list[MentionCluster]
 
     Each positively weighted criterion gives an n × n hit matrix, built by
     its kind from the block's codes (see Block.operand). The hits' weights
-    are added largest first, the order score_pair adds them in, so every pair's
-    total and its linked/not decision equal score_pair's: adding 0.0 for a
-    miss changes nothing. Rows are scored in tiles of _TILE against the rows
+    are added largest first, so every pair's total and its linked/not
+    decision equal the sum of the weights of the criteria it satisfies,
+    taken largest first, which the tests compute one pair at a time as the
+    oracle: adding 0.0 for a miss changes nothing. Rows are scored in tiles of _TILE against the rows
     from the tile on, so the score matrices take O(_TILE × n) memory (an
     incidence matrix takes n × the values at least two mentions share).
     Clusters are the connected components of the pairs at the threshold.
     """
     n = len(block)
     checks = []
-    for name, kind, _, column in sorted(_CRITERIA_TABLE, key=lambda row: -rules.weight(row[0])):
+    for name, kind, column in sorted(_CRITERIA_TABLE, key=lambda row: -rules.weight(row[0])):
         weight = rules.weight(name)
         if weight > 0 and (operand := block.operand(kind, column)) is not None:
             checks.append((weight, kind, operand))

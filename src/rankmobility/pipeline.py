@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import tempfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -208,26 +209,35 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
     """Execute the full analysis and write the report bundle.
 
     threads sets the size of the pool that analyzes cohorts; no output
-    depends on it. The output directory must not already contain files. On
-    any failure the partially written bundle is removed before the error
-    propagates. The cyclic garbage collector is paused for the whole
-    process until the run returns or fails, cohort pool included, because
-    the corpus stays alive for the whole run; the few thousand cyclic
-    objects a run creates are left to the next collection
-    (:func:`collector_paused`).
+    depends on it. The output directory must not already contain files. The
+    bundle is written into a new temporary directory beside it and renamed
+    onto it only when the run succeeds, so a run that fails or is killed
+    leaves no partial bundle there; a failed run also removes the temporary
+    directory, a killed one leaves it behind. The cyclic garbage collector
+    is paused for the whole process until the run returns or fails, cohort
+    pool included, because the corpus stays alive for the whole run; the
+    few thousand cyclic objects a run creates are left to the next
+    collection (:func:`collector_paused`).
     """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise PipelineError(f"output directory is not empty: {out}")
-    out.mkdir(parents=True, exist_ok=True)
+    target = out.absolute()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
     try:
-        return _run(config, out, max(1, threads))
-    except BaseException:
-        shutil.rmtree(out, ignore_errors=True)
-        raise
+        # mkdtemp makes a directory only its owner may read; the bundle
+        # itself is made by mkdir, with the permissions the umask gives.
+        staged = scratch / "bundle"
+        staged.mkdir()
+        manifest, all_converged = _run(config, staged, max(1, threads))
+        os.replace(staged, target)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return RunResult(out_dir=out, manifest=manifest, all_converged=all_converged)
 
 
-def _run(config: PipelineConfig, out: Path, threads: int) -> RunResult:
+def _run(config: PipelineConfig, out: Path, threads: int) -> tuple[dict, bool]:
     bundle = _Bundle(out=out, config_hash=config_hash(config), slugs=_slugs(config.disciplines))
     corpus = _ingest_stage(config, bundle)
     clusters = _disambiguate_stage(config, corpus, bundle)
@@ -235,7 +245,7 @@ def _run(config: PipelineConfig, out: Path, threads: int) -> RunResult:
     results = _cohorts_stage(config, careers, threads, bundle)
     _disciplines_stage(config, results, bundle)
     manifest = _manifest_stage(config, results, bundle)
-    return RunResult(out_dir=out, manifest=manifest, all_converged=bundle.all_converged)
+    return manifest, bundle.all_converged
 
 
 def _ingest_stage(config: PipelineConfig, bundle: _Bundle) -> Corpus:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from rankmobility.corpus import export
 from rankmobility.disambig import disambiguate, write_clusters, write_truth
 from rankmobility.mobility import read_rank_table_csv, transition_matrix, write_matrix_csv, write_rank_table_csv
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
+
+from conftest import collector_set
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +53,64 @@ def test_bare_synth_needs_a_subcommand(capsys):
     code, _, err = run_cli(capsys, "synth")
     assert code == 1
     assert "synth needs a subcommand" in err
+
+
+@pytest.mark.parametrize("what", ["transitions", "corpus"])
+def test_global_seed_reaches_the_synth_commands(capsys, tmp_path, what):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_authors": 40, "seed": 0}), encoding="utf-8")
+    options = ["--d", "0.5", "--n", "1000"] if what == "transitions" else ["--config", str(config)]
+    written = {}
+    for label, before, after in (("global", ["--seed", "5"], []), ("own", [], ["--seed", "5"]), ("unseeded", [], [])):
+        out = tmp_path / f"{label}.out"
+        code, _, _ = run_cli(capsys, *before, "synth", what, *after, *options, "--out", str(out))
+        assert code == 0
+        written[label] = out.read_bytes()
+    assert written["global"] == written["own"]
+    assert written["global"] != written["unseeded"]
+
+
+def test_command_triggers_no_garbage_collection(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    export(generate_corpus(SynthConfig(n_authors=150, seed=3))[0], corpus)
+    events = []
+    disable, enable = gc.disable, gc.enable
+
+    def count(phase, info):
+        if phase == "start":
+            events.append("collection")
+
+    def record(event, switch):
+        def recorded():
+            events.append(event)
+            switch()
+        return recorded
+
+    monkeypatch.setattr(gc, "disable", record("disable", disable))
+    monkeypatch.setattr(gc, "enable", record("enable", enable))
+    gc.callbacks.append(count)
+    try:
+        code = main(["disambiguate", "--corpus", str(corpus), "--out", str(tmp_path / "clusters.jsonl")])
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0
+    # From the first pause on, the collector comes back on once, when the
+    # command is done; at most the one collection the paused allocations
+    # defer may follow. Parsing the arguments comes before the pause.
+    paused = [event for event in events[events.index("disable"):] if event != "disable"]
+    assert paused in (["enable"], ["enable", "collection"])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_failed_command_keeps_the_collector_state(capsys, tmp_path, enabled):
+    with collector_set(enabled):
+        code, _, err = run_cli(
+            capsys, "disambiguate", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "o")
+        )
+        assert gc.isenabled() is enabled
+    assert code == 2
+    assert err.startswith("data error:")
 
 
 @pytest.mark.parametrize(

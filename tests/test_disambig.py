@@ -8,26 +8,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankmobility import disambig
-from rankmobility.corpus import AuthorMention, Corpus, PublicationRecord, _build_mentions
+from rankmobility.corpus import Corpus, PublicationRecord
 from rankmobility.disambig import (
     CRITERIA,
     DisambigError,
     MentionCluster,
     ScoringRuleTable,
-    block_key,
     block_mentions,
     cluster_block,
     disambiguate,
     evaluate_disambiguation,
     read_clusters,
     read_truth,
-    satisfied_criteria,
-    score_pair,
     write_clusters,
     write_truth,
 )
 
 from conftest import corpus_of, make_record
+from oracle import VALUE, AuthorMention, block_key, build_mentions, satisfied_criteria, score_pair
 
 
 def mention(mention_id="M:0", **overrides):
@@ -72,7 +70,7 @@ class HandMadeTable:
         return np.array(codes, np.int64), list(keys)
 
     def codes(self, column):
-        value = next(v for _, kind, v, c in disambig._CRITERIA_TABLE if (kind, c) == ("same", column))
+        value = next(VALUE[name] for name, kind, c in disambig._CRITERIA_TABLE if (kind, c) == ("same", column))
         index = {None: -1}
         return np.array([index.setdefault(value(m), len(index) - 1) for m in self.mentions], np.int64)
 
@@ -458,15 +456,15 @@ _EVERY_CASE = Corpus([
 @given(corpus=_corpora(), weights=_WEIGHTS, threshold=st.sampled_from([0.3, 3.4, 4.4, 10.0, 11.6]))
 @example(corpus=_EVERY_CASE, weights=dict.fromkeys(CRITERIA, 1.1), threshold=3.4)
 def test_mention_table_codes_what_the_oracle_mentions_hold(corpus, weights, threshold):
-    mentions = _build_mentions(corpus.publications)
+    mentions = build_mentions(corpus.publications)
     table = corpus.mentions
     assert table.ids == list(mentions)
     pub_ids = list(corpus.publications)
     key, keys = table.block_keys()
-    sets = {column: _decoded(table, column) for _, kind, _, column in disambig._CRITERIA_TABLE if kind != "same"}
+    sets = {column: _decoded(table, column) for _, kind, column in disambig._CRITERIA_TABLE if kind != "same"}
     for row, m in enumerate(mentions.values()):
         assert (pub_ids[table.pub[row]], keys[key[row]]) == (m.pub_id, block_key(m))
-        for name, kind, value, column in disambig._CRITERIA_TABLE:
+        for name, kind, column in disambig._CRITERIA_TABLE:
             if kind == "same":
                 code = table.codes(column)[row]
                 decoded = None if code < 0 else table.values(column)[code]
@@ -474,7 +472,7 @@ def test_mention_table_codes_what_the_oracle_mentions_hold(corpus, weights, thre
                 decoded = sets[column][row]
             else:
                 decoded = (pub_ids[table.pub[row]], sets[column][row])
-            assert decoded == value(m), (name, m)
+            assert decoded == VALUE[name](m), (name, m)
 
     rules = ScoringRuleTable(weights=weights, threshold=threshold)
     blocks = {}

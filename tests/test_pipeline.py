@@ -2,7 +2,12 @@ import gc
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -322,6 +327,33 @@ def test_failed_run_removes_partial_bundle(tmp_path):
     assert not out.exists()
 
 
+def test_killed_run_leaves_no_partial_bundle(tmp_path):
+    corpus_path = make_corpus_file(tmp_path / "corpus.jsonl")
+    # Enough null repetitions that the run is still busy well after it has
+    # written clusters.jsonl, its first artifact.
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps(pipeline_config(corpus_path, null_reps=20000).canonical_dict()), encoding="utf-8")
+    runs = tmp_path / "runs"
+    out = runs / "out"
+    src = str(Path(rankmobility.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "rankmobility.cli", "run", "--config", str(config), "--out-dir", str(out)]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(runs.rglob("clusters.jsonl")):
+            assert proc.poll() is None, "the run ended before it wrote clusters.jsonl"
+            assert time.monotonic() < deadline, "the run wrote no clusters.jsonl within 60 s"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+    assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_small_cohorts_are_skipped_not_fatal(bundle, tmp_path):
     config, _ = bundle
     strict = PipelineConfig.from_json(
@@ -457,23 +489,15 @@ def test_each_cohort_is_built_once(tmp_path, monkeypatch):
 
 @pytest.fixture
 def mention_builds(monkeypatch):
-    """The row count of each mention table and of each AuthorMention mapping
-    any corpus builds from here on. _build_mentions is the one builder of
-    AuthorMentions; the run path builds tables, never AuthorMentions."""
-    built = {"tables": [], "mentions": []}
-    build_columns, build_mentions = corpus._build_columns, corpus._build_mentions
+    """The row count of each mention table any corpus builds from here on."""
+    built = {"tables": []}
+    build_columns = corpus._build_columns
 
     def counting_columns(publications, pub):
         built["tables"].append(len(pub))
         return build_columns(publications, pub)
 
-    def counting_mentions(publications):
-        mentions = build_mentions(publications)
-        built["mentions"].append(len(mentions))
-        return mentions
-
     monkeypatch.setattr(corpus, "_build_columns", counting_columns)
-    monkeypatch.setattr(corpus, "_build_mentions", counting_mentions)
     return built
 
 
@@ -488,7 +512,7 @@ def test_mentions_are_built_only_by_the_stages_that_read_them(tmp_path, capsys, 
     assert cli.main(["ingest", "--in", str(generated), "--out", str(canonical)]) == 0
     assert cli.main(["filter", "--in", str(canonical), "--out", str(filtered), "--max-authors", "3"]) == 0
     capsys.readouterr()
-    assert mention_builds == {"tables": [], "mentions": []}
+    assert mention_builds == {"tables": []}
 
     lines = generated.read_text(encoding="utf-8").splitlines()
     assert synth_info["mentions"] == sum(len(json.loads(line)["authors"]) for line in lines)
@@ -500,9 +524,9 @@ def test_mentions_are_built_only_by_the_stages_that_read_them(tmp_path, capsys, 
     export(kept, tmp_path / "kept.jsonl")
     assert stats.removed > 0
     n_mentions = len(kept.mentions)
-    assert mention_builds == {"tables": [], "mentions": []}
+    assert mention_builds == {"tables": []}
     assert len(kept.mentions.block_keys()[0]) == len(kept.mentions.codes("orcid")) == n_mentions
-    assert mention_builds == {"tables": [n_mentions], "mentions": []}
+    assert mention_builds == {"tables": [n_mentions]}
 
     mention_builds["tables"].clear()
     config = tmp_path / "pipeline.json"
@@ -513,7 +537,7 @@ def test_mentions_are_built_only_by_the_stages_that_read_them(tmp_path, capsys, 
     assert cli.main(["run", "--config", str(config), "--out-dir", str(tmp_path / "bundle")]) == 0
     counts = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))["counts"]
     assert counts["filter_removed"] == stats.removed
-    assert mention_builds == {"tables": [n_mentions], "mentions": []}
+    assert mention_builds == {"tables": [n_mentions]}
     assert counts["mentions"] == n_mentions
 
 

@@ -6,7 +6,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from rankmobility.corpus import _build_mentions
 from rankmobility.disambig import (
     ScoringRuleTable,
     block_mentions,
@@ -19,6 +18,7 @@ from rankmobility import synth
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
 from conftest import collector_set, export_lines
+from oracle import build_mentions
 
 
 def small_config(**overrides):
@@ -68,7 +68,7 @@ def test_zero_collision_rate_means_names_identify_authors():
     corpus, truth = generate_corpus(
         small_config(name_collision_rate=0.0, p_initials_only=0.0)
     )
-    mentions = _build_mentions(corpus.publications)
+    mentions = build_mentions(corpus.publications)
     labels_by_name: dict[str, set[str]] = {}
     for mid, label in truth.items():
         labels_by_name.setdefault(mentions[mid].name, set()).add(label)
@@ -80,7 +80,7 @@ def test_high_collision_rate_produces_shared_names():
     corpus, truth = generate_corpus(
         small_config(n_authors=80, name_collision_rate=0.5, p_initials_only=0.0)
     )
-    mentions = _build_mentions(corpus.publications)
+    mentions = build_mentions(corpus.publications)
     labels_by_name: dict[str, set[str]] = {}
     for mid, label in truth.items():
         labels_by_name.setdefault(mentions[mid].name, set()).add(label)
