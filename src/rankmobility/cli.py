@@ -156,7 +156,7 @@ def cmd_mobility(args) -> int:
 
 def cmd_null(args) -> int:
     table = read_rank_table_csv(args.cohort)
-    null = reshuffle_null(table, n_reps=args.reps, seed=args.seed)
+    null = reshuffle_null(table, n_reps=args.reps, seed=args.seed if args.seed is not None else 0)
     write_delta_q_csv(args.out, null.profile)
     if args.matrix_out:
         write_matrix_csv(args.matrix_out, null.matrix.matrix)

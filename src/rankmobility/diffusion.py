@@ -138,6 +138,8 @@ def _fit(
         return float(sum(np.linalg.norm(m - model) for m in arrays))
 
     grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
+    # logspace can miss an edge by an ulp; pin both, so an edge optimum is the edge.
+    grid[0], grid[-1] = lo, hi
     values = np.array([objective(d) for d in grid])
     best = int(values.argmin())
     converged = 0 < best < grid_points - 1

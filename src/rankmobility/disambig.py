@@ -10,11 +10,12 @@ chains: A-B and B-C merge A, B and C even if A and C share nothing.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from math import comb, inf
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -338,6 +339,11 @@ class DisambigEval:
     flags: tuple[str, ...]
 
 
+def _pairs(keys: Iterable[Hashable]) -> int:
+    """The number of unordered pairs of items that share a key."""
+    return sum(comb(n, 2) for n in Counter(keys).values())
+
+
 def evaluate_disambiguation(
     clusters: Sequence[MentionCluster],
     truth: Mapping[str, str],
@@ -358,47 +364,27 @@ def evaluate_disambiguation(
                 raise DisambigError(f"mention not in truth labels: {mid}")
             label_of[mid] = truth[mid]
 
-    predicted = sum(comb(len(c.mention_ids), 2) for c in clusters)
-    matched = 0
-    for cluster in clusters:
-        counts: dict[str, int] = {}
-        for mid in cluster.mention_ids:
-            counts[label_of[mid]] = counts.get(label_of[mid], 0) + 1
-        matched += sum(comb(cnt, 2) for cnt in counts.values())
-
+    predicted = _pairs(k for k, cluster in enumerate(clusters) for _ in cluster.mention_ids)
+    matched = _pairs((k, label_of[mid]) for k, cluster in enumerate(clusters) for mid in cluster.mention_ids)
     if blocks is None:
-        group_counts: dict[str, int] = {}
-        for mid in label_of:
-            group_counts[label_of[mid]] = group_counts.get(label_of[mid], 0) + 1
-        truth_pairs = sum(comb(cnt, 2) for cnt in group_counts.values())
+        truth_pairs = _pairs(label_of.values())
     else:
-        universe = set(label_of)
-        truth_pairs = 0
-        seen: set[str] = set()
-        for key, members in blocks.items():
-            counts = {}
-            for mention in members:
-                if mention.mention_id not in universe:
-                    continue
-                seen.add(mention.mention_id)
-                lbl = label_of[mention.mention_id]
-                counts[lbl] = counts.get(lbl, 0) + 1
-            truth_pairs += sum(comb(cnt, 2) for cnt in counts.values())
-        missing = universe - seen
+        held = [(key, member.mention_id) for key, members in blocks.items() for member in members]
+        missing = label_of.keys() - {mid for _, mid in held}
         if missing:
-            raise DisambigError(f"clustered mention missing from blocks: {sorted(missing)[0]}")
+            raise DisambigError(f"clustered mention missing from blocks: {min(missing)}")
+        truth_pairs = _pairs((key, label_of[mid]) for key, mid in held if mid in label_of)
 
     flags: list[str] = []
-    if predicted == 0:
-        precision = 1.0
-        flags.append("no_predicted_pairs")
-    else:
-        precision = matched / predicted
-    if truth_pairs == 0:
-        recall = 1.0
-        flags.append("no_truth_pairs")
-    else:
-        recall = matched / truth_pairs
+
+    def share(count: int, total: int, flag: str) -> float:
+        if total:
+            return count / total
+        flags.append(flag)
+        return 1.0
+
+    precision = share(matched, predicted, "no_predicted_pairs")
+    recall = share(matched, truth_pairs, "no_truth_pairs")
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return DisambigEval(
         precision=precision,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import finite_float, read_csv, write_csv
 
 DEFAULT_BINS = 10
 
@@ -158,7 +158,7 @@ class ReshuffleNull:
 
 
 def reshuffle_null(
-    table: RankTable, n_reps: int = 100, seed: int | np.random.SeedSequence | None = None
+    table: RankTable, n_reps: int = 100, seed: int | np.random.SeedSequence = 0
 ) -> ReshuffleNull:
     """Permutation null: second-window impacts reshuffled across authors.
 
@@ -239,13 +239,14 @@ def write_rank_table_csv(path: str | Path, table: RankTable) -> None:
 
 
 def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTable:
-    """Read a rank table; a decile outside 1..n_bins is an error naming its line."""
+    """Read a rank table; a non-finite impact or a decile outside 1..n_bins
+    is an error naming its line."""
 
     def parse(row: list[str]) -> tuple[str, float, float, int, int]:
         q1, q2 = int(row[3]), int(row[4])
         if not (0 < q1 <= n_bins and 0 < q2 <= n_bins):
             raise ValueError(f"decile outside 1..{n_bins}")
-        return row[0], float(row[1]), float(row[2]), q1, q2
+        return row[0], finite_float(row[1]), finite_float(row[2]), q1, q2
 
     # Converted row by row: rank tables are the one large CSV input.
     ids: list[str] = []

@@ -197,8 +197,15 @@ def rank_table_text(bad_row=None, column=3, value=None):
         (rank_table_text(19, 4, "11"), "line 21: decile outside 1..10"),
         (rank_table_text(0, 4, "-1"), "line 2: decile outside 1..10"),
         (rank_table_text(3, 3, "2.5"), "line 5: invalid literal"),
+        (rank_table_text(4, 1, "nan"), "line 6: not a finite number: 'nan'"),
+        (rank_table_text(4, 1, "inf"), "line 6: not a finite number: 'inf'"),
+        (rank_table_text(4, 2, "nan"), "line 6: not a finite number: 'nan'"),
+        (rank_table_text(4, 2, "-inf"), "line 6: not a finite number: '-inf'"),
     ],
-    ids=["other-header", "q1=0", "q1=12", "q2=11", "q2=-1", "q1=2.5"],
+    ids=[
+        "other-header", "q1=0", "q1=12", "q2=11", "q2=-1", "q1=2.5",
+        "impact1=nan", "impact1=inf", "impact2=nan", "impact2=-inf",
+    ],
 )
 def test_malformed_rank_table_is_a_data_error(capsys, tmp_path, command, text, message):
     path = tmp_path / "table.csv"
@@ -217,6 +224,21 @@ def test_well_formed_rank_table_passes_each_command(capsys, tmp_path):
     assert run_cli(capsys, "mobility", "--cohort", str(path), "--out", str(tmp_path / "m"))[0] == 0
     assert run_cli(capsys, "null", "--cohort", str(path), "--reps", "2", "--out", str(tmp_path / "n"))[0] == 0
     assert run_cli(capsys, "gini", "--cohort", str(path))[0] == 0
+
+
+def test_null_without_a_seed_uses_seed_0(capsys, tmp_path):
+    table = tmp_path / "table.csv"
+    write_rank_table_csv(table, sample_transitions(1.0, 1000, 4))
+    written = []
+    for k, seed in enumerate([[], [], ["--seed", "0"], ["--seed", "1"]]):
+        out, matrix = tmp_path / f"null{k}.csv", tmp_path / f"matrix{k}.csv"
+        code, _, err = run_cli(
+            capsys, *seed, "null", "--cohort", str(table), "--reps", "5", "--out", str(out), "--matrix-out", str(matrix)
+        )
+        assert (code, err) == (0, "")
+        written.append((out.read_bytes(), matrix.read_bytes()))
+    assert written[0] == written[1] == written[2]
+    assert written[3] != written[0]
 
 
 @pytest.mark.parametrize("command", ["fit-d", "fit-d-pooled"])

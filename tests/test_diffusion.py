@@ -103,6 +103,22 @@ def test_identity_matrix_clamps_to_lower_edge():
     assert fit.d_star == pytest.approx(DEFAULT_BRACKET[0])
 
 
+@pytest.mark.parametrize(
+    "matrix, bracket, edge",
+    [
+        # A log-spaced grid over these brackets misses the edge by one ulp:
+        # 49.99999999999999 and 5.000000000000001.
+        (np.eye(10), (50.0, 100.0), 50.0),
+        (np.full((10, 10), 0.1), (0.5, 5.0), 5.0),
+    ],
+    ids=["lower", "upper"],
+)
+def test_fit_at_a_bracket_edge_reports_the_edge_exactly(matrix, bracket, edge):
+    fit = fit_d(matrix, bracket=bracket)
+    assert not fit.converged
+    assert fit.d_star == edge
+
+
 def test_rejects_nonsquare_matrix():
     with pytest.raises(ValueError, match="transition matrix must be square"):
         fit_d(np.full((10, 9), 0.1))

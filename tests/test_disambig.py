@@ -1,6 +1,8 @@
+import itertools
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from rankmobility.corpus import Corpus, PublicationRecord
 from rankmobility.disambig import (
     CRITERIA,
     DisambigError,
+    DisambigEval,
     MentionCluster,
     ScoringRuleTable,
     block_mentions,
@@ -552,6 +555,68 @@ def test_evaluation_errors():
         evaluate_disambiguation(clusters, {"a": "X"})
     with pytest.raises(DisambigError, match="missing from blocks"):
         evaluate_disambiguation(clusters, {"a": "X", "b": "X"}, blocks={})
+
+
+def evaluation_by_pairs(clusters, truth, blocks=None):
+    """The counts, scores and flags of evaluate_disambiguation, from every
+    pair of clustered mentions one at a time."""
+    cluster_of = {mid: k for k, cluster in enumerate(clusters) for mid in cluster.mention_ids}
+    block_of = None if blocks is None else {m.mention_id: key for key, ms in blocks.items() for m in ms}
+    predicted = truth_pairs = matched = 0
+    for a, b in itertools.combinations(sorted(cluster_of), 2):
+        same_cluster = cluster_of[a] == cluster_of[b]
+        same_author = truth[a] == truth[b]
+        predicted += same_cluster
+        matched += same_cluster and same_author
+        truth_pairs += same_author and (block_of is None or block_of[a] == block_of[b])
+    flags = []
+    precision = matched / predicted if predicted else 1.0
+    if not predicted:
+        flags.append("no_predicted_pairs")
+    recall = matched / truth_pairs if truth_pairs else 1.0
+    if not truth_pairs:
+        flags.append("no_truth_pairs")
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return DisambigEval(precision, recall, f1, predicted, truth_pairs, matched, tuple(flags))
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """Clusters over up to 12 mentions, truth labels for them and for up to
+    two unclustered mentions, and, in some draws, blocks holding all of them
+    except, in some of those, one clustered mention."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    ids = [f"m{k:02d}" for k in range(n)]
+    groups = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    clusters = [
+        MentionCluster(f"c{g}", tuple(mid for mid, h in zip(ids, groups) if h == g)) for g in sorted(set(groups))
+    ]
+    ids += [f"u{k}" for k in range(draw(st.integers(0, 2)))]
+    truth = {mid: f"T{draw(st.integers(0, 3))}" for mid in ids}
+    if draw(st.booleans()):
+        return clusters, truth, None
+    if n and draw(st.booleans()):
+        ids.remove(draw(st.sampled_from(ids[:n])))
+    blocks = {}
+    for mid in ids:
+        blocks.setdefault(draw(st.sampled_from(["park", "quinn", "ross"])), []).append(SimpleNamespace(mention_id=mid))
+    return clusters, truth, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_inputs())
+@example(([], {}, None))
+@example(([], {}, {}))
+@example(([MentionCluster("c", ("a", "b"))], {"a": "X", "b": "Y"}, None))
+def test_evaluation_equals_the_pair_by_pair_count(inputs):
+    clusters, truth, blocks = inputs
+    clustered = {mid for cluster in clusters for mid in cluster.mention_ids}
+    missing = clustered - {m.mention_id for ms in (blocks or {}).values() for m in ms}
+    if blocks is not None and missing:
+        with pytest.raises(DisambigError, match=f"missing from blocks: {min(missing)}$"):
+            evaluate_disambiguation(clusters, truth, blocks=blocks)
+        return
+    assert evaluate_disambiguation(clusters, truth, blocks=blocks) == evaluation_by_pairs(clusters, truth, blocks)
 
 
 def test_cluster_and_truth_files_round_trip(tmp_path):

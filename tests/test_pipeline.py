@@ -16,6 +16,7 @@ import rankmobility
 from rankmobility import cli, cohort, corpus, inequality, pipeline
 from rankmobility.corpus import CorpusError, CorpusFilterConfig, export, filter_corpus, ingest
 from rankmobility.disambig import block_mentions, read_clusters
+from rankmobility.jsonio import dumps
 from rankmobility.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -371,6 +372,91 @@ def test_small_cohorts_are_skipped_not_fatal(bundle, tmp_path):
     assert summary["points"] == []
     assert summary["d_vs_gini"] is None
     assert all(row["pooled_d"] is None for row in summary["per_discipline"])
+
+
+THREE_YEARS = (2000, 2001, 2002)
+# "Bio Chem" and "bio-chem" slugify alike and hold no cohort of the corpus.
+THREE_YEAR_DISCIPLINES = ["Chemistry", "Bio Chem", "bio-chem"]
+
+
+def three_year_config(corpus_path: Path, **overrides) -> PipelineConfig:
+    return pipeline_config(
+        corpus_path,
+        disciplines=THREE_YEAR_DISCIPLINES,
+        cohort_years=list(THREE_YEARS),
+        min_cohort_size=20,
+        **overrides,
+    )
+
+
+@pytest.fixture(scope="module")
+def three_year_bundle(tmp_path_factory):
+    """A run over three kept Chemistry cohorts (227, 129 and 41 authors)."""
+    root = tmp_path_factory.mktemp("three_years")
+    corpus_path = make_corpus_file(
+        root / "corpus.jsonl", n_authors=400, seed=5, disciplines=("Chemistry",), start_years=(2000, 2002)
+    )
+    return run_pipeline(three_year_config(corpus_path), root / "out")
+
+
+def test_three_cohort_years_give_every_trend(three_year_bundle, tmp_path, capsys):
+    out = three_year_bundle.out_dir
+    sizes = three_year_bundle.manifest["cohort_sizes"]
+    assert [sizes[f"chemistry/{year}"] for year in THREE_YEARS] == [227, 129, 41]
+    trends = json.loads((out / "chemistry" / "trends.json").read_text(encoding="utf-8"))
+    for name in ("d_vs_year", "gini_vs_year", "d_vs_gini", "top_gap_vs_year", "bottom_gap_vs_year"):
+        trend = trends[name]
+        assert trend["n"] == 3, name
+        for low, fit, high in zip(trend["band_low"], trend["fit"], trend["band_high"]):
+            assert low <= fit <= high, name
+    years = [float(year) for year in THREE_YEARS]
+    d_stars = [
+        json.loads((out / "chemistry" / str(year) / "fit.json").read_text(encoding="utf-8"))["d_star"]
+        for year in THREE_YEARS
+    ]
+    assert trends["d_vs_year"] == json.loads(dumps(pipeline.trend_payload(years, d_stars)))
+
+    # The trend command gives the same payload from the same series.
+    series, written = tmp_path / "series.csv", tmp_path / "trend.json"
+    series.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(years, d_stars)), encoding="utf-8")
+    assert cli.main(["trend", "--series", str(series), "--out", str(written)]) == 0, capsys.readouterr().err
+    assert json.loads(written.read_text(encoding="utf-8")) == trends["d_vs_year"]
+
+
+def test_labels_that_slugify_alike_get_suffixed_directories(three_year_bundle):
+    summary = json.loads((three_year_bundle.out_dir / "summary" / "correlation.json").read_text(encoding="utf-8"))
+    slugs = {row["discipline"]: row["slug"] for row in summary["per_discipline"]}
+    assert slugs == {"Chemistry": "chemistry", "Bio Chem": "bio-chem", "bio-chem": "bio-chem-2"}
+    for slug in ("bio-chem", "bio-chem-2"):
+        assert (three_year_bundle.out_dir / slug / "trends.json").is_file()
+    skipped = {(entry["discipline"], entry["year"]) for entry in three_year_bundle.manifest["skipped"]}
+    assert skipped == {(d, year) for d in ("Bio Chem", "bio-chem") for year in THREE_YEARS}
+
+
+def test_run_whose_fits_do_not_converge_exits_3(three_year_bundle, tmp_path, capsys):
+    # D* of every cohort lies far below 50, so each fit stops at the edge.
+    corpus_path = three_year_bundle.manifest["config"]["corpus"]
+    config = tmp_path / "pipeline.json"
+    config.write_text(
+        json.dumps({**three_year_config(corpus_path).canonical_dict(), "fit_bracket": [50.0, 100.0]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(config), "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "one or more fits did not converge (see manifest warnings)\n"
+    assert json.loads(captured.out)["warnings"] == 4
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["warnings"] == [
+        *(f"fit did not converge for Chemistry {year}: optimum at bracket edge 50.0" for year in THREE_YEARS),
+        "pooled fit did not converge for Chemistry",
+    ]
+    for rel in manifest["artifacts"]:
+        assert (out / rel).is_file(), rel
+    for year in THREE_YEARS:
+        fit = json.loads((out / "chemistry" / str(year) / "fit.json").read_text(encoding="utf-8"))
+        assert (fit["converged"], fit["d_star"]) == (False, 50.0)
 
 
 def test_rerun_reproduces_bundle_bit_for_bit(tmp_path, monkeypatch):
