@@ -71,11 +71,13 @@ def _print_json(payload) -> None:
 
 
 def _parse_year_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
     try:
-        lo, _, hi = text.partition(":")
-        return (int(lo), int(hi))
+        if int(lo) <= int(hi):
+            return (int(lo), int(hi))
     except ValueError:
-        raise _UsageError(f"expected a year range like 1986:2018, got {text!r}")
+        pass
+    raise _UsageError(f"expected a year range like 1986:2018, first year not after last, got {text!r}")
 
 
 def _load_rules(path: str | None) -> ScoringRuleTable:
@@ -191,9 +193,9 @@ def cmd_gini(args) -> int:
 
 
 def cmd_gini_series(args) -> int:
+    lo, hi = _parse_year_range(args.years)
     corpus = ingest(args.corpus)
     careers = build_profiles(corpus, read_clusters(args.clusters))
-    lo, hi = _parse_year_range(args.years)
     years = list(range(lo, hi + 1))
     if args.mode == "cohort":
         impacts = {}

@@ -44,7 +44,7 @@ class GiniSeries:
 
     mode is "cohort" (years are career start years, impacts from a career
     window) or "population" (years start 5-year activity windows). Years
-    whose author count falls below the configured minimum, or whose impacts
+    with fewer authors than two or the configured minimum, or whose impacts
     are all zero (the Gini is undefined), are omitted and listed in skipped.
     """
 
@@ -68,7 +68,7 @@ def _series(
     sizes: list[int] = []
     skipped: list[int] = []
     for year, impacts in impacts_by_year:
-        if len(impacts) < min_size or not np.any(impacts):
+        if len(impacts) < max(min_size, 2) or not np.any(impacts):
             skipped.append(year)
             continue
         years.append(year)

@@ -373,19 +373,16 @@ def _disciplines_stage(config: PipelineConfig, results: list[_CohortResult], bun
                 },
             )
 
+        # Every kept cohort is at least min_cohort_size with some nonzero
+        # impact, so the series skips none: its values follow the cohorts.
         years = [float(r.year) for r in cohorts]
-        gini_by_year = {int(y): float(g) for y, g in zip(series.years, series.values)}
-        shared = [r for r in cohorts if r.year in gini_by_year]
+        ginis = series.values.tolist()
         trends = {
             "discipline": discipline,
             "config_hash": bundle.config_hash,
             "d_vs_year": _trend_or_null(years, [r.fit.d_star for r in cohorts]),
-            "gini_vs_year": _trend_or_null(
-                [float(y) for y in series.years], [float(g) for g in series.values]
-            ),
-            "d_vs_gini": _trend_or_null(
-                [r.fit.d_star for r in shared], [gini_by_year[r.year] for r in shared]
-            ),
+            "gini_vs_year": _trend_or_null(years, ginis),
+            "d_vs_gini": _trend_or_null([r.fit.d_star for r in cohorts], ginis),
             "top_gap_vs_year": _trend_or_null(years, [r.gap.top_gap for r in cohorts]),
             "bottom_gap_vs_year": _trend_or_null(years, [r.gap.bottom_gap for r in cohorts]),
         }
@@ -402,8 +399,8 @@ def _disciplines_stage(config: PipelineConfig, results: list[_CohortResult], bun
             }
         )
         points.extend(
-            {"discipline": discipline, "year": r.year, "d_star": r.fit.d_star, "gini": gini_by_year[r.year]}
-            for r in shared
+            {"discipline": discipline, "year": r.year, "d_star": r.fit.d_star, "gini": g}
+            for r, g in zip(cohorts, ginis, strict=True)
         )
 
     try:

@@ -20,6 +20,7 @@ _EPS = 1e-14
 _FPMIN = 1e-300
 # Smallest positive float; p-values are clamped here so they stay in (0, 1].
 _TINY_P = 5e-324
+BAND_CONFIDENCE = 0.95
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -184,17 +185,13 @@ class Regression:
         return fit, fit - half, fit + half
 
 
-def ols_with_band(
-    x: Sequence[float], y: Sequence[float], confidence: float = 0.95
-) -> Regression:
+def ols_with_band(x: Sequence[float], y: Sequence[float]) -> Regression:
     """Least-squares line y = a x + b with a confidence band for the mean.
 
     The band half-width at x0 is t * s * sqrt(1/n + (x0 - xbar)^2 / Sxx)
     with s^2 the residual variance on n-2 degrees of freedom; it is
     narrowest at the mean of x and zero everywhere for an exact linear fit.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie strictly between 0 and 1")
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
@@ -211,7 +208,7 @@ def ols_with_band(
     intercept = float(ya.mean()) - slope * x_mean
     residuals = ya - (slope * xa + intercept)
     residual_var = float(residuals @ residuals) / (n - 2)
-    t_crit = t_quantile(0.5 + confidence / 2.0, n - 2)
+    t_crit = t_quantile(0.5 + BAND_CONFIDENCE / 2.0, n - 2)
     return Regression(
         slope=slope,
         intercept=intercept,
@@ -219,7 +216,7 @@ def ols_with_band(
         x_mean=x_mean,
         sxx=sxx,
         residual_var=residual_var,
-        confidence=confidence,
+        confidence=BAND_CONFIDENCE,
         t_crit=t_crit,
     )
 

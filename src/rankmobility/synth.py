@@ -56,21 +56,43 @@ def _given(index: int) -> str:
 _MAX_NAME_DRAWS = 100_000
 
 
+# Settings that no caller varies. CAREER_YEARS is 10 because
+# cohort.CohortSpec reads the career windows start..start+9. The papers an
+# author leads per year are Poisson with mean PAPER_RATE times a per-author
+# lognormal productivity factor of log-scale PRODUCTIVITY_SIGMA.
+CAREER_YEARS = 10
+PAPER_RATE = 0.8
+PRODUCTIVITY_SIGMA = 0.6
+# Attribute noise: the chance that a mention drops each field, and that a
+# paper takes a second discipline.
+P_MISSING_EMAIL = 0.4
+P_MISSING_AFFILIATION = 0.3
+P_MISSING_GRANTS = 0.5
+P_SECOND_DISCIPLINE = 0.1
+# Each author's collaborator pool, of a size drawn from COLLABORATORS
+# (inclusive), comes from their research group of GROUP_SIZE (see
+# _make_authors); a paper takes up to MAX_COAUTHORS of it as coauthors.
+COLLABORATORS = (2, 4)
+GROUP_SIZE = 6
+MAX_COAUTHORS = 3
+# A paper cites a collaborator's latest work with P_COLLAB_REFERENCE; a
+# LATE_CITATION_RATE share of each year's citations goes to papers five to
+# nine years old; attachment weights refresh UPDATES_PER_YEAR times a year.
+P_COLLAB_REFERENCE = 0.4
+LATE_CITATION_RATE = 0.05
+UPDATES_PER_YEAR = 10
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs of the generator; n_authors and seed have no defaults.
 
-    paper_rate is the expected papers per author-year as lead author,
-    scaled by a per-author lognormal productivity factor. citation_rate is
-    the expected citations per citable paper-year. name_collision_rate is
-    the probability that a new author adopts the exact full name of an
-    earlier one; fresh identities always get a full name nobody has used
-    yet, so zero collision rate means unique names. Authors are organized
-    into research groups of group_size within their discipline: group
-    members share an institute and collaborator pools are drawn inside the
-    group. The attribute-noise probabilities drop fields from individual
-    mentions. updates_per_year controls how often attachment weights
-    refresh within a simulated year.
+    citation_rate is the expected citations per citable paper-year.
+    name_collision_rate is the probability that a new author adopts the
+    exact full name of an earlier one; fresh identities always get a full
+    name nobody has used yet, so zero collision rate means unique names.
+    p_missing_orcid and p_initials_only are the chances that a mention
+    drops its ORCID and that it gives only the given name's initial.
 
     Surnames are drawn from surname_pool indices with Zipf weights and
     given names uniformly from given_pool indices. Both pools count
@@ -83,27 +105,14 @@ class SynthConfig:
     seed: int
     start_years: tuple[int, int] = (2000, 2002)
     disciplines: tuple[str, ...] = ("Chemistry", "Biology", "Materials")
-    career_years: int = 10
-    paper_rate: float = 0.8
     alpha: float = 1.0
     citation_rate: float = 2.0
     name_collision_rate: float = 0.0
-    p_missing_email: float = 0.4
-    p_missing_affiliation: float = 0.3
     p_missing_orcid: float = 0.5
-    p_missing_grants: float = 0.5
     p_initials_only: float = 0.2
-    p_second_discipline: float = 0.1
-    productivity_sigma: float = 0.6
-    collaborators: tuple[int, int] = (2, 4)
-    group_size: int = 6
-    max_coauthors: int = 3
     surname_pool: int = 3000
     zipf_exponent: float = 1.0
     given_pool: int = 300
-    p_collab_reference: float = 0.4
-    late_citation_rate: float = 0.05
-    updates_per_year: int = 10
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -116,32 +125,16 @@ class SynthConfig:
             raise ValueError("seed is mandatory")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        for name in (
-            "name_collision_rate",
-            "p_missing_email",
-            "p_missing_affiliation",
-            "p_missing_orcid",
-            "p_missing_grants",
-            "p_initials_only",
-            "p_second_discipline",
-            "p_collab_reference",
-            "late_citation_rate",
-        ):
+        for name in ("name_collision_rate", "p_missing_orcid", "p_initials_only"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.start_years[0] > self.start_years[1]:
             raise ValueError("start_years must be a nondecreasing pair")
-        if self.group_size < 2:
-            raise ValueError("group_size must be at least 2")
-        if not 0 <= self.collaborators[0] <= self.collaborators[1]:
-            raise ValueError("collaborators must be a nondecreasing pair of counts")
-        if self.career_years < 1 or self.paper_rate <= 0 or self.citation_rate < 0:
-            raise ValueError("career_years, paper_rate and citation_rate must be positive")
+        if self.citation_rate < 0:
+            raise ValueError("citation_rate must be nonnegative")
         if not self.disciplines:
             raise ValueError("at least one discipline is required")
-        if self.updates_per_year < 1:
-            raise ValueError("updates_per_year must be at least 1")
         if self.surname_pool < 1 or self.given_pool < 1:
             raise ValueError("surname_pool and given_pool must be positive")
 
@@ -220,7 +213,7 @@ def _make_authors(
                 surname=surname,
                 discipline=discipline,
                 start=start,
-                productivity=float(rng.lognormal(0.0, config.productivity_sigma)),
+                productivity=float(rng.lognormal(0.0, PRODUCTIVITY_SIGMA)),
                 orcid=f"0000-0000-{i // 10000:04d}-{i % 10000:04d}",
                 email=f"{given.lower()}.{surname.lower()}.{i}@example.edu",
                 affiliation="",
@@ -230,16 +223,16 @@ def _make_authors(
             )
         )
     # Research groups: disciplines are partitioned into groups of
-    # group_size. Group members share an institute, and collaborator pools
+    # GROUP_SIZE. Group members share an institute, and collaborator pools
     # are drawn inside the group, so coauthor overlap is a stable
     # within-identity signal rather than a discipline-wide one.
     group_id = 0
-    lo, hi = config.collaborators
+    lo, hi = COLLABORATORS
     for d in config.disciplines:
         members = np.array([a.index for a in authors if a.discipline == d], dtype=np.int64)
         members = members[rng.permutation(len(members))]
-        for pos in range(0, len(members), config.group_size):
-            group = members[pos : pos + config.group_size]
+        for pos in range(0, len(members), GROUP_SIZE):
+            group = members[pos : pos + GROUP_SIZE]
             for idx in group:
                 authors[int(idx)].affiliation = f"Institute {group_id:04d}"
             for idx in group:
@@ -265,13 +258,13 @@ def _make_papers(
     }
     papers: list[_Paper] = []
     for author in authors:
-        for t in range(config.career_years):
+        for t in range(CAREER_YEARS):
             year = author.start + t
-            k = int(rng.poisson(config.paper_rate * author.productivity))
+            k = int(rng.poisson(PAPER_RATE * author.productivity))
             if t == 0 and k == 0:
                 k = 1  # the career start year anchors the cohort
             for _ in range(k):
-                n_co = int(rng.integers(0, config.max_coauthors + 1))
+                n_co = int(rng.integers(0, MAX_COAUTHORS + 1))
                 if n_co > 0 and len(author.pool) > 0:
                     picked = rng.choice(author.pool, size=min(n_co, len(author.pool)), replace=False)
                     coauthors = tuple(int(c) for c in picked)
@@ -283,7 +276,7 @@ def _make_papers(
                     journal = journals[author.discipline][int(rng.integers(6))]
                 disciplines = [author.discipline]
                 extra = other[author.discipline]
-                if extra and rng.random() < config.p_second_discipline:
+                if extra and rng.random() < P_SECOND_DISCIPLINE:
                     disciplines.append(extra[int(rng.integers(len(extra)))])
                 papers.append(
                     _Paper(
@@ -302,9 +295,7 @@ def _make_papers(
     return papers
 
 
-def _add_references(
-    config: SynthConfig, rng: np.random.Generator, authors: list[_Author], papers: list[_Paper]
-) -> None:
+def _add_references(rng: np.random.Generator, authors: list[_Author], papers: list[_Paper]) -> None:
     """Reference lists: own recent work, sometimes a collaborator's, noise."""
     by_author: dict[int, list[int]] = {a.index: [] for a in authors}
     for idx, paper in enumerate(papers):
@@ -315,7 +306,7 @@ def _add_references(
             for j in own[-3:]:
                 refs.add(papers[j].pub_id)
         pool = authors[lead].pool
-        if len(pool) > 0 and rng.random() < config.p_collab_reference:
+        if len(pool) > 0 and rng.random() < P_COLLAB_REFERENCE:
             collab = int(pool[int(rng.integers(len(pool)))])
             their = by_author[collab]
             if their:
@@ -351,7 +342,7 @@ def _simulate_citations(
         n_events = int(rng.poisson(config.citation_rate * len(citable)))
         if n_events == 0:
             continue
-        n_late = int(rng.binomial(n_events, config.late_citation_rate)) if stale else 0
+        n_late = int(rng.binomial(n_events, LATE_CITATION_RATE)) if stale else 0
         if n_late > 0:
             targets = rng.integers(0, len(stale), size=n_late)
             for t in targets:
@@ -368,8 +359,8 @@ def _simulate_citations(
             for a in papers[i].authors:
                 papers_of.setdefault(a, []).append(i)
         active = np.array(sorted(papers_of), dtype=np.int64)
-        batches = np.full(config.updates_per_year, remaining // config.updates_per_year)
-        batches[: remaining % config.updates_per_year] += 1
+        batches = np.full(UPDATES_PER_YEAR, remaining // UPDATES_PER_YEAR)
+        batches[: remaining % UPDATES_PER_YEAR] += 1
         for batch in batches:
             if batch == 0:
                 continue
@@ -410,7 +401,7 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, str]]:
     journals = {d: [f"Journal of {d} {k + 1}" for k in range(6)] for d in config.disciplines}
     authors = _make_authors(config, rng, journals)
     papers = _make_papers(config, rng, authors, journals)
-    _add_references(config, rng, authors, papers)
+    _add_references(rng, authors, papers)
     _simulate_citations(config, rng, authors, papers)
 
     records: list[PublicationRecord] = []
@@ -428,11 +419,11 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, str]]:
                 mention["references"] = list(paper.references)
             if rng.random() >= config.p_missing_orcid:
                 mention["orcid"] = author.orcid
-            if rng.random() >= config.p_missing_email:
+            if rng.random() >= P_MISSING_EMAIL:
                 mention["email"] = author.email
-            if rng.random() >= config.p_missing_affiliation:
+            if rng.random() >= P_MISSING_AFFILIATION:
                 mention["affiliation"] = author.affiliation
-            if rng.random() >= config.p_missing_grants:
+            if rng.random() >= P_MISSING_GRANTS:
                 mention["grants"] = sorted(author.grants)
             mentions.append(mention)
             truth[f"{paper.pub_id}:{pos}"] = f"A{author_idx:06d}"

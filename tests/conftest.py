@@ -9,6 +9,25 @@ from rankmobility.corpus import ingest_lines, record_to_json
 from rankmobility.disambig import MentionCluster, ScoringRuleTable
 
 
+# Generator settings that are module constants of rankmobility.synth, not
+# SynthConfig fields, with their values; a config naming one is rejected.
+REMOVED_SYNTH_SETTINGS = {
+    "career_years": 10,
+    "paper_rate": 0.8,
+    "productivity_sigma": 0.6,
+    "p_missing_email": 0.4,
+    "p_missing_affiliation": 0.3,
+    "p_missing_grants": 0.5,
+    "p_second_discipline": 0.1,
+    "collaborators": [2, 4],
+    "group_size": 6,
+    "max_coauthors": 3,
+    "p_collab_reference": 0.4,
+    "late_citation_rate": 0.05,
+    "updates_per_year": 10,
+}
+
+
 def make_record(
     pub_id,
     year=2000,

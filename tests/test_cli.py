@@ -15,7 +15,7 @@ from rankmobility.disambig import disambiguate, write_clusters, write_truth
 from rankmobility.mobility import read_rank_table_csv, transition_matrix, write_matrix_csv, write_rank_table_csv
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
-from conftest import collector_set
+from conftest import REMOVED_SYNTH_SETTINGS, collector_set, make_record
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +142,15 @@ def test_synth_corpus_without_a_fresh_name_exits_2_in_seconds(tmp_path, config, 
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key", sorted(REMOVED_SYNTH_SETTINGS))
+def test_synth_corpus_rejects_a_removed_generator_key(capsys, tmp_path, key):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_authors": 20, "seed": 0, key: REMOVED_SYNTH_SETTINGS[key]}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "synth", "corpus", "--config", str(config), "--out", str(tmp_path / "c.jsonl"))
+    assert code == 2
+    assert f"unknown generator config keys: {key}" in err
+
+
 def test_run_requires_config(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 1
@@ -167,14 +176,16 @@ def test_missing_input_file_is_a_data_error(capsys, tmp_path):
     assert err.startswith("data error:")
 
 
-def test_bad_year_range_is_a_usage_error(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys,
-        "filter",
-        "--in", str(tmp_path / "absent.jsonl"),
-        "--out", str(tmp_path / "o"),
-        "--years", "friday",
-    )
+@pytest.mark.parametrize(
+    "command, years",
+    [("filter", "friday"), ("filter", "2005:2000"), ("gini-series", "2005:2000")],
+)
+def test_bad_year_range_is_a_usage_error(capsys, tmp_path, command, years):
+    absent = str(tmp_path / "absent.jsonl")
+    inputs = ["--in", absent] if command == "filter" else [
+        "--corpus", absent, "--clusters", absent, "--discipline", "Chemistry"
+    ]
+    code, _, err = run_cli(capsys, command, *inputs, "--out", str(tmp_path / "o"), "--years", years)
     assert code == 1
     assert "expected a year range" in err
 
@@ -216,6 +227,16 @@ def test_malformed_rank_table_is_a_data_error(capsys, tmp_path, command, text, m
     assert out == ""
     assert err.startswith("data error:")
     assert message in err
+
+
+def test_blank_rank_table_line_is_skipped_and_later_lines_keep_their_numbers(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    for text, expected, message in ((rank_table_text(), 0, ""), (rank_table_text(6, 3, "0"), 2, "line 9: decile")):
+        lines = text.splitlines(keepends=True)
+        path.write_text("".join(lines[:4] + ["\n"] + lines[4:]), encoding="utf-8")
+        code, _, err = run_cli(capsys, "mobility", "--cohort", str(path), "--out", str(tmp_path / "m"))
+        assert code == expected
+        assert message in err
 
 
 def test_well_formed_rank_table_passes_each_command(capsys, tmp_path):
@@ -552,6 +573,49 @@ def test_short_trend_series_row_is_a_data_error(capsys, tmp_path):
     assert "line 3: 1 fields, header has 2" in err
 
 
+def test_one_column_trend_series_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("x\n1\n2\n3\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "trend", "--series", str(path))
+    assert code == 2
+    assert f"series file needs an x and a y column: {path}" in err
+
+
+def test_report_on_a_summary_with_a_non_object_row_is_a_data_error(capsys, tmp_path):
+    summary = tmp_path / "bundle" / "summary" / "correlation.json"
+    summary.parent.mkdir(parents=True)
+    summary.write_text(json.dumps({"per_discipline": [5]}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "report", "--bundle", str(tmp_path / "bundle"))
+    assert code == 2
+    assert f"{summary}: per_discipline row must be a JSON object" in err
+
+
+def test_run_seed_flag_matches_a_config_seed(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    corpus = tmp_path / "corpus.jsonl"
+    synthetic, _ = generate_corpus(
+        SynthConfig(n_authors=120, seed=3, disciplines=("Chemistry",), start_years=(2000, 2000))
+    )
+    export(synthetic, corpus)
+
+    def bundle(label, seed, before=(), after=()):
+        config = tmp_path / f"{label}.json"
+        config.write_text(
+            json.dumps({"corpus": str(corpus), "disciplines": ["Chemistry"], "cohort_years": [2000],
+                        "null_reps": 3, "min_cohort_size": 10, "seed": seed}),
+            encoding="utf-8",
+        )
+        out = tmp_path / label
+        code, _, err = run_cli(capsys, *before, "run", "--config", str(config), "--out-dir", str(out), *after)
+        assert code == 0, err
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    reference = bundle("config", 9)
+    assert bundle("before", 0, before=["--seed", "9"]) == reference
+    assert bundle("after", 0, after=["--seed", "9"]) == reference
+    assert bundle("unseeded", 0) != reference
+
+
 def test_gini_series_skips_years_with_all_zero_impacts(capsys, tmp_path):
     synth_config = tmp_path / "synth.json"
     synth_config.write_text(
@@ -585,6 +649,48 @@ def test_gini_series_skips_years_with_all_zero_impacts(capsys, tmp_path):
         assert code == 0, err
         assert json.loads(out)["points"] == 0
         assert json.loads(out)["skipped_years"] == list(range(2000, int(years[-4:]) + 1))
+
+
+def test_gini_series_skips_a_year_with_one_author(capsys, tmp_path):
+    # Ann starts in 2000 alone and is the only author active from 2007 on;
+    # Bob and Cy start in 2001. Every paper is cited the next year.
+    papers = [
+        ("P1", 2000, "Ann Lee"), ("P2", 2005, "Ann Lee"), ("P3", 2010, "Ann Lee"),
+        ("P4", 2001, "Bob Ray"), ("P5", 2006, "Bob Ray"),
+        ("P6", 2001, "Cy Tam"), ("P7", 2006, "Cy Tam"),
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps(make_record(pub, year, authors=[{"name": name}], citing_years=[year + 1])) + "\n"
+            for pub, year, name in papers
+        ),
+        encoding="utf-8",
+    )
+    clusters = tmp_path / "clusters.jsonl"
+    clusters.write_text(
+        "".join(
+            json.dumps({"author_id": name, "mention_ids": [f"{p}:0" for p, _, n in papers if n == name]}) + "\n"
+            for name in ("Ann Lee", "Bob Ray", "Cy Tam")
+        ),
+        encoding="utf-8",
+    )
+    for mode, years, skipped in (("cohort", "2000:2001", [2000]), ("population", "2006:2010", [2007, 2008, 2009, 2010])):
+        for min_size in ("0", "1"):
+            code, out, err = run_cli(
+                capsys,
+                "gini-series",
+                "--corpus", str(corpus),
+                "--clusters", str(clusters),
+                "--discipline", "Chemistry",
+                "--mode", mode,
+                "--years", years,
+                "--min-size", min_size,
+                "--out", str(tmp_path / f"{mode}.csv"),
+            )
+            assert code == 0, err
+            assert json.loads(out)["points"] == 1
+            assert json.loads(out)["skipped_years"] == skipped
 
 
 def test_filter_with_an_empty_disciplines_file_applies_no_discipline_filter(capsys, tmp_path):

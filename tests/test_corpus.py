@@ -78,6 +78,12 @@ def test_duplicate_pub_id_aborts():
         corpus_of(make_record("P1"), make_record("P1"))
 
 
+def test_corpus_of_records_with_a_repeated_pub_id_aborts():
+    record = next(iter(corpus_of(make_record("P1")).publications.values()))
+    with pytest.raises(CorpusError, match="duplicate pub_id: P1"):
+        Corpus([record, record])
+
+
 def test_ingest_missing_file():
     with pytest.raises(CorpusError, match="cannot read corpus"):
         ingest("/nonexistent/corpus.jsonl")

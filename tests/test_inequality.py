@@ -122,6 +122,13 @@ def test_cohort_series_skips_all_zero_years_and_sorts():
     assert series.skipped == (2001,)
 
 
+def test_cohort_series_skips_a_one_author_year_whatever_the_minimum():
+    for min_cohort in (0, 1):
+        series = cohort_gini_series("X", {2000: [5], 2001: [1, 2, 3]}, min_cohort=min_cohort)
+        assert series.years.tolist() == [2001]
+        assert series.skipped == (2000,)
+
+
 def test_cohort_series_min_size_skips_everything():
     series = cohort_gini_series("Chemistry", chemistry_impacts([2000, 2001], 1), min_cohort=5)
     assert series.years.tolist() == []

@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -17,7 +18,7 @@ from rankmobility.jsonio import plain
 from rankmobility import synth
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
-from conftest import collector_set, export_lines
+from conftest import REMOVED_SYNTH_SETTINGS, collector_set, export_lines
 from oracle import build_mentions
 
 
@@ -123,7 +124,7 @@ def test_years_disciplines_and_citations_in_range():
     config = small_config(disciplines=("Chemistry", "Biology"))
     corpus, _ = generate_corpus(config)
     lo = config.start_years[0]
-    hi = config.start_years[1] + config.career_years - 1
+    hi = config.start_years[1] + synth.CAREER_YEARS - 1
     for pub in corpus.publications.values():
         assert lo <= pub.year <= hi
         assert pub.disciplines <= set(config.disciplines)
@@ -201,18 +202,15 @@ def test_sample_transitions_custom_bins():
         ({"n_authors": 0}, "n_authors must be positive"),
         ({"alpha": -0.1}, "alpha must be nonnegative"),
         ({"name_collision_rate": 1.5}, "name_collision_rate must lie in"),
-        ({"p_collab_reference": -0.2}, "p_collab_reference must lie in"),
+        ({"p_initials_only": -0.2}, "p_initials_only must lie in"),
         ({"start_years": (2002, 2000)}, "start_years must be a nondecreasing pair"),
-        ({"group_size": 1}, "group_size must be at least 2"),
-        ({"collaborators": (3, 2)}, "collaborators must be a nondecreasing pair"),
-        ({"career_years": 0}, "must be positive"),
+        ({"citation_rate": -1.0}, "citation_rate must be nonnegative"),
         ({"disciplines": ()}, "at least one discipline is required"),
-        ({"updates_per_year": 0}, "updates_per_year must be at least 1"),
         ({"surname_pool": 0}, "surname_pool and given_pool must be positive"),
         ({"given_pool": 0}, "surname_pool and given_pool must be positive"),
         ({"alpha": float("nan")}, "alpha must be finite"),
         ({"zipf_exponent": float("inf")}, "zipf_exponent must be finite"),
-        ({"productivity_sigma": float("-inf")}, "productivity_sigma must be finite"),
+        ({"citation_rate": float("-inf")}, "citation_rate must be finite"),
     ],
 )
 def test_config_validation(overrides, message):
@@ -231,12 +229,10 @@ def test_config_from_json_accepts_lists_and_files(tmp_path):
         "seed": 1,
         "start_years": [2000, 2001],
         "disciplines": ["Chemistry"],
-        "collaborators": [1, 2],
     }
     from_mapping = SynthConfig.from_json(payload)
     assert from_mapping.start_years == (2000, 2001)
     assert from_mapping.disciplines == ("Chemistry",)
-    assert from_mapping.collaborators == (1, 2)
 
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -251,7 +247,7 @@ def test_config_from_json_accepts_lists_and_files(tmp_path):
         ({"start_years": 2000}, "'start_years' must be a list of two integers"),
         ({"seed": True}, "'seed' must be an integer"),
         ({"alpha": float("nan")}, "holds NaN, which is not a JSON number"),
-        ({"paper_rate": float("inf")}, "holds Infinity, which is not a JSON number"),
+        ({"alpha": float("inf")}, "holds Infinity, which is not a JSON number"),
     ],
 )
 def test_config_from_json_rejects_wrong_types(tmp_path, overrides, message):
@@ -277,6 +273,12 @@ def test_config_from_json_rejects_a_null_payload(tmp_path):
 )
 def test_config_round_trips_through_plain(config):
     assert SynthConfig.from_json(plain(config)) == config
+
+
+def test_removed_settings_are_module_constants():
+    assert not REMOVED_SYNTH_SETTINGS.keys() & {f.name for f in fields(SynthConfig)}
+    for key, value in REMOVED_SYNTH_SETTINGS.items():
+        assert getattr(synth, key.upper()) == (tuple(value) if isinstance(value, list) else value)
 
 
 def test_surname_pool_counts_indices_not_distinct_surnames():
