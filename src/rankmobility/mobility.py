@@ -7,6 +7,7 @@ first, with decile 1 the lowest-impact tenth and decile 10 the highest.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -94,10 +95,14 @@ class TransitionMatrix:
         return cls(matrix=matrix, uniform_columns=tuple(int(j) + 1 for j in np.flatnonzero(empty)))
 
 
+def _count_cells(cells: np.ndarray, n_bins: int) -> np.ndarray:
+    """(ending bin, starting bin) count matrix of flat 0-based cell indices
+    ending * n_bins + starting."""
+    return np.bincount(cells, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
+
+
 def transition_counts(q1: np.ndarray, q2: np.ndarray, n_bins: int) -> np.ndarray:
-    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
-    np.add.at(counts, (np.asarray(q2) - 1, np.asarray(q1) - 1), 1)
-    return counts
+    return _count_cells((np.asarray(q2) - 1) * n_bins + (np.asarray(q1) - 1), n_bins)
 
 
 def transition_matrix(table: RankTable) -> TransitionMatrix:
@@ -166,19 +171,39 @@ def reshuffle_null(
     counts to a pooled count matrix, from which both the null profile and
     the null matrix follow. Repetitions draw from spawned child streams of
     the seed, so results do not depend on execution order.
+
+    A repetition ranks as _assign_deciles would, without a sort. The
+    multiset of impact2 never changes, so each distinct value (a group)
+    always fills the same run of sorted positions. Authors, taken in id
+    order, receive groups; a group whose run lies in one decile gives that
+    decile to all of its receivers, and a group whose run straddles a decile
+    boundary (at most n_bins - 1 of them) hands out its positions to its
+    receivers in id order, which breaks ties by author id.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     n = len(table)
     n_bins = table.n_bins
-    ids_arr = np.array(table.author_ids)
+    by_id = np.argsort(np.array(table.author_ids), kind="stable")
+    _, group, size = np.unique(table.impact2, return_inverse=True, return_counts=True)
+    start = np.cumsum(size) - size
+    # Each sorted position's decile as the ending part of a flat cell index.
+    ending = np.arange(n, dtype=np.int64) * n_bins // n * n_bins
+    group_cell = ending[start]
+    straddling = [
+        (s, ending[start[s] : start[s] + size[s]])
+        for s in np.flatnonzero(group_cell != ending[start + size - 1])
+    ]
+    starting = table.q1[by_id] - 1
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
     counts = np.zeros((n_bins, n_bins), dtype=np.int64)
     for child in seq.spawn(n_reps):
-        rng = np.random.default_rng(child)
-        q2 = _assign_deciles(ids_arr, table.impact2[rng.permutation(n)], n_bins)
-        counts += transition_counts(table.q1, q2, n_bins)
+        received = group[np.random.default_rng(child).permutation(n)[by_id]]
+        cells = group_cell[received]
+        for s, positions in straddling:
+            cells[np.flatnonzero(received == s)] = positions
+        counts += _count_cells(cells + starting, n_bins)
     return ReshuffleNull(profile=_profile(counts), matrix=TransitionMatrix.from_counts(counts), n_reps=n_reps)
 
 
@@ -238,9 +263,15 @@ def write_rank_table_csv(path: str | Path, table: RankTable) -> None:
     write_csv(path, _RANK_TABLE_HEADER, rows)
 
 
+def _has_repeat(items: list[str]) -> bool:
+    ordered = sorted(items)
+    return any(a == b for a, b in zip(ordered, ordered[1:]))
+
+
 def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTable:
-    """Read a rank table; a non-finite impact or a decile outside 1..n_bins
-    is an error naming its line."""
+    """Read a rank table; a non-finite impact, a decile outside 1..n_bins or
+    a repeated author id is an error naming its line, and a table of fewer
+    than n_bins rows is an error as in RankTable.from_impacts."""
 
     def parse(row: list[str]) -> tuple[str, float, float, int, int]:
         q1, q2 = int(row[3]), int(row[4])
@@ -248,22 +279,34 @@ def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTab
             raise ValueError(f"decile outside 1..{n_bins}")
         return row[0], finite_float(row[1]), finite_float(row[2]), q1, q2
 
-    # Converted row by row: rank tables are the one large CSV input.
+    # Converted row by row: rank tables are the one large CSV input. Numbers
+    # go into typed arrays, not lists, so no float object outlives its row.
     ids: list[str] = []
-    i1: list[float] = []
-    i2: list[float] = []
-    q1: list[int] = []
-    q2: list[int] = []
+    i1, i2, q1, q2 = array("d"), array("d"), array("q"), array("q")
     for aid, a, b, c, d in read_csv(path, "rank table", _RANK_TABLE_HEADER, parse):
         ids.append(aid)
         i1.append(a)
         i2.append(b)
         q1.append(c)
         q2.append(d)
+    if len(ids) < n_bins:
+        raise ValueError(f"rank table file {path}: cohort too small to rank: {len(ids)} authors < {n_bins} bins")
+    if _has_repeat(ids):
+        # Read again only to name the repeat's line: a set of every id while
+        # reading would raise the peak memory of every read.
+        seen: set[str] = set()
+
+        def first_use(row: list[str]) -> None:
+            if row[0] in seen:
+                raise ValueError(f"repeated author_id {row[0]!r}")
+            seen.add(row[0])
+
+        for _ in read_csv(path, "rank table", _RANK_TABLE_HEADER, first_use):
+            pass
     return RankTable(
         author_ids=tuple(ids),
-        impact1=np.array(i1),
-        impact2=np.array(i2),
+        impact1=np.array(i1, dtype=float),
+        impact2=np.array(i2, dtype=float),
         q1=np.array(q1, dtype=np.int64),
         q2=np.array(q2, dtype=np.int64),
         n_bins=n_bins,

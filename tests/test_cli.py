@@ -212,10 +212,15 @@ def rank_table_text(bad_row=None, column=3, value=None):
         (rank_table_text(4, 1, "inf"), "line 6: not a finite number: 'inf'"),
         (rank_table_text(4, 2, "nan"), "line 6: not a finite number: 'nan'"),
         (rank_table_text(4, 2, "-inf"), "line 6: not a finite number: '-inf'"),
+        (rank_table_text(7, 0, "A03"), "line 9: repeated author_id 'A03'"),
+        (rank_table_text(19, 0, "A00"), "line 21: repeated author_id 'A00'"),
+        ("author_id,impact1,impact2,q1,q2\n", "cohort too small to rank: 0 authors < 10 bins"),
+        ("".join(rank_table_text().splitlines(keepends=True)[:10]), "cohort too small to rank: 9 authors < 10 bins"),
     ],
     ids=[
         "other-header", "q1=0", "q1=12", "q2=11", "q2=-1", "q1=2.5",
         "impact1=nan", "impact1=inf", "impact2=nan", "impact2=-inf",
+        "repeated-id", "repeated-first-id", "header-only", "9-rows",
     ],
 )
 def test_malformed_rank_table_is_a_data_error(capsys, tmp_path, command, text, message):

@@ -279,6 +279,44 @@ def test_reshuffle_null_equals_per_repetition_oracle(table, n_reps, seed):
     assert null.n_reps == n_reps
 
 
+@st.composite
+def shuffled_ids_table(draw):
+    # Ids are f"a{k}" in shuffled rows, so string order ("a10" < "a9") is
+    # neither row order nor numeric order. impact2 holds either a few values,
+    # whose tied groups straddle decile boundaries, or distinct floats.
+    n_bins = draw(st.integers(min_value=2, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        impact2 = rng.integers(0, draw(st.integers(min_value=1, max_value=6)), size=n).astype(float)
+    else:
+        impact2 = rng.random(n)
+    return RankTable(
+        author_ids=tuple(f"a{k}" for k in rng.permutation(n)),
+        impact1=np.zeros(n),
+        impact2=impact2,
+        q1=rng.integers(1, n_bins + 1, size=n),
+        q2=rng.integers(1, n_bins + 1, size=n),
+        n_bins=n_bins,
+    )
+
+
+EMPTY_TABLE = RankTable((), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=shuffled_ids_table(), n_reps=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**32 - 1))
+@example(table=EMPTY_TABLE, n_reps=2, seed=0)
+def test_reshuffle_null_ranks_ties_by_author_id_as_the_sorting_oracle(table, n_reps, seed):
+    (mean, sem, count), (matrix, uniform) = oracle_null(table, n_reps, seed)
+    null = reshuffle_null(table, n_reps=n_reps, seed=seed)
+    assert same_bits(null.profile.mean, mean)
+    assert same_bits(null.profile.sem, sem)
+    assert same_bits(null.profile.count, count)
+    assert same_bits(null.matrix.matrix, matrix)
+    assert null.matrix.uniform_columns == uniform
+
+
 def test_transition_matrix_equals_column_loop_oracle():
     rng = np.random.default_rng(6)
     for n_bins in range(2, 11):
