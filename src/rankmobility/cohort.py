@@ -79,7 +79,6 @@ class CohortSpec:
 
 def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Careers:
     """One career per cluster, labelled in author_id order."""
-    index = {pid: k for k, pid in enumerate(corpus.publications)}
     ordered = sorted(clusters, key=attrgetter("author_id"))
     sizes = [len(c.mention_ids) for c in ordered]
     mention_ids = [mid for c in ordered for mid in c.mention_ids]
@@ -89,24 +88,18 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
     if (unknown := np.flatnonzero(rows < 0)).size:
         k = unknown[0]
         raise KeyError(f"cluster {ordered[labels[k]].author_id} references unknown mention {mention_ids[k]}")
-    n_pubs = max(len(index), 1)
+    n_pubs = max(len(corpus), 1)
     pairs = np.unique(labels * n_pubs + corpus.mentions.pub[rows])
     author, pub = np.divmod(pairs, n_pubs)
-    records = corpus.publications.values()
-    year = np.fromiter((p.year for p in records), np.int64, len(index))
-    tagged: dict[str, list[int]] = {}
-    for k, p in enumerate(records):
-        for d in p.disciplines:
-            tagged.setdefault(d, []).append(k)
     start = np.full(len(ordered), np.iinfo(np.int64).max)
-    np.minimum.at(start, author, year[pub])
+    np.minimum.at(start, author, corpus.year[pub])
     return Careers(
         author_ids=tuple(c.author_id for c in ordered),
         author=author,
         pub=pub,
-        year=year,
-        c5=np.fromiter(map(corpus.c5, index), np.int64, len(index)),
-        disciplines=MappingProxyType({d: np.bincount(ks, minlength=len(index)) > 0 for d, ks in tagged.items()}),
+        year=corpus.year,
+        c5=corpus.c5,
+        disciplines=MappingProxyType(corpus.discipline_masks()),
         start=start,
     )
 

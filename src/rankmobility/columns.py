@@ -1,0 +1,247 @@
+"""The columns a corpus is held in, with no Python object per mention:
+built from records a batch at a time, narrowed to some of the
+publications, and decoded back into records."""
+
+from __future__ import annotations
+
+from collections import defaultdict, deque
+from collections.abc import Iterable
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .corpus import PublicationRecord
+
+# Records coded into the columns at a time.
+_BATCH = 1024
+# A mention's single-valued and list-valued fields, and all of them in the
+# order canonical JSON writes them (sorted keys).
+_SCALARS = ("name", "affiliation", "email", "orcid", "journal")
+_LISTS = ("grants", "references")
+_AUTHOR_KEYS = tuple(sorted(_SCALARS + _LISTS))
+
+
+class _Columns(NamedTuple):
+    """What a corpus holds, in corpus order.
+
+    Per publication: pub_ids, year, a code into discipline_sets (each a
+    sorted tuple of labels), citing years as CSR (citing_ptr, citing) and
+    its mention rows first[k]:first[k + 1]. Per mention: fields maps each
+    single-valued field to (codes, values), a field's value being
+    values[code] and an absent one -1, and lists maps each list-valued
+    field to CSR (indptr, codes, values). Codes number the values in order
+    of first appearance, except that a reference to a publication of the
+    corpus has the publication's index as its code: the references' values
+    are pub_ids followed by the others.
+    """
+
+    pub_ids: list[str]
+    year: np.ndarray
+    disciplines: np.ndarray
+    discipline_sets: list[tuple[str, ...]]
+    citing_ptr: np.ndarray
+    citing: np.ndarray
+    first: np.ndarray
+    fields: dict[str, tuple[np.ndarray, list]]
+    lists: dict[str, tuple[np.ndarray, np.ndarray, list]]
+
+
+class _Builder:
+    """Grows a corpus's columns from records, a batch at a time.
+
+    Each column's values are coded by first appearance: a dict maps each
+    distinct value to its position in the stream of the column's values,
+    so the positions rise in order of first appearance, and the end ranks
+    them into consecutive codes. None, an absent field, is coded -1. No
+    record outlives its batch.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[str, int] = {}
+        self._batch: list[PublicationRecord] = []
+        self._seen = {column: {None: -1} for column in ("disciplines", *_SCALARS, *_LISTS)}
+        self._coded = dict.fromkeys(self._seen, 0)
+        self._chunks: dict[str, list[np.ndarray]] = defaultdict(list)
+
+    def add(self, record: PublicationRecord) -> None:
+        self.rows[record.pub_id] = len(self.rows)
+        self._batch.append(record)
+        if len(self._batch) == _BATCH:
+            self._flush()
+
+    def _code(self, column: str, values: Iterable, n: int = -1) -> None:
+        codes = np.fromiter(map(self._seen[column].setdefault, values, count(self._coded[column])), np.int64, n)
+        self._coded[column] += len(codes)
+        self._chunks[column].append(codes)
+
+    def _sizes(self, column: str, lists: list) -> None:
+        self._chunks[column].append(np.fromiter(map(len, lists), np.int64, len(lists)))
+
+    def _flush(self) -> None:
+        records, self._batch = self._batch, []
+        self._chunks["year"].append(np.fromiter(map(attrgetter("year"), records), np.int64, len(records)))
+        self._code("disciplines", map(attrgetter("disciplines"), records), len(records))
+        citing = list(map(attrgetter("citing_years"), records))
+        self._sizes("citing_sizes", citing)
+        self._chunks["citing"].append(np.fromiter(chain.from_iterable(citing), np.int64))
+        authors = list(map(attrgetter("authors"), records))
+        self._sizes("authors", authors)
+        authors = list(chain.from_iterable(authors))
+        self._code("name", map(itemgetter("name"), authors), len(authors))
+        for column in _SCALARS[1:]:
+            self._code(column, map(dict.get, authors, repeat(column)), len(authors))
+        for column in _LISTS:
+            lists = [author.get(column) or () for author in authors]
+            self._sizes(f"{column}_sizes", lists)
+            self._code(column, chain.from_iterable(lists))
+
+    def _column(self, name: str) -> np.ndarray:
+        chunks = self._chunks[name]
+        return np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
+
+    def _ranked(self, column: str) -> tuple[np.ndarray, list]:
+        seen = self._seen[column]
+        # rank[p] is the code of the value first seen at position p; None's
+        # position, -1, reads the last slot, whose code is -1.
+        rank = np.empty(self._coded[column] + 1, np.int32)
+        rank[np.fromiter(seen.values(), np.int64, len(seen))] = np.arange(-1, len(seen) - 1)
+        chunks = self._chunks.pop(column, [])
+        return (np.concatenate([rank[codes] for codes in chunks]) if chunks else rank[:0]), list(seen)[1:]
+
+    def columns(self) -> _Columns:
+        self._flush()
+        pub_ids = list(self.rows)
+        fields = {column: self._ranked(column) for column in _SCALARS}
+        lists = {}
+        for column in _LISTS:
+            codes, values = self._ranked(column)
+            if column == "references":
+                # Corpus publications take codes 0..n-1, the others follow as first seen.
+                target = np.fromiter(map(self.rows.get, values, repeat(-1)), np.int64, len(values))
+                external = target < 0
+                target[external] = len(pub_ids) + np.arange(np.count_nonzero(external))
+                codes, values = target[codes].astype(np.int32), pub_ids + list(compress(values, external.tolist()))
+            lists[column] = (_indptr(self._column(f"{column}_sizes")), codes, values)
+        disciplines, discipline_sets = self._ranked("disciplines")
+        discipline_sets = [tuple(sorted(labels)) for labels in discipline_sets]
+        return _Columns(
+            pub_ids=pub_ids,
+            year=self._column("year"),
+            disciplines=disciplines,
+            discipline_sets=discipline_sets,
+            citing_ptr=_indptr(self._column("citing_sizes")),
+            citing=self._column("citing"),
+            first=_indptr(self._column("authors")),
+            fields=fields,
+            lists=lists,
+        )
+
+
+def _take(columns: _Columns, pubs: np.ndarray) -> _Columns:
+    """The columns of the publications pubs (ascending), coded as a corpus
+    of just those publications codes them: a reference to a publication
+    left out becomes one to outside the corpus."""
+    sizes = np.diff(columns.first)[pubs]
+    rows = _ranges(columns.first[pubs], sizes)
+    pub_ids = list(map(columns.pub_ids.__getitem__, pubs.tolist()))
+    fields = {}
+    for column, (codes, values) in columns.fields.items():
+        codes, old = _renumber(codes[rows])
+        fields[column] = (codes, list(map(values.__getitem__, old.tolist())))
+    lists = {}
+    for column, (indptr, codes, values) in columns.lists.items():
+        held = np.diff(indptr)[rows]
+        codes = codes[_ranges(indptr[rows], held)]
+        if column == "references":
+            n = len(columns.pub_ids)
+            kept = np.full(n + 1, -1, np.int32)
+            kept[pubs] = np.arange(len(pubs))
+            internal = kept[np.minimum(codes, n)]
+            external, old = _renumber(np.where(internal < 0, codes, -1))
+            codes = np.where(internal < 0, len(pubs) + external, internal)
+            values = pub_ids + list(map(values.__getitem__, old.tolist()))
+        else:
+            codes, old = _renumber(codes)
+            values = list(map(values.__getitem__, old.tolist()))
+        lists[column] = (_indptr(held), codes, values)
+    disciplines, old = _renumber(columns.disciplines[pubs])
+    cited = np.diff(columns.citing_ptr)[pubs]
+    return _Columns(
+        pub_ids=pub_ids,
+        year=columns.year[pubs],
+        disciplines=disciplines,
+        discipline_sets=list(map(columns.discipline_sets.__getitem__, old.tolist())),
+        citing_ptr=_indptr(cited),
+        citing=columns.citing[_ranges(columns.citing_ptr[pubs], cited)],
+        first=_indptr(sizes),
+        fields=fields,
+        lists=lists,
+    )
+
+
+def _renumber(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """codes numbered 0.. in order of first appearance, -1 kept, with the
+    old code of each new one."""
+    held = codes >= 0
+    old, first, inverse = np.unique(codes[held], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), codes.dtype)
+    rank[order] = np.arange(len(order))
+    renumbered = np.full(len(codes), -1, codes.dtype)
+    renumbered[held] = rank[inverse]
+    return renumbered, old[order]
+
+
+def _decoded(columns: _Columns, lo: int, hi: int):
+    """(pub_id, year, disciplines, authors, citing years) of publications
+    lo..hi-1: the labels as a sorted tuple, the rest as lists."""
+    first, citing_ptr = columns.first, columns.citing_ptr
+    authors = _authors(columns, int(first[lo]), int(first[hi]))
+    bounds = (first[lo:hi + 1] - first[lo]).tolist()
+    citing = columns.citing[citing_ptr[lo]:citing_ptr[hi]].tolist()
+    citing_bounds = (citing_ptr[lo:hi + 1] - citing_ptr[lo]).tolist()
+    return zip(
+        columns.pub_ids[lo:hi],
+        columns.year[lo:hi].tolist(),
+        map(columns.discipline_sets.__getitem__, columns.disciplines[lo:hi].tolist()),
+        map(authors.__getitem__, map(slice, bounds, bounds[1:])),
+        map(citing.__getitem__, map(slice, citing_bounds, citing_bounds[1:])),
+    )
+
+
+def _authors(columns: _Columns, lo: int, hi: int) -> list[dict]:
+    """The author objects of mention rows lo..hi-1, keys in canonical order;
+    an absent field is left out."""
+    held, absent = [], []
+    for key in _AUTHOR_KEYS:
+        if key in columns.lists:
+            indptr, codes, values = columns.lists[key]
+            items = list(map(values.__getitem__, codes[indptr[lo]:indptr[hi]].tolist()))
+            bounds = indptr[lo:hi + 1] - indptr[lo]
+            held.append(list(map(items.__getitem__, map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))))
+            absent.append(bounds[:-1] == bounds[1:])
+        else:
+            codes, values = columns.fields[key]
+            codes = codes[lo:hi]
+            # An absent field's code, -1, reads the last value until it is deleted.
+            held.append(list(map(values.__getitem__, codes.tolist())) if values else [None] * len(codes))
+            absent.append(codes < 0)
+    authors = list(map(dict, map(zip, repeat(_AUTHOR_KEYS), zip(*held))))
+    for key, rows in zip(_AUTHOR_KEYS, absent):
+        deque(map(dict.__delitem__, map(authors.__getitem__, np.flatnonzero(rows).tolist()), repeat(key)), maxlen=0)
+    return authors
+
+
+def _indptr(sizes: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[k] .. starts[k] + sizes[k] - 1."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - (ends - sizes), sizes) + np.arange(sizes.sum())

@@ -12,26 +12,33 @@ A corpus file holds one JSON object per line with the fields
 
 The formal schema ships at ``rankmobility/data/publication-record.schema.json``.
 Validation here is hand-rolled so ingestion stays cheap at corpus scale.
+A corpus is held as numpy columns with no Python object per mention; each
+validated record is coded into them in batches and then dropped.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, repeat
-from operator import itemgetter
+from itertools import chain, count
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .columns import _BATCH, _Builder, _Columns, _decoded, _indptr, _ranges, _take
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
 IMPACT_WINDOW_YEARS = 5
+# Years are held as 64-bit integers, with room for the impact window.
+_YEAR_LIMIT = 2**62
+# Canonical JSON: sorted keys (the payloads are built in that order), fixed
+# separators, non-ASCII kept.
+_encode = json.JSONEncoder(ensure_ascii=False, check_circular=False, separators=(",", ":")).encode
 
 
 class CorpusError(Exception):
@@ -46,9 +53,10 @@ class _RecordError(Exception):
 def collector_paused():
     """Keep CPython's cyclic garbage collector off inside the block.
 
-    Parsed records, the mention table and the careers built from them hold
-    no reference cycles, yet every full collection re-walks all of them, so
-    its cost grows with the corpus a run keeps alive. The pause is
+    The records in flight, the distinct strings a corpus codes, the mention
+    table and the careers built from them hold no reference cycles, yet
+    every full collection re-walks all of them, so its cost grows with the
+    corpus a run keeps alive. The pause is
     process-wide: it also holds for other threads, which in a run are the
     run's own cohort pool. On exit the collector is switched back on only
     if it was on when the block was entered, so nested pauses and callers
@@ -120,40 +128,92 @@ class FilterStats:
 
 
 class Corpus:
-    """Immutable-after-ingest container of publications.
+    """Immutable-after-ingest container of publications, held as columns.
 
-    Its mentions are a MentionTable whose columns are built on first use,
-    once per corpus, so stages that only read or write records build none.
+    year and c5 are per publication, in corpus order. publications is a
+    read-only mapping from pub_id to a PublicationRecord decoded on access,
+    for callers off the run path. Its mentions are a MentionTable whose
+    derived forms are built on first use, once per corpus, so stages that
+    only read or write records build none.
     """
 
-    def __init__(self, publications: Iterable[PublicationRecord], stats: IngestStats | None = None):
-        self.publications: dict[str, PublicationRecord] = {}
+    def __init__(self, publications: Iterable[PublicationRecord] = (), stats: IngestStats | None = None):
+        builder = _Builder()
         for pub in publications:
-            if pub.pub_id in self.publications:
+            if pub.pub_id in builder.rows:
                 raise CorpusError(f"duplicate pub_id: {pub.pub_id}")
-            self.publications[pub.pub_id] = pub
-        self.stats = stats if stats is not None else IngestStats(
-            lines_read=len(self.publications), accepted=len(self.publications)
-        )
-        self.mentions = MentionTable(self.publications)
+            builder.add(pub)
+        self._hold(builder.columns(), stats)
+
+    @classmethod
+    def _of(cls, columns: _Columns, stats: IngestStats | None = None) -> Corpus:
+        corpus = cls.__new__(cls)
+        corpus._hold(columns, stats)
+        return corpus
+
+    def _hold(self, columns: _Columns, stats: IngestStats | None) -> None:
+        n = len(columns.pub_ids)
+        self._columns = columns
+        self.stats = stats if stats is not None else IngestStats(lines_read=n, accepted=n)
+        self.year = columns.year
+        self.c5 = _c5(columns)
+        self.publications: Mapping[str, PublicationRecord] = _Publications(columns)
+        self.mentions = MentionTable(columns)
 
     def __len__(self) -> int:
-        return len(self.publications)
+        return len(self._columns.pub_ids)
+
+    def discipline_masks(self) -> dict[str, np.ndarray]:
+        """Each label's mask of the publications tagged with it."""
+        columns = self._columns
+        tagged: dict[str, np.ndarray] = {}
+        for k, labels in enumerate(columns.discipline_sets):
+            for label in labels:
+                tagged.setdefault(label, np.zeros(len(columns.discipline_sets), bool))[k] = True
+        return {label: sets[columns.disciplines] for label, sets in tagged.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
         return self.publications == other.publications
 
-    def c5(self, pub_id: str) -> int:
-        """Citations received within the first five calendar years.
 
-        The publication year itself counts, so the window for a year-2000
-        paper is 2000 through 2004 inclusive.
-        """
-        pub = self.publications[pub_id]
-        horizon = pub.year + IMPACT_WINDOW_YEARS - 1
-        return sum(1 for y in pub.citing_years if pub.year <= y <= horizon)
+def _c5(columns: _Columns) -> np.ndarray:
+    """Citations received within the first five calendar years.
+
+    The publication year itself counts, so the window for a year-2000
+    paper is 2000 through 2004 inclusive.
+    """
+    n = len(columns.pub_ids)
+    owner = np.repeat(np.arange(n), np.diff(columns.citing_ptr))
+    year = columns.year[owner]
+    inside = (year <= columns.citing) & (columns.citing <= year + (IMPACT_WINDOW_YEARS - 1))
+    return np.bincount(owner[inside], minlength=n)
+
+
+class _Publications(Mapping):
+    """pub_id -> PublicationRecord, each decoded from the columns on access."""
+
+    def __init__(self, columns: _Columns):
+        self._columns = columns
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {pub_id: k for k, pub_id in enumerate(self._columns.pub_ids)}
+
+    def __getitem__(self, pub_id: str) -> PublicationRecord:
+        k = self._rows[pub_id]
+        pub_id, year, disciplines, authors, citing = next(_decoded(self._columns, k, k + 1))
+        return PublicationRecord(pub_id, year, frozenset(disciplines), tuple(authors), tuple(citing))
+
+    def __contains__(self, pub_id: object) -> bool:
+        return pub_id in self._rows
+
+    def __iter__(self):
+        return iter(self._columns.pub_ids)
+
+    def __len__(self) -> int:
+        return len(self._columns.pub_ids)
 
 
 class MentionTable:
@@ -162,47 +222,48 @@ class MentionTable:
 
     Row r is author slot r - first[pub[r]] of publication pub[r], and its
     mention id is "{pub_id}:{slot}". Counting the rows and reading pub build
-    nothing more. The coded columns are built on first use, once per table,
-    and each distinct raw string is normalized or parsed only once. A column
-    holds, per row, its value as an index into values(column); a missing
-    value is -1. A reference to a publication of the corpus has the
-    publication's index as its code. orcid, email, affiliation and journal
-    are the author's fields, normalized; given_detail is the parsed given
-    name when it is spelled out, else missing; grant_ids and references are
-    the author's lists; coauthor_names are the normalized full names of the
-    publication's other authors; disciplines are the publication's, and
-    cited_by are the corpus publications that reference it. The tests check
-    every column against a scalar description of each mention, built one
-    mention at a time. The build takes no lock: the pipeline reads mentions
-    only on its main thread, before its cohort pool starts.
+    nothing more. The derived forms are built on first use, once per table,
+    from the corpus's distinct raw values, so each distinct raw string is
+    normalized or parsed only once. A column holds, per row, its value as
+    an index into values(column); a missing value is -1. A reference to a
+    publication of the corpus has the publication's index as its code.
+    orcid, email, affiliation and journal are the author's fields,
+    normalized; given_detail is the parsed given name when it is spelled
+    out, else missing; grant_ids and references are the author's lists;
+    coauthor_names are the normalized full names of the publication's other
+    authors; disciplines are the publication's, and cited_by are the corpus
+    publications that reference it. The tests check every column against a
+    scalar description of each mention, built one mention at a time. The
+    build takes no lock: the pipeline reads mentions only on its main
+    thread, before its cohort pool starts.
     """
 
-    def __init__(self, publications: dict[str, PublicationRecord]):
-        self._publications = publications
-        sizes = np.fromiter((len(p.authors) for p in publications.values()), np.int64, len(publications))
-        self.first = _indptr(sizes)
-        self.pub = np.repeat(np.arange(len(sizes)), sizes)
+    def __init__(self, columns: _Columns):
+        self._columns = columns
+        self.first = columns.first
+        self.pub = np.repeat(np.arange(len(columns.pub_ids)), np.diff(columns.first))
 
     def __len__(self) -> int:
         return len(self.pub)
 
     @cached_property
     def ids(self) -> list[str]:
-        return [f"{pid}:{k}" for pid, pub in self._publications.items() for k in range(len(pub.authors))]
+        sizes = np.diff(self.first).tolist()
+        return [f"{pid}:{k}" for pid, n in zip(self._columns.pub_ids, sizes) for k in range(n)]
 
     @cached_property
-    def _columns(self) -> _Columns:
-        return _build_columns(self._publications, self.pub)
+    def _forms(self) -> _Forms:
+        return _build_forms(self._columns, self.pub)
 
     def block_keys(self) -> tuple[np.ndarray, list[tuple[str, str]]]:
         """Each row's (surname, first initial) as an index into the list of
         distinct keys, which is returned too."""
-        return self._columns.key, self._columns.keys
+        return self._forms.key, self._forms.keys
 
     def codes(self, column: str) -> np.ndarray:
         """The code of a single-valued column (orcid, email, given_detail,
         affiliation, journal) per row."""
-        return self._columns.codes[column]
+        return self._forms.codes[column]
 
     def pairs(self, column: str) -> tuple[np.ndarray, np.ndarray]:
         """(rows, codes) of a set-valued column (coauthor_names, grant_ids,
@@ -215,9 +276,9 @@ class MentionTable:
             others = _ranges(self.first[self.pub], sizes)
             rows, others = rows[others != rows], others[others != rows]
             # Two coauthors may share a full name; the row holds it once.
-            span = len(self._columns.values["coauthor_names"])
-            return np.divmod(np.unique(rows * span + self._columns.full_name[others]), max(span, 1))
-        indptr, flat, per_pub = self._columns.sets[column]
+            span = len(self._forms.values["coauthor_names"])
+            return np.divmod(np.unique(rows * span + self._forms.full_name[others]), max(span, 1))
+        indptr, flat, per_pub = self._forms.sets[column]
         if not per_pub:
             return np.repeat(np.arange(len(self)), np.diff(indptr)), flat
         sizes = np.diff(indptr)[self.pub]
@@ -225,11 +286,11 @@ class MentionTable:
 
     def values(self, column: str) -> list:
         """The distinct values of a column, indexed by code."""
-        return self._columns.values[column]
+        return self._forms.values[column]
 
 
-class _Columns(NamedTuple):
-    """The coded columns of a MentionTable. A set column is CSR: (indptr,
+class _Forms(NamedTuple):
+    """The derived forms of a MentionTable. A set column is CSR: (indptr,
     codes, per_pub), where per_pub says it is indexed by publication."""
 
     key: np.ndarray
@@ -240,10 +301,8 @@ class _Columns(NamedTuple):
     values: dict[str, list]
 
 
-def _build_columns(publications: dict[str, PublicationRecord], pub: np.ndarray) -> _Columns:
-    records = publications.values()
-    authors = [author for record in records for author in record.authors]
-    name, raw_names = _code(map(itemgetter("name"), authors))
+def _build_forms(columns: _Columns, pub: np.ndarray) -> _Forms:
+    name, raw_names = columns.fields["name"]
     parsed = [parse_name(raw) for raw in raw_names]
     key, keys = _code((surname, initials_of(given)[:1]) for given, surname in parsed)
     full_name, full_names = _code(normalize_text(raw.replace(".", " ")) for raw in raw_names)
@@ -252,27 +311,25 @@ def _build_columns(publications: dict[str, PublicationRecord], pub: np.ndarray) 
     codes["given_detail"], values["given_detail"] = _forms(name, parsed, _given_detail)
     for column, form in (("orcid", _strip_or_none), ("email", _lower_or_none),
                          ("affiliation", _norm_or_none), ("journal", _norm_or_none)):
-        raw, distinct = _code(map(dict.get, authors, repeat(column)))
-        codes[column], values[column] = _forms(raw, distinct, form)
+        codes[column], values[column] = _forms(*columns.fields[column], form)
 
     sets: dict[str, tuple[np.ndarray, np.ndarray, bool]] = {}
-    for column, field_name, seed in (("grant_ids", "grants", ()), ("references", "references", publications)):
-        lists = list(map(dict.get, authors, repeat(field_name), repeat(())))
-        sizes = np.fromiter(map(len, lists), np.int64, len(authors))
-        flat, values[column] = _code(chain.from_iterable(lists), seed)
-        sets[column] = (_indptr(sizes), flat, False)
-    sizes = np.fromiter((len(record.disciplines) for record in records), np.int64, len(publications))
-    flat, values["disciplines"] = _code(chain.from_iterable(record.disciplines for record in records))
-    sets["disciplines"] = (_indptr(sizes), flat, True)
+    for column, field_name in (("grant_ids", "grants"), ("references", "references")):
+        indptr, flat, values[column] = columns.lists[field_name]
+        sets[column] = (indptr, flat.astype(np.int64), False)
+    labels, values["disciplines"] = _code(chain.from_iterable(columns.discipline_sets))
+    label_ptr = _indptr(np.fromiter(map(len, columns.discipline_sets), np.int64, len(columns.discipline_sets)))
+    sizes = np.diff(label_ptr)[columns.disciplines]
+    sets["disciplines"] = (_indptr(sizes), labels[_ranges(label_ptr[columns.disciplines], sizes)], True)
     # A publication cites every corpus publication that any of its authors references.
     indptr, refs, _ = sets["references"]
-    citer = pub[np.repeat(np.arange(len(authors)), np.diff(indptr))]
-    n_pubs = len(publications)
+    citer = pub[np.repeat(np.arange(len(pub)), np.diff(indptr))]
+    n_pubs = len(columns.pub_ids)
     cited = refs < n_pubs
     target, citer = np.divmod(np.unique(refs[cited] * n_pubs + citer[cited]), max(n_pubs, 1))
     sets["cited_by"] = (_indptr(np.bincount(target, minlength=n_pubs)), citer, True)
-    values["cited_by"] = list(publications)
-    return _Columns(key[name], keys, full_name[name], codes, sets, values)
+    values["cited_by"] = columns.pub_ids
+    return _Forms(key[name], keys, full_name[name], codes, sets, values)
 
 
 def _code(values: Iterable, seed: Iterable = ()) -> tuple[np.ndarray, list]:
@@ -287,28 +344,17 @@ def _code(values: Iterable, seed: Iterable = ()) -> tuple[np.ndarray, list]:
 
 def _forms(raw: np.ndarray, distinct: list, form) -> tuple[np.ndarray, list]:
     """Codes of the form of each raw value, computed once per distinct raw
-    value, with the distinct forms; a form of None is coded -1."""
+    value, with the distinct forms; a form of None, and a raw code of -1,
+    are coded -1."""
     index: dict = {}
     lookup = [-1 if (f := form(value)) is None else index.setdefault(f, len(index)) for value in distinct]
-    return np.array(lookup, np.int64)[raw], list(index)
+    return np.array([*lookup, -1], np.int64)[raw], list(index)
 
 
 def _given_detail(parsed: tuple[str, str]) -> str | None:
     """The given name of a parsed (given, surname) when it is spelled out."""
     given = parsed[0]
     return given if full_given_name(given) is not None else None
-
-
-def _indptr(sizes: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(sizes) + 1, np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return indptr
-
-
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The concatenated ranges starts[k] .. starts[k] + sizes[k] - 1."""
-    ends = np.cumsum(sizes)
-    return np.repeat(starts - (ends - sizes), sizes) + np.arange(sizes.sum())
 
 
 def _norm_or_none(value: str | None) -> str | None:
@@ -381,6 +427,8 @@ def _validate_record(raw: object) -> PublicationRecord:
         raise _RecordError("citing_years must be an array of integers")
     if any(y < year for y in citing_raw):
         raise _RecordError("citation precedes publication")
+    if not -_YEAR_LIMIT <= year <= max(citing_raw, default=year) <= _YEAR_LIMIT:
+        raise _RecordError("year out of range")
     return PublicationRecord(
         pub_id=pub_id,
         year=year,
@@ -400,7 +448,7 @@ def ingest_lines(lines: Iterable[str], source: str = "<memory>") -> Corpus:
     records are read (:func:`collector_paused`).
     """
     stats = IngestStats()
-    records: dict[str, PublicationRecord] = {}
+    builder = _Builder()
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -415,11 +463,11 @@ def ingest_lines(lines: Iterable[str], source: str = "<memory>") -> Corpus:
         except _RecordError as exc:
             stats.rejected.append((line_no, str(exc)))
             continue
-        if record.pub_id in records:
+        if record.pub_id in builder.rows:
             raise CorpusError(f"duplicate pub_id: {record.pub_id} ({source} line {line_no})")
-        records[record.pub_id] = record
+        builder.add(record)
         stats.accepted += 1
-    return Corpus(records.values(), stats)
+    return Corpus._of(builder.columns(), stats)
 
 
 def ingest(path: str | Path) -> Corpus:
@@ -432,25 +480,24 @@ def ingest(path: str | Path) -> Corpus:
         raise CorpusError(f"cannot read corpus: {exc}") from exc
 
 
-def record_to_json(pub: PublicationRecord) -> str:
-    """Canonical single-line JSON form of a record (stable across reruns)."""
-    payload = {
-        "pub_id": pub.pub_id,
-        "year": pub.year,
-        "disciplines": ";".join(sorted(pub.disciplines)),
-        "authors": list(pub.authors),
-        "citing_years": list(pub.citing_years),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
+@collector_paused()
 def export(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical store; export after ingest is byte-stable."""
+    """Write the canonical store; export after ingest is byte-stable. The
+    cyclic garbage collector is paused while the lines are written."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
-        for pub in corpus.publications.values():
-            handle.write(record_to_json(pub))
-            handle.write("\n")
+        handle.writelines(_lines(corpus._columns))
+
+
+def _lines(columns: _Columns):
+    """Each publication's canonical line: sorted-key JSON with fixed
+    separators, and a newline."""
+    n = len(columns.pub_ids)
+    for lo in range(0, n, _BATCH):
+        for pub_id, year, disciplines, authors, citing in _decoded(columns, lo, min(lo + _BATCH, n)):
+            payload = {"authors": authors, "citing_years": citing, "disciplines": ";".join(disciplines),
+                       "pub_id": pub_id, "year": year}
+            yield _encode(payload) + "\n"
 
 
 def filter_corpus(corpus: Corpus, config: CorpusFilterConfig) -> tuple[Corpus, FilterStats]:
@@ -459,24 +506,20 @@ def filter_corpus(corpus: Corpus, config: CorpusFilterConfig) -> tuple[Corpus, F
     A publication failing several rules increments every matching counter;
     filtering an already-filtered corpus with the same config is a no-op.
     """
+    columns = corpus._columns
+    failing = {"too_many_authors": np.diff(columns.first) > config.max_authors}
+    if config.year_range is not None:
+        lo, hi = config.year_range
+        failing["year_out_of_range"] = (corpus.year < lo) | (corpus.year > hi)
+    if config.disciplines is not None:
+        allowed = [not config.disciplines.isdisjoint(labels) for labels in columns.discipline_sets]
+        failing["discipline_excluded"] = ~np.array(allowed, bool)[columns.disciplines]
+    drop = np.zeros(len(corpus), bool)
     stats = FilterStats()
-    kept: list[PublicationRecord] = []
-    for pub in corpus.publications.values():
-        drop = False
-        if len(pub.authors) > config.max_authors:
-            stats.by_rule["too_many_authors"] = stats.by_rule.get("too_many_authors", 0) + 1
-            drop = True
-        if config.year_range is not None:
-            lo, hi = config.year_range
-            if not lo <= pub.year <= hi:
-                stats.by_rule["year_out_of_range"] = stats.by_rule.get("year_out_of_range", 0) + 1
-                drop = True
-        if config.disciplines is not None and not (pub.disciplines & config.disciplines):
-            stats.by_rule["discipline_excluded"] = stats.by_rule.get("discipline_excluded", 0) + 1
-            drop = True
-        if drop:
-            stats.removed += 1
-        else:
-            kept.append(pub)
-    stats.kept = len(kept)
-    return Corpus(kept), stats
+    for rule, fails in failing.items():
+        drop |= fails
+        if hits := int(np.count_nonzero(fails)):
+            stats.by_rule[rule] = hits
+    stats.removed = int(np.count_nonzero(drop))
+    stats.kept = len(corpus) - stats.removed
+    return Corpus._of(_take(columns, np.flatnonzero(~drop)) if stats.removed else columns), stats

@@ -190,10 +190,14 @@ def reshuffle_null(
     # Each sorted position's decile as the ending part of a flat cell index.
     ending = np.arange(n, dtype=np.int64) * n_bins // n * n_bins
     group_cell = ending[start]
-    straddling = [
-        (s, ending[start[s] : start[s] + size[s]])
-        for s in np.flatnonzero(group_cell != ending[start + size - 1])
-    ]
+    straddles = group_cell != ending[start + size - 1]
+    # The straddling groups' runs, which follow one another in group order.
+    positions = ending[np.repeat(straddles, size)]
+    # Each group's rank among the straddling groups, the others ranked after
+    # them, in the smallest integer type: numpy sorts those by radix when a
+    # sort must be stable.
+    rank = np.where(straddles, np.cumsum(straddles) - 1, np.count_nonzero(straddles))
+    rank = rank.astype(np.min_scalar_type(rank.max(initial=0)))
     starting = table.q1[by_id] - 1
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
@@ -201,8 +205,8 @@ def reshuffle_null(
     for child in seq.spawn(n_reps):
         received = group[np.random.default_rng(child).permutation(n)[by_id]]
         cells = group_cell[received]
-        for s, positions in straddling:
-            cells[np.flatnonzero(received == s)] = positions
+        # The straddling receivers sort first, in group order and in id order within one.
+        cells[np.argsort(rank[received], kind="stable")[: len(positions)]] = positions
         counts += _count_cells(cells + starting, n_bins)
     return ReshuffleNull(profile=_profile(counts), matrix=TransitionMatrix.from_counts(counts), n_reps=n_reps)
 

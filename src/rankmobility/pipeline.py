@@ -16,6 +16,7 @@ pinned.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import shutil
@@ -210,21 +211,26 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
 
     threads sets the size of the pool that analyzes cohorts; no output
     depends on it. The output directory must not already contain files. The
-    bundle is written into a new temporary directory beside it and renamed
+    bundle is written into a new staging directory beside it and renamed
     onto it only when the run succeeds, so a run that fails or is killed
-    leaves no partial bundle there; a failed run also removes the temporary
-    directory, a killed one leaves it behind. The cyclic garbage collector
-    is paused for the whole process until the run returns or fails, cohort
-    pool included, because the corpus stays alive for the whole run; the
-    few thousand cyclic objects a run creates are left to the next
-    collection (:func:`collector_paused`).
+    leaves no partial bundle there. A failed run removes its staging
+    directory. A killed one leaves it behind, and the next run into the
+    same directory removes it: a run holds a lock on a file in its staging
+    directory while it runs, and removes a sibling staging directory only
+    if it can take that lock. The cyclic garbage collector is paused for
+    the whole process until the run returns or fails, cohort pool included,
+    because the corpus stays alive for the whole run; the few thousand
+    cyclic objects a run creates are left to the next collection
+    (:func:`collector_paused`).
     """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise PipelineError(f"output directory is not empty: {out}")
     target = out.absolute()
     target.parent.mkdir(parents=True, exist_ok=True)
+    _remove_left_staging(target)
     scratch = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    lock = _lock(scratch)
     try:
         # mkdtemp makes a directory only its owner may read; the bundle
         # itself is made by mkdir, with the permissions the umask gives.
@@ -234,7 +240,42 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
         os.replace(staged, target)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+        os.close(lock)
     return RunResult(out_dir=out, manifest=manifest, all_converged=all_converged)
+
+
+# The file in a staging directory that its run holds locked while it runs.
+_LOCK_FILE = "run.lock"
+
+
+def _lock(scratch: Path) -> int:
+    """A descriptor holding a lock on scratch's lock file. The file is
+    locked before it takes its name, so no other run finds it unlocked."""
+    pending = scratch / f"{_LOCK_FILE}.new"
+    fd = os.open(pending, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    os.rename(pending, scratch / _LOCK_FILE)
+    return fd
+
+
+def _remove_left_staging(target: Path) -> None:
+    """Remove each sibling .NAME.* staging directory of target whose lock
+    file no run holds; keep everything else."""
+    prefix = f".{target.name}."
+    for path in target.parent.iterdir():
+        if not path.name.startswith(prefix):
+            continue
+        try:
+            fd = os.open(path / _LOCK_FILE, os.O_RDONLY)
+        except OSError:
+            continue
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            shutil.rmtree(path, ignore_errors=True)
+        except BlockingIOError:
+            pass
+        finally:
+            os.close(fd)
 
 
 def _run(config: PipelineConfig, out: Path, threads: int) -> tuple[dict, bool]:

@@ -16,6 +16,7 @@ the corpus bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from math import isfinite
 from pathlib import Path
 from typing import Mapping
@@ -319,6 +320,14 @@ def _add_references(rng: np.random.Generator, authors: list[_Author], papers: li
             by_author[a].append(idx)
 
 
+@lru_cache(maxsize=None)
+def _even_split(n: int) -> np.ndarray:
+    """Equal probabilities over n papers, shared by every draw over n."""
+    split = np.full(n, 1.0 / n)
+    split.flags.writeable = False
+    return split
+
+
 def _simulate_citations(
     config: SynthConfig, rng: np.random.Generator, authors: list[_Author], papers: list[_Paper]
 ) -> None:
@@ -375,7 +384,7 @@ def _simulate_citations(
                 if len(mine) == 1:
                     split = [count]
                 else:
-                    split = rng.multinomial(count, np.full(len(mine), 1.0 / len(mine)))
+                    split = rng.multinomial(count, _even_split(len(mine)))
                 for paper_idx, events in zip(mine, split):
                     if events == 0:
                         continue
@@ -404,39 +413,49 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, str]]:
     _add_references(rng, authors, papers)
     _simulate_citations(config, rng, authors, papers)
 
-    records: list[PublicationRecord] = []
     truth: dict[str, str] = {}
+    return Corpus(_records(config, rng, authors, papers, truth)), truth
+
+
+def _records(config: SynthConfig, rng: np.random.Generator, authors: list[_Author], papers: list[_Paper],
+             truth: dict[str, str]):
+    """Each paper as a record, in paper order, with each mention's true
+    author id put into truth."""
+    # Five draws per mention, in mention order: the same numbers as one
+    # rng.random() call per draw.
+    draws = rng.random((sum(len(paper.authors) for paper in papers), 5))
+    row = 0
     for paper in papers:
         mentions = []
-        for pos, author_idx in enumerate(paper.authors):
+        for pos, (author_idx, (initials, orcid, email, affiliation, grants)) in enumerate(
+            zip(paper.authors, draws[row:row + len(paper.authors)].tolist())
+        ):
             author = authors[author_idx]
-            if rng.random() < config.p_initials_only:
+            if initials < config.p_initials_only:
                 name = f"{author.given[0]}. {author.surname}"
             else:
                 name = f"{author.given} {author.surname}"
             mention: dict = {"name": name, "journal": paper.journal}
             if paper.references:
                 mention["references"] = list(paper.references)
-            if rng.random() >= config.p_missing_orcid:
+            if orcid >= config.p_missing_orcid:
                 mention["orcid"] = author.orcid
-            if rng.random() >= P_MISSING_EMAIL:
+            if email >= P_MISSING_EMAIL:
                 mention["email"] = author.email
-            if rng.random() >= P_MISSING_AFFILIATION:
+            if affiliation >= P_MISSING_AFFILIATION:
                 mention["affiliation"] = author.affiliation
-            if rng.random() >= P_MISSING_GRANTS:
+            if grants >= P_MISSING_GRANTS:
                 mention["grants"] = sorted(author.grants)
             mentions.append(mention)
             truth[f"{paper.pub_id}:{pos}"] = f"A{author_idx:06d}"
-        records.append(
-            PublicationRecord(
-                pub_id=paper.pub_id,
-                year=paper.year,
-                disciplines=frozenset(paper.disciplines),
-                authors=tuple(mentions),
-                citing_years=tuple(sorted(paper.citing_years)),
-            )
+        row += len(paper.authors)
+        yield PublicationRecord(
+            pub_id=paper.pub_id,
+            year=paper.year,
+            disciplines=frozenset(paper.disciplines),
+            authors=tuple(mentions),
+            citing_years=tuple(sorted(paper.citing_years)),
         )
-    return Corpus(records), truth
 
 
 def sample_transitions(

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 from rankmobility.cohort import build_profiles
-from rankmobility.corpus import ingest_lines, record_to_json
+from rankmobility.corpus import _lines, ingest_lines
 from rankmobility.disambig import MentionCluster, ScoringRuleTable
 
 
@@ -53,7 +53,7 @@ def corpus_of(*records):
 
 def export_lines(corpus):
     """The lines export writes for a corpus, without the newlines."""
-    return [record_to_json(pub) for pub in corpus.publications.values()]
+    return [line[:-1] for line in _lines(corpus._columns)]
 
 
 @pytest.fixture(autouse=True)

@@ -1,21 +1,114 @@
-"""The scalar pair oracle that the mention table and the block scorer are
-tested against.
+"""The scalar oracles that the corpus columns, the mention table and the
+block scorer are tested against.
 
-It describes every mention as one AuthorMention and every criterion as a
-comparison of two of them, one pair at a time. The package itself scores
-pairs only from the coded columns of a corpus's MentionTable, a block at a
-time (disambig.cluster_block); the tests check that both give the same
-values, the same satisfied criteria and the same clusters.
+The record path holds a corpus as one PublicationRecord per publication:
+ingest_records validates each line into one, record_to_json writes its
+canonical line, filter_records keeps or drops it and c5 counts its early
+citations. The package itself holds a corpus as columns (corpus.Corpus);
+the tests check that both ingest, filter and export alike, byte for byte.
+
+The pair oracle describes every mention as one AuthorMention and every
+criterion as a comparison of two of them, one pair at a time. The package
+itself scores pairs only from the coded columns of a corpus's
+MentionTable, a block at a time (disambig.cluster_block); the tests check
+that both give the same values, the same satisfied criteria and the same
+clusters.
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
-from rankmobility.corpus import PublicationRecord, _lower_or_none, _norm_or_none, _strip_or_none
+from rankmobility.corpus import (
+    IMPACT_WINDOW_YEARS,
+    CorpusError,
+    CorpusFilterConfig,
+    FilterStats,
+    IngestStats,
+    PublicationRecord,
+    _lower_or_none,
+    _norm_or_none,
+    _RecordError,
+    _strip_or_none,
+    _validate_record,
+)
 from rankmobility.disambig import _CRITERIA_TABLE, BlockKey, ScoringRuleTable
 from rankmobility.names import full_given_name, initials_of, normalize_text, parse_name
+
+
+def ingest_records(lines: Iterable[str], source: str = "<memory>") -> tuple[dict[str, PublicationRecord], IngestStats]:
+    """Every accepted line as a record, by pub_id in corpus order, with the
+    ingest counts; a duplicate pub_id raises CorpusError."""
+    stats = IngestStats()
+    records: dict[str, PublicationRecord] = {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        stats.lines_read += 1
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            stats.rejected.append((line_no, f"invalid JSON: {exc.msg}"))
+            continue
+        try:
+            record = _validate_record(raw)
+        except _RecordError as exc:
+            stats.rejected.append((line_no, str(exc)))
+            continue
+        if record.pub_id in records:
+            raise CorpusError(f"duplicate pub_id: {record.pub_id} ({source} line {line_no})")
+        records[record.pub_id] = record
+        stats.accepted += 1
+    return records, stats
+
+
+def record_to_json(pub: PublicationRecord) -> str:
+    """Canonical single-line JSON form of a record (stable across reruns)."""
+    payload = {
+        "pub_id": pub.pub_id,
+        "year": pub.year,
+        "disciplines": ";".join(sorted(pub.disciplines)),
+        "authors": list(pub.authors),
+        "citing_years": list(pub.citing_years),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def filter_records(
+    records: Iterable[PublicationRecord], config: CorpusFilterConfig
+) -> tuple[list[PublicationRecord], FilterStats]:
+    """The records that pass the retention rules, with per-rule counts."""
+    stats = FilterStats()
+    kept: list[PublicationRecord] = []
+    for pub in records:
+        drop = False
+        if len(pub.authors) > config.max_authors:
+            stats.by_rule["too_many_authors"] = stats.by_rule.get("too_many_authors", 0) + 1
+            drop = True
+        if config.year_range is not None:
+            lo, hi = config.year_range
+            if not lo <= pub.year <= hi:
+                stats.by_rule["year_out_of_range"] = stats.by_rule.get("year_out_of_range", 0) + 1
+                drop = True
+        if config.disciplines is not None and not (pub.disciplines & config.disciplines):
+            stats.by_rule["discipline_excluded"] = stats.by_rule.get("discipline_excluded", 0) + 1
+            drop = True
+        if drop:
+            stats.removed += 1
+        else:
+            kept.append(pub)
+    stats.kept = len(kept)
+    return kept, stats
+
+
+def c5(pub: PublicationRecord) -> int:
+    """Citations received within the first five calendar years, the
+    publication year included."""
+    horizon = pub.year + IMPACT_WINDOW_YEARS - 1
+    return sum(1 for y in pub.citing_years if pub.year <= y <= horizon)
 
 
 @dataclass(frozen=True, slots=True)

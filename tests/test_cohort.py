@@ -10,7 +10,7 @@ from rankmobility.disambig import MentionCluster
 from rankmobility.inequality import gini, population_gini_series
 
 from conftest import careers_of, corpus_of, make_record
-from oracle import build_mentions
+from oracle import build_mentions, c5
 
 
 def members_of(careers, spec):
@@ -170,7 +170,7 @@ def scan(corpus, cluster, discipline, lo, hi):
         for pid in pub_ids
         if lo <= corpus.publications[pid].year <= hi and discipline in corpus.publications[pid].disciplines
     ]
-    return bool(hits), sum(corpus.c5(pid) for pid in hits)
+    return bool(hits), sum(c5(corpus.publications[pid]) for pid in hits)
 
 
 @settings(max_examples=80, deadline=None)

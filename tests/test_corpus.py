@@ -2,8 +2,11 @@ import copy
 import gc
 import itertools
 import json
+import sys
+import tracemalloc
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +21,12 @@ from rankmobility.corpus import (
     filter_corpus,
     ingest,
     ingest_lines,
-    record_to_json,
 )
 
+from rankmobility.synth import SynthConfig, generate_corpus
+
 from conftest import collector_set, corpus_of, export_lines, make_record
-from oracle import build_mentions
+from oracle import build_mentions, c5, filter_records, ingest_records, record_to_json
 
 
 def test_ingest_accepts_minimal_record():
@@ -56,6 +60,20 @@ def test_ingest_rejects_bad_records(mutation, reason_part):
     line, reason = corpus.stats.rejected[0]
     assert line == 1
     assert reason_part in reason
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"year": 2**62 + 1}, {"year": -(2**62) - 1}, {"year": 2**63, "citing_years": []}, {"citing_years": [2**62 + 1]}],
+)
+def test_years_beyond_what_the_columns_hold_are_rejected(edit, record_schema):
+    record = make_record("P1", year=2000)
+    record.update(edit)
+    corpus = corpus_of(record)
+    assert corpus.stats.rejected == [(1, "year out of range")]
+    assert not record_schema.is_valid(record)
+    record.update(year=2**62, citing_years=[2**62])
+    assert len(corpus_of(record)) == 1 and record_schema.is_valid(record)
 
 
 def test_ingest_rejects_invalid_json_line_but_continues():
@@ -114,12 +132,12 @@ def test_ingest_keeps_the_collector_state(tmp_path, records, error, enabled):
 
 def test_c5_counts_five_calendar_years_inclusive():
     corpus = corpus_of(make_record("P1", year=2000, citing_years=[2000, 2003, 2004, 2006]))
-    assert corpus.c5("P1") == 3
+    assert corpus.c5.tolist() == [3]
 
 
 def test_c5_zero_without_citations():
     corpus = corpus_of(make_record("P1"))
-    assert corpus.c5("P1") == 0
+    assert corpus.c5.tolist() == [0]
 
 
 def test_mention_derivation():
@@ -425,7 +443,135 @@ def test_corpus_equality_ignores_stats():
 
 def test_record_to_json_is_canonical():
     corpus = corpus_of(make_record("P1", disciplines="B; A"))
-    pub = corpus.publications["P1"]
-    line = record_to_json(pub)
+    (line,) = export_lines(corpus)
+    assert line == record_to_json(corpus.publications["P1"])
     assert '"disciplines":"A;B"' in line
     assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+# Pub ids of the corpora below, and ids that no corpus publication has.
+_POOL = ["P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8"]
+_OUTSIDE = ["X1", "Ω2"]
+# Blank, padded, non-ASCII and escaped strings.
+_STRINGS = st.sampled_from(["", "  ", " Ünï  Bonn ", 'say "hi"\\', "tab\tnew\nline", "日本", " "]) | st.text(
+    st.characters(exclude_categories=("Cs",)), max_size=5
+)
+_MENTION = st.fixed_dictionaries(
+    {"name": st.sampled_from(["Ada Park", "José García", "A. Park", 'Å "Q" Öl']) | _STRINGS.filter(str.strip)},
+    optional={
+        **dict.fromkeys(("affiliation", "email", "orcid", "journal"), st.none() | _STRINGS),
+        # Unsorted, with repeats; references to corpus publications and to others.
+        "grants": st.lists(st.sampled_from(["g2", "g1", "G1", " "]), max_size=4),
+        "references": st.lists(st.sampled_from(_POOL + _OUTSIDE), max_size=4),
+    },
+)
+_PUBLICATION = st.fixed_dictionaries(
+    {
+        "pub_id": st.sampled_from(_POOL),
+        "year": st.integers(1998, 2003),
+        # Blank labels and repeated ones.
+        "disciplines": st.sampled_from(["A", "B;A", " ; A;A ;", "", "C; B", "  ", "Ä;B"]),
+        "authors": st.lists(_MENTION, min_size=1, max_size=4),
+        "citing_years": st.lists(st.integers(2003, 2010), max_size=5),
+    }
+)
+# Lines that ingest rejects or skips.
+_OTHER_LINES = st.sampled_from(["{bad", "", "  ", "[]", '{"pub_id": "P9"}', json.dumps(make_record("P9", year=2001.0))])
+
+
+@st.composite
+def _corpus_lines(draw):
+    """Corpus lines: publications with distinct ids, some in escaped ASCII,
+    a few other lines, and now and then a repeated pub_id."""
+    publications = draw(st.lists(_PUBLICATION, max_size=6, unique_by=lambda p: p["pub_id"]))
+    lines = [json.dumps(p, ensure_ascii=draw(st.booleans())) for p in publications]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_OTHER_LINES))
+    if publications and draw(st.integers(0, 9)) == 0:
+        lines.append(json.dumps(draw(st.sampled_from(publications))))
+    return lines
+
+
+_FILTERS = st.tuples(
+    st.integers(1, 4),
+    st.tuples(st.integers(1998, 2003), st.integers(0, 3)).map(lambda lo_width: (lo_width[0], sum(lo_width))),
+    st.sets(st.sampled_from(["A", "B", "C", "Ä", "D"]), min_size=1),
+).map(lambda rules: [
+    CorpusFilterConfig(max_authors=rules[0]),
+    CorpusFilterConfig(year_range=rules[1]),
+    CorpusFilterConfig(disciplines=frozenset(rules[2])),
+    CorpusFilterConfig(max_authors=rules[0], year_range=rules[1], disciplines=frozenset(rules[2])),
+])
+
+
+def _plain(columns):
+    """A corpus's columns as lists, for comparing two of them."""
+    if isinstance(columns, np.ndarray):
+        return columns.tolist()
+    if isinstance(columns, dict):
+        return {key: _plain(value) for key, value in columns.items()}
+    if isinstance(columns, (tuple, list)):
+        return [_plain(value) for value in columns]
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_corpus_lines(), configs=_FILTERS)
+def test_columns_ingest_filter_and_export_as_the_record_path(lines, configs):
+    try:
+        records, stats = ingest_records(lines)
+    except CorpusError as exc:
+        with pytest.raises(CorpusError) as columnar:
+            ingest_lines(lines)
+        assert str(columnar.value) == str(exc)
+        return
+    corpus = ingest_lines(lines)
+    assert corpus.stats == stats
+    assert export_lines(corpus) == list(map(record_to_json, records.values()))
+    assert dict(corpus.publications) == records
+    assert corpus.c5.tolist() == list(map(c5, records.values()))
+    for config in configs:
+        kept, filter_stats = filter_corpus(corpus, config)
+        kept_records, expected_stats = filter_records(records.values(), config)
+        assert filter_stats == expected_stats
+        kept_lines = export_lines(kept)
+        assert kept_lines == list(map(record_to_json, kept_records))
+        # The kept publications are coded as a corpus of just them codes them.
+        assert _plain(kept._columns) == _plain(ingest_lines(kept_lines)._columns)
+
+
+def test_ingest_keeps_the_bytes_of_its_columns_per_mention():
+    """What ingest keeps, as tracemalloc counts it, stays below a bound worked
+    out from the columns, and the record path keeps at least three times it."""
+    generated, _ = generate_corpus(SynthConfig(n_authors=300, seed=3, name_collision_rate=0.2))
+    lines = export_lines(generated)
+    del generated
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        corpus = ingest_lines(lines)
+        kept = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        records = ingest_records(lines)
+        kept_by_records = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    del records
+    n_mentions, n_pubs = len(corpus.mentions), len(corpus)
+    columns = corpus._columns
+    entries = sum(len(codes) for _, codes, _ in columns.lists.values())
+    # Each distinct string once, and a list slot for it.
+    distinct = [*(values for _, values in columns.fields.values()), columns.lists["grants"][2],
+                columns.lists["references"][2][n_pubs:], columns.pub_ids]
+    strings = sum(sys.getsizeof(value) + 8 for values in distinct for value in values)
+    # Per mention: five field codes (int32), its row's publication (int64)
+    # and two list offsets (int64). Per list entry a code (int32). Per
+    # publication: year, c5, citing and mention offsets (int64), a
+    # discipline-set code (int32) and a slot in two lists of pub_ids. Per
+    # citing year an int64.
+    arithmetic = (n_mentions * (5 * 4 + 8 + 2 * 8) + entries * 4 + n_pubs * (4 * 8 + 4 + 2 * 8)
+                  + len(columns.citing) * 8 + strings)
+    bound = 1.5 * arithmetic + 64 * 1024
+    assert kept < bound
+    assert kept_by_records > 3 * bound

@@ -1,3 +1,4 @@
+import fcntl
 import gc
 import hashlib
 import importlib.util
@@ -355,6 +356,74 @@ def test_killed_run_leaves_no_partial_bundle(tmp_path):
     assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
 
 
+def _quick_runs(monkeypatch):
+    """Make run_pipeline stage an empty bundle without running anything."""
+    monkeypatch.setattr(pipeline, "_run", lambda config, out, threads: ({}, True))
+
+
+def _staging_dirs(parent):
+    return sorted(path.name for path in parent.iterdir() if path.name.startswith("."))
+
+
+def test_next_run_removes_the_staging_directory_a_killed_run_left(tmp_path, monkeypatch):
+    # A run that stalls once its staging directory is set up, and is killed there.
+    script = (
+        "import sys, time\n"
+        "from rankmobility import pipeline\n"
+        "def stalled(config, out, threads):\n"
+        "    print('staged', flush=True)\n"
+        "    time.sleep(120)\n"
+        "pipeline._run = stalled\n"
+        "config = pipeline.PipelineConfig.from_json({'corpus': 'c.jsonl', 'disciplines': ['A'], 'cohort_years': [2000]})\n"
+        "pipeline.run_pipeline(config, sys.argv[1])\n"
+    )
+    out = tmp_path / "runs" / "out"
+    src = str(Path(rankmobility.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", script, str(out)], env=env, stdout=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"staged\n"
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+        proc.stdout.close()
+    (left,) = _staging_dirs(out.parent)
+    assert left.startswith(".out.") and (out.parent / left / "run.lock").is_file()
+
+    _quick_runs(monkeypatch)
+    run_pipeline(pipeline_config(tmp_path / "c.jsonl"), out)
+    assert _staging_dirs(out.parent) == []
+    assert out.is_dir()
+
+
+def test_a_run_keeps_a_staging_directory_whose_lock_is_held(tmp_path, monkeypatch):
+    busy = tmp_path / ".out.busy1234"
+    busy.mkdir()
+    with (busy / "run.lock").open("w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        _quick_runs(monkeypatch)
+        run_pipeline(pipeline_config(tmp_path / "c.jsonl"), tmp_path / "out")
+        assert _staging_dirs(tmp_path) == [".out.busy1234"]
+
+
+def test_a_run_keeps_every_other_dotted_directory(tmp_path, monkeypatch):
+    # A directory with no lock file, another output's staging directory, a
+    # dotted directory that is no staging directory, and a file.
+    (tmp_path / ".out.nolock12").mkdir()
+    (tmp_path / ".outer.abcd1234").mkdir()
+    (tmp_path / ".outer.abcd1234" / "run.lock").touch()
+    (tmp_path / ".other").mkdir()
+    (tmp_path / ".other" / "run.lock").touch()
+    (tmp_path / ".out.file").write_text("x", encoding="utf-8")
+    before = _staging_dirs(tmp_path)
+    _quick_runs(monkeypatch)
+    run_pipeline(pipeline_config(tmp_path / "c.jsonl"), tmp_path / "out")
+    assert _staging_dirs(tmp_path) == before
+
+
 def test_small_cohorts_are_skipped_not_fatal(bundle, tmp_path):
     config, _ = bundle
     strict = PipelineConfig.from_json(
@@ -575,15 +644,16 @@ def test_each_cohort_is_built_once(tmp_path, monkeypatch):
 
 @pytest.fixture
 def mention_builds(monkeypatch):
-    """The row count of each mention table any corpus builds from here on."""
+    """The row count of each mention table whose derived forms any corpus
+    builds from here on."""
     built = {"tables": []}
-    build_columns = corpus._build_columns
+    build_forms = corpus._build_forms
 
-    def counting_columns(publications, pub):
+    def counting_forms(columns, pub):
         built["tables"].append(len(pub))
-        return build_columns(publications, pub)
+        return build_forms(columns, pub)
 
-    monkeypatch.setattr(corpus, "_build_columns", counting_columns)
+    monkeypatch.setattr(corpus, "_build_forms", counting_forms)
     return built
 
 
