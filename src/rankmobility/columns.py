@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from collections.abc import Iterable
-from itertools import chain, compress, count, repeat
+from itertools import chain, count, repeat
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -32,10 +32,9 @@ class _Columns(NamedTuple):
     its mention rows first[k]:first[k + 1]. Per mention: fields maps each
     single-valued field to (codes, values), a field's value being
     values[code] and an absent one -1, and lists maps each list-valued
-    field to CSR (indptr, codes, values). Codes number the values in order
-    of first appearance, except that a reference to a publication of the
-    corpus has the publication's index as its code: the references' values
-    are pub_ids followed by the others.
+    field to CSR (indptr, codes, values). Every coded column numbers its
+    values by first appearance (_Coder), the references after pub_ids, so a
+    reference to a publication of the corpus has its index as its code.
     """
 
     pub_ids: list[str]
@@ -49,21 +48,54 @@ class _Columns(NamedTuple):
     lists: dict[str, tuple[np.ndarray, np.ndarray, list]]
 
 
-class _Builder:
-    """Grows a corpus's columns from records, a batch at a time.
+class _Coder:
+    """Numbers values in order of first appearance, a batch at a time.
 
-    Each column's values are coded by first appearance: a dict maps each
-    distinct value to its position in the stream of the column's values,
-    so the positions rise in order of first appearance, and the end ranks
-    them into consecutive codes. None, an absent field, is coded -1. No
-    record outlives its batch.
+    The seed values, distinct and none missing, take codes 0..s-1 in their
+    order; every other value takes the next code when it first appears. A
+    missing value, None or -1, is coded -1. A dict maps each distinct value
+    to its position in the stream of values, so the positions rise in order
+    of first appearance, and the end ranks them into consecutive codes.
     """
+
+    def __init__(self, seed: Iterable = ()) -> None:
+        self._at: dict = {None: -1, -1: -1}
+        self._at.update(zip(seed, count()))
+        self._coded = len(self._at) - 2
+        self._chunks: list[np.ndarray] = []
+
+    def add(self, values: Iterable, n: int = -1) -> None:
+        positions = np.fromiter(map(self._at.setdefault, values, count(self._coded)), np.int64, n)
+        self._coded += len(positions)
+        self._chunks.append(positions)
+
+    def codes(self) -> tuple[np.ndarray, list]:
+        """The code of every value added, in order, and the distinct values
+        by code (the seed first)."""
+        at = self._at
+        # rank[p] is the code of the value first seen at position p; a
+        # missing value's position, -1, reads the last slot, whose code is -1.
+        rank = np.empty(self._coded + 1, np.int32)
+        rank[np.fromiter(at.values(), np.int64, len(at))[2:]] = np.arange(len(at) - 2)
+        rank[-1] = -1
+        return np.concatenate([rank[positions] for positions in self._chunks]), list(at)[2:]
+
+
+def _code(values: Iterable, seed: Iterable = ()) -> tuple[np.ndarray, list]:
+    """values coded in one batch by a _Coder with the seed, and the distinct values."""
+    coder = _Coder(seed)
+    coder.add(values)
+    return coder.codes()
+
+
+class _Builder:
+    """Grows a corpus's columns from records, a batch at a time, each coded
+    column through its own _Coder. No record outlives its batch."""
 
     def __init__(self) -> None:
         self.rows: dict[str, int] = {}
         self._batch: list[PublicationRecord] = []
-        self._seen = {column: {None: -1} for column in ("disciplines", *_SCALARS, *_LISTS)}
-        self._coded = dict.fromkeys(self._seen, 0)
+        self._coders = {column: _Coder() for column in ("disciplines", *_SCALARS, *_LISTS)}
         self._chunks: dict[str, list[np.ndarray]] = defaultdict(list)
 
     def add(self, record: PublicationRecord) -> None:
@@ -72,60 +104,44 @@ class _Builder:
         if len(self._batch) == _BATCH:
             self._flush()
 
-    def _code(self, column: str, values: Iterable, n: int = -1) -> None:
-        codes = np.fromiter(map(self._seen[column].setdefault, values, count(self._coded[column])), np.int64, n)
-        self._coded[column] += len(codes)
-        self._chunks[column].append(codes)
-
     def _sizes(self, column: str, lists: list) -> None:
         self._chunks[column].append(np.fromiter(map(len, lists), np.int64, len(lists)))
 
     def _flush(self) -> None:
         records, self._batch = self._batch, []
         self._chunks["year"].append(np.fromiter(map(attrgetter("year"), records), np.int64, len(records)))
-        self._code("disciplines", map(attrgetter("disciplines"), records), len(records))
+        self._coders["disciplines"].add(map(attrgetter("disciplines"), records), len(records))
         citing = list(map(attrgetter("citing_years"), records))
         self._sizes("citing_sizes", citing)
         self._chunks["citing"].append(np.fromiter(chain.from_iterable(citing), np.int64))
         authors = list(map(attrgetter("authors"), records))
         self._sizes("authors", authors)
         authors = list(chain.from_iterable(authors))
-        self._code("name", map(itemgetter("name"), authors), len(authors))
+        self._coders["name"].add(map(itemgetter("name"), authors), len(authors))
         for column in _SCALARS[1:]:
-            self._code(column, map(dict.get, authors, repeat(column)), len(authors))
+            self._coders[column].add(map(dict.get, authors, repeat(column)), len(authors))
         for column in _LISTS:
             lists = [author.get(column) or () for author in authors]
             self._sizes(f"{column}_sizes", lists)
-            self._code(column, chain.from_iterable(lists))
+            self._coders[column].add(chain.from_iterable(lists))
 
     def _column(self, name: str) -> np.ndarray:
         chunks = self._chunks[name]
         return np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
 
-    def _ranked(self, column: str) -> tuple[np.ndarray, list]:
-        seen = self._seen[column]
-        # rank[p] is the code of the value first seen at position p; None's
-        # position, -1, reads the last slot, whose code is -1.
-        rank = np.empty(self._coded[column] + 1, np.int32)
-        rank[np.fromiter(seen.values(), np.int64, len(seen))] = np.arange(-1, len(seen) - 1)
-        chunks = self._chunks.pop(column, [])
-        return (np.concatenate([rank[codes] for codes in chunks]) if chunks else rank[:0]), list(seen)[1:]
-
     def columns(self) -> _Columns:
         self._flush()
         pub_ids = list(self.rows)
-        fields = {column: self._ranked(column) for column in _SCALARS}
+        # Each coder is dropped once ranked, and its positions with it.
+        fields = {column: self._coders.pop(column).codes() for column in _SCALARS}
         lists = {}
         for column in _LISTS:
-            codes, values = self._ranked(column)
+            codes, values = self._coders.pop(column).codes()
             if column == "references":
-                # Corpus publications take codes 0..n-1, the others follow as first seen.
-                target = np.fromiter(map(self.rows.get, values, repeat(-1)), np.int64, len(values))
-                external = target < 0
-                target[external] = len(pub_ids) + np.arange(np.count_nonzero(external))
-                codes, values = target[codes].astype(np.int32), pub_ids + list(compress(values, external.tolist()))
+                recoded, values = _code(values, pub_ids)
+                codes = recoded[codes]
             lists[column] = (_indptr(self._column(f"{column}_sizes")), codes, values)
-        disciplines, discipline_sets = self._ranked("disciplines")
+        disciplines, discipline_sets = self._coders.pop("disciplines").codes()
         discipline_sets = [tuple(sorted(labels)) for labels in discipline_sets]
         return _Columns(
             pub_ids=pub_ids,
@@ -146,34 +162,19 @@ def _take(columns: _Columns, pubs: np.ndarray) -> _Columns:
     left out becomes one to outside the corpus."""
     sizes = np.diff(columns.first)[pubs]
     rows = _ranges(columns.first[pubs], sizes)
-    pub_ids = list(map(columns.pub_ids.__getitem__, pubs.tolist()))
-    fields = {}
-    for column, (codes, values) in columns.fields.items():
-        codes, old = _renumber(codes[rows])
-        fields[column] = (codes, list(map(values.__getitem__, old.tolist())))
+    fields = {column: _recode(codes[rows], values) for column, (codes, values) in columns.fields.items()}
     lists = {}
     for column, (indptr, codes, values) in columns.lists.items():
         held = np.diff(indptr)[rows]
-        codes = codes[_ranges(indptr[rows], held)]
-        if column == "references":
-            n = len(columns.pub_ids)
-            kept = np.full(n + 1, -1, np.int32)
-            kept[pubs] = np.arange(len(pubs))
-            internal = kept[np.minimum(codes, n)]
-            external, old = _renumber(np.where(internal < 0, codes, -1))
-            codes = np.where(internal < 0, len(pubs) + external, internal)
-            values = pub_ids + list(map(values.__getitem__, old.tolist()))
-        else:
-            codes, old = _renumber(codes)
-            values = list(map(values.__getitem__, old.tolist()))
-        lists[column] = (_indptr(held), codes, values)
-    disciplines, old = _renumber(columns.disciplines[pubs])
+        seed = pubs.tolist() if column == "references" else ()
+        lists[column] = (_indptr(held), *_recode(codes[_ranges(indptr[rows], held)], values, seed))
+    disciplines, discipline_sets = _recode(columns.disciplines[pubs], columns.discipline_sets)
     cited = np.diff(columns.citing_ptr)[pubs]
     return _Columns(
-        pub_ids=pub_ids,
+        pub_ids=list(map(columns.pub_ids.__getitem__, pubs.tolist())),
         year=columns.year[pubs],
         disciplines=disciplines,
-        discipline_sets=list(map(columns.discipline_sets.__getitem__, old.tolist())),
+        discipline_sets=discipline_sets,
         citing_ptr=_indptr(cited),
         citing=columns.citing[_ranges(columns.citing_ptr[pubs], cited)],
         first=_indptr(sizes),
@@ -182,17 +183,10 @@ def _take(columns: _Columns, pubs: np.ndarray) -> _Columns:
     )
 
 
-def _renumber(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """codes numbered 0.. in order of first appearance, -1 kept, with the
-    old code of each new one."""
-    held = codes >= 0
-    old, first, inverse = np.unique(codes[held], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), codes.dtype)
-    rank[order] = np.arange(len(order))
-    renumbered = np.full(len(codes), -1, codes.dtype)
-    renumbered[held] = rank[inverse]
-    return renumbered, old[order]
+def _recode(codes: np.ndarray, values: list, seed: Iterable = ()) -> tuple[np.ndarray, list]:
+    """codes coded afresh, the seed's old codes first, with their values."""
+    codes, old = _code(codes.tolist(), seed)
+    return codes, list(map(values.__getitem__, old))
 
 
 def _decoded(columns: _Columns, lo: int, hi: int):

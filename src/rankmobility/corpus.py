@@ -24,13 +24,13 @@ from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .columns import _BATCH, _Builder, _Columns, _decoded, _indptr, _ranges, _take
+from .columns import _BATCH, _Builder, _Columns, _code, _decoded, _indptr, _ranges, _take
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
 IMPACT_WINDOW_YEARS = 5
@@ -332,23 +332,12 @@ def _build_forms(columns: _Columns, pub: np.ndarray) -> _Forms:
     return _Forms(key[name], keys, full_name[name], codes, sets, values)
 
 
-def _code(values: Iterable, seed: Iterable = ()) -> tuple[np.ndarray, list]:
-    """Each value's index in the list of distinct values, which is returned
-    too: the seed values first, then the others as first seen."""
-    index = {value: k for k, value in enumerate(seed)}
-    # A new value is first coded by its position in values (past the seed);
-    # ranking those codes among the distinct values' makes them consecutive.
-    codes = np.fromiter(map(index.setdefault, values, count(len(index))), np.int64)
-    return np.searchsorted(np.fromiter(index.values(), np.int64, len(index)), codes), list(index)
-
-
 def _forms(raw: np.ndarray, distinct: list, form) -> tuple[np.ndarray, list]:
     """Codes of the form of each raw value, computed once per distinct raw
     value, with the distinct forms; a form of None, and a raw code of -1,
     are coded -1."""
-    index: dict = {}
-    lookup = [-1 if (f := form(value)) is None else index.setdefault(f, len(index)) for value in distinct]
-    return np.array([*lookup, -1], np.int64)[raw], list(index)
+    codes, forms = _code(map(form, distinct))
+    return np.append(codes, -1)[raw], forms
 
 
 def _given_detail(parsed: tuple[str, str]) -> str | None:

@@ -35,7 +35,7 @@ def model_matrix(d: float, n_bins: int = DEFAULT_BINS) -> np.ndarray:
     Parameters
     ----------
     d : float
-        Diffusion coefficient, strictly positive.
+        Diffusion coefficient, strictly positive and finite.
     n_bins : int
         Matrix size (10 for deciles).
 
@@ -45,8 +45,8 @@ def model_matrix(d: float, n_bins: int = DEFAULT_BINS) -> np.ndarray:
         n_bins x n_bins matrix; entry (i, j), 0-based, is
         exp(-(i-j)^2/d) / sum_l exp(-(l-j)^2/d).
     """
-    if not d > 0:
-        raise ValueError("diffusion coefficient must be positive")
+    if not 0 < d < np.inf:
+        raise ValueError("diffusion coefficient must be positive and finite")
     offsets = np.arange(n_bins, dtype=float)
     distance_sq = (offsets[:, None] - offsets[None, :]) ** 2
     weights = np.exp(-distance_sq / d)
@@ -127,8 +127,8 @@ def _fit(
     if len({m.shape for m in arrays}) > 1:
         raise ValueError("all matrices must share one shape")
     lo, hi = bracket
-    if not (0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < np.inf:
+        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
     if grid_points < 2:
         raise ValueError("grid needs at least two points")
     n_bins = arrays[0].shape[0]

@@ -85,6 +85,8 @@ class PipelineConfig:
             raise PipelineError("min_cohort_size must be at least 10 (decile split)")
         if not 0 < self.fit_bracket[0] < self.fit_bracket[1] < inf:
             raise PipelineError("fit_bracket must satisfy 0 < lo < hi < inf")
+        if self.fit_grid_points < 2:
+            raise PipelineError("fit_grid_points must be at least 2")
         for key in ("disciplines", "cohort_years"):
             items = getattr(self, key)
             for k, item in enumerate(items):

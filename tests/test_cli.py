@@ -562,6 +562,15 @@ def test_full_command_chain(capsys, tmp_path):
     assert len(read_rank_table_csv(sampled)) == 1200
 
 
+@pytest.mark.parametrize("d", ["inf", "1e400"])
+def test_synth_transitions_rejects_non_finite_d(capsys, tmp_path, d):
+    out = tmp_path / "sampled.csv"
+    code, _, err = run_cli(capsys, "synth", "transitions", "--d", d, "--n", "1000", "--out", str(out))
+    assert code == 2
+    assert "diffusion coefficient must be positive and finite" in err
+    assert not out.exists()
+
+
 def test_short_rank_table_row_is_a_data_error(capsys, tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("author_id,impact1,impact2,q1,q2\na,1\n", encoding="utf-8")

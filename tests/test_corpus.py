@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmobility.columns import _code, _Coder
 from rankmobility.corpus import (
     Corpus,
     CorpusError,
@@ -538,6 +539,33 @@ def test_columns_ingest_filter_and_export_as_the_record_path(lines, configs):
         assert kept_lines == list(map(record_to_json, kept_records))
         # The kept publications are coded as a corpus of just them codes them.
         assert _plain(kept._columns) == _plain(ingest_lines(kept_lines)._columns)
+
+
+# Values a column may code: strings, tuples, frozensets and ints, and the
+# missing values None and -1.
+_VALUES = (st.text(max_size=2) | st.tuples(st.text(max_size=1), st.integers(0, 2))
+           | st.frozensets(st.sampled_from("ab")) | st.integers(-2, 4) | st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_coder_numbers_values_by_first_appearance(data):
+    stream = data.draw(st.lists(_VALUES, max_size=30))
+    seed = data.draw(st.lists(_VALUES.filter(lambda value: value is not None and value != -1), unique=True,
+                              max_size=4))
+    # The oracle: the seed first, then the rest as first seen; missing values -1.
+    index = {value: k for k, value in enumerate(seed)}
+    expected = ([-1 if value is None or value == -1 else index.setdefault(value, len(index)) for value in stream],
+                list(index))
+    coder = _Coder(seed)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=4)))
+    for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+        batch = stream[lo:hi]
+        coder.add(iter(batch), len(batch) if data.draw(st.booleans()) else -1)
+    codes, values = coder.codes()
+    assert (codes.tolist(), values) == expected
+    codes, values = _code(stream, seed)
+    assert (codes.tolist(), values) == expected
 
 
 def test_ingest_keeps_the_bytes_of_its_columns_per_mention():

@@ -153,6 +153,18 @@ def test_rejects_bad_bracket():
         fit_d(model_matrix(0.5), bracket=(2.0, 1.0))
 
 
+def test_rejects_non_finite_d():
+    with pytest.raises(ValueError, match="diffusion coefficient must be positive and finite"):
+        model_matrix(float("inf"))
+
+
+@pytest.mark.parametrize("fit", [fit_d, lambda m, bracket: fit_d_pooled([m], bracket=bracket)],
+                         ids=["fit_d", "fit_d_pooled"])
+def test_rejects_infinite_bracket_end(fit):
+    with pytest.raises(ValueError, match="bracket must satisfy 0 < lo < hi < inf"):
+        fit(model_matrix(0.5), bracket=(0.1, float("inf")))
+
+
 def test_rejects_degenerate_grid():
     with pytest.raises(ValueError, match="grid needs at least two points"):
         fit_d(model_matrix(0.5), grid_points=1)

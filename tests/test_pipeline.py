@@ -98,6 +98,7 @@ def test_config_from_json_requires_core_keys():
         ({"min_cohort_size": 5}, "min_cohort_size must be at least 10"),
         ({"fit_bracket": [10.0, 1.0]}, "fit_bracket must satisfy 0 < lo < hi"),
         ({"fit_bracket": [1e-3, float("inf")]}, "fit_bracket must satisfy 0 < lo < hi < inf"),
+        ({"fit_grid_points": 1}, "fit_grid_points must be at least 2"),
     ],
 )
 def test_config_validation(overrides, message):
