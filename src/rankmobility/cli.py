@@ -247,7 +247,7 @@ def cmd_synth_corpus(args) -> int:
     write_truth(truth_out, truth)
     _print_json(
         {
-            "publications": len(corpus.publications),
+            "publications": len(corpus),
             "mentions": len(corpus.mentions),
             "authors": len(set(truth.values())),
             "corpus": args.out,
@@ -273,6 +273,8 @@ def cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     if not args.out_dir:
         raise _UsageError("run requires --out-dir")
+    if args.threads < 1:
+        raise _UsageError("--threads must be at least 1")
     result = run_pipeline(config, args.out_dir, threads=args.threads)
     _print_json(
         {

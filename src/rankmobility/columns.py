@@ -7,13 +7,10 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import Iterable
 from itertools import chain, count, repeat
-from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .corpus import PublicationRecord
 
 # Records coded into the columns at a time.
 _BATCH = 1024
@@ -89,17 +86,19 @@ def _code(values: Iterable, seed: Iterable = ()) -> tuple[np.ndarray, list]:
 
 
 class _Builder:
-    """Grows a corpus's columns from records, a batch at a time, each coded
-    column through its own _Coder. No record outlives its batch."""
+    """Grows a corpus's columns from records, the dicts lines parse to, a
+    batch at a time, each coded column through its own _Coder. No record
+    outlives its batch. Lists and citing years are put in canonical form per
+    record, and every other field once per distinct value (_present, _labels)."""
 
     def __init__(self) -> None:
         self.rows: dict[str, int] = {}
-        self._batch: list[PublicationRecord] = []
+        self._batch: list[dict] = []
         self._coders = {column: _Coder() for column in ("disciplines", *_SCALARS, *_LISTS)}
         self._chunks: dict[str, list[np.ndarray]] = defaultdict(list)
 
-    def add(self, record: PublicationRecord) -> None:
-        self.rows[record.pub_id] = len(self.rows)
+    def add(self, record: dict) -> None:
+        self.rows[record["pub_id"]] = len(self.rows)
         self._batch.append(record)
         if len(self._batch) == _BATCH:
             self._flush()
@@ -109,19 +108,19 @@ class _Builder:
 
     def _flush(self) -> None:
         records, self._batch = self._batch, []
-        self._chunks["year"].append(np.fromiter(map(attrgetter("year"), records), np.int64, len(records)))
-        self._coders["disciplines"].add(map(attrgetter("disciplines"), records), len(records))
-        citing = list(map(attrgetter("citing_years"), records))
+        self._chunks["year"].append(np.fromiter(map(itemgetter("year"), records), np.int64, len(records)))
+        self._coders["disciplines"].add(map(itemgetter("disciplines"), records), len(records))
+        citing = list(map(sorted, map(itemgetter("citing_years"), records)))
         self._sizes("citing_sizes", citing)
         self._chunks["citing"].append(np.fromiter(chain.from_iterable(citing), np.int64))
-        authors = list(map(attrgetter("authors"), records))
+        authors = list(map(itemgetter("authors"), records))
         self._sizes("authors", authors)
         authors = list(chain.from_iterable(authors))
         self._coders["name"].add(map(itemgetter("name"), authors), len(authors))
         for column in _SCALARS[1:]:
             self._coders[column].add(map(dict.get, authors, repeat(column)), len(authors))
         for column in _LISTS:
-            lists = [author.get(column) or () for author in authors]
+            lists = [sorted(set(values)) if (values := author.get(column)) else () for author in authors]
             self._sizes(f"{column}_sizes", lists)
             self._coders[column].add(chain.from_iterable(lists))
 
@@ -133,7 +132,7 @@ class _Builder:
         self._flush()
         pub_ids = list(self.rows)
         # Each coder is dropped once ranked, and its positions with it.
-        fields = {column: self._coders.pop(column).codes() for column in _SCALARS}
+        fields = {column: _forms(*self._coders.pop(column).codes(), _present) for column in _SCALARS}
         lists = {}
         for column in _LISTS:
             codes, values = self._coders.pop(column).codes()
@@ -141,8 +140,7 @@ class _Builder:
                 recoded, values = _code(values, pub_ids)
                 codes = recoded[codes]
             lists[column] = (_indptr(self._column(f"{column}_sizes")), codes, values)
-        disciplines, discipline_sets = self._coders.pop("disciplines").codes()
-        discipline_sets = [tuple(sorted(labels)) for labels in discipline_sets]
+        disciplines, discipline_sets = _forms(*self._coders.pop("disciplines").codes(), _labels)
         return _Columns(
             pub_ids=pub_ids,
             year=self._column("year"),
@@ -154,6 +152,25 @@ class _Builder:
             fields=fields,
             lists=lists,
         )
+
+
+def _forms(raw: np.ndarray, distinct: list, form) -> tuple[np.ndarray, list]:
+    """Codes of the form of each raw value, computed once per distinct raw
+    value, with the distinct forms; a form of None, and a raw code of -1,
+    are coded -1."""
+    codes, forms = _code(map(form, distinct))
+    return np.append(codes, np.int32(-1))[raw], forms
+
+
+def _present(value: str) -> str | None:
+    """An optional string as held: a blank one is absent."""
+    return value if value.strip() else None
+
+
+def _labels(disciplines: str) -> tuple[str, ...]:
+    """The distinct labels of a semicolon-separated string, stripped and
+    sorted, blanks dropped."""
+    return tuple(sorted({label for part in disciplines.split(";") if (label := part.strip())}))
 
 
 def _take(columns: _Columns, pubs: np.ndarray) -> _Columns:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .columns import _BATCH, _Builder, _Columns, _code, _decoded, _indptr, _ranges, _take
+from .columns import _BATCH, _Builder, _Columns, _code, _decoded, _forms, _indptr, _ranges, _take
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
 IMPACT_WINDOW_YEARS = 5
@@ -75,11 +75,11 @@ def collector_paused():
 
 @dataclass(frozen=True, slots=True)
 class PublicationRecord:
-    """One publication in canonical form.
+    """One publication of a corpus, decoded in canonical form.
 
-    ``authors`` keeps the raw mention payloads (with set-valued fields
-    sorted) so that exporting a corpus is byte-stable; matching-oriented
-    derived forms live in the corpus's :class:`MentionTable`.
+    ``authors`` holds the mention payloads as export writes them; the
+    matching-oriented derived forms live in the corpus's
+    :class:`MentionTable`.
     """
 
     pub_id: str
@@ -137,21 +137,7 @@ class Corpus:
     only read or write records build none.
     """
 
-    def __init__(self, publications: Iterable[PublicationRecord] = (), stats: IngestStats | None = None):
-        builder = _Builder()
-        for pub in publications:
-            if pub.pub_id in builder.rows:
-                raise CorpusError(f"duplicate pub_id: {pub.pub_id}")
-            builder.add(pub)
-        self._hold(builder.columns(), stats)
-
-    @classmethod
-    def _of(cls, columns: _Columns, stats: IngestStats | None = None) -> Corpus:
-        corpus = cls.__new__(cls)
-        corpus._hold(columns, stats)
-        return corpus
-
-    def _hold(self, columns: _Columns, stats: IngestStats | None) -> None:
+    def __init__(self, columns: _Columns, stats: IngestStats | None = None):
         n = len(columns.pub_ids)
         self._columns = columns
         self.stats = stats if stats is not None else IngestStats(lines_read=n, accepted=n)
@@ -309,7 +295,8 @@ def _build_forms(columns: _Columns, pub: np.ndarray) -> _Forms:
     values: dict[str, list] = {"coauthor_names": full_names}
     codes: dict[str, np.ndarray] = {}
     codes["given_detail"], values["given_detail"] = _forms(name, parsed, _given_detail)
-    for column, form in (("orcid", _strip_or_none), ("email", _lower_or_none),
+    # A held value is never blank, so only normalizing can empty it.
+    for column, form in (("orcid", str.strip), ("email", _folded),
                          ("affiliation", _norm_or_none), ("journal", _norm_or_none)):
         codes[column], values[column] = _forms(*columns.fields[column], form)
 
@@ -332,42 +319,22 @@ def _build_forms(columns: _Columns, pub: np.ndarray) -> _Forms:
     return _Forms(key[name], keys, full_name[name], codes, sets, values)
 
 
-def _forms(raw: np.ndarray, distinct: list, form) -> tuple[np.ndarray, list]:
-    """Codes of the form of each raw value, computed once per distinct raw
-    value, with the distinct forms; a form of None, and a raw code of -1,
-    are coded -1."""
-    codes, forms = _code(map(form, distinct))
-    return np.append(codes, -1)[raw], forms
-
-
 def _given_detail(parsed: tuple[str, str]) -> str | None:
     """The given name of a parsed (given, surname) when it is spelled out."""
     given = parsed[0]
     return given if full_given_name(given) is not None else None
 
 
-def _norm_or_none(value: str | None) -> str | None:
-    if value is None:
-        return None
-    normalized = normalize_text(value)
-    return normalized or None
+def _norm_or_none(value: str) -> str | None:
+    return normalize_text(value) or None
 
 
-def _lower_or_none(value: str | None) -> str | None:
-    if value is None:
-        return None
-    lowered = value.strip().casefold()
-    return lowered or None
+def _folded(value: str) -> str:
+    return value.strip().casefold()
 
 
-def _strip_or_none(value: str | None) -> str | None:
-    if value is None:
-        return None
-    stripped = value.strip()
-    return stripped or None
-
-
-def _validate_record(raw: object) -> PublicationRecord:
+def _validate_record(raw: object) -> None:
+    """Raise _RecordError, saying what is wrong, if a parsed line is no record."""
     if not isinstance(raw, dict):
         raise _RecordError("record is not a JSON object")
     for key in ("pub_id", "year", "disciplines", "authors", "citing_years"):
@@ -379,36 +346,25 @@ def _validate_record(raw: object) -> PublicationRecord:
     year = raw["year"]
     if not isinstance(year, int) or isinstance(year, bool):
         raise _RecordError("year must be an integer")
-    disciplines_raw = raw["disciplines"]
-    if not isinstance(disciplines_raw, str):
+    if not isinstance(raw["disciplines"], str):
         raise _RecordError("disciplines must be a semicolon-separated string")
-    disciplines = frozenset(d.strip() for d in disciplines_raw.split(";") if d.strip())
     authors_raw = raw["authors"]
     if not isinstance(authors_raw, list) or not authors_raw:
         raise _RecordError("authors must be a non-empty array")
-    authors = []
     for idx, author in enumerate(authors_raw):
         if not isinstance(author, dict):
             raise _RecordError(f"author {idx} is not an object")
         name = author.get("name")
         if not isinstance(name, str) or not name.strip():
             raise _RecordError(f"author {idx} is missing a name")
-        clean: dict = {"name": name}
         for key in ("affiliation", "email", "orcid", "journal"):
             value = author.get(key)
-            if value is not None:
-                if not isinstance(value, str):
-                    raise _RecordError(f"author {idx} field {key} must be a string")
-                if value.strip():
-                    clean[key] = value
+            if value is not None and not isinstance(value, str):
+                raise _RecordError(f"author {idx} field {key} must be a string")
         for key in ("grants", "references"):
             values = author.get(key)
-            if values is not None:
-                if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-                    raise _RecordError(f"author {idx} field {key} must be an array of strings")
-                if values:
-                    clean[key] = sorted(set(values))
-        authors.append(clean)
+            if values is not None and (not isinstance(values, list) or not all(isinstance(v, str) for v in values)):
+                raise _RecordError(f"author {idx} field {key} must be an array of strings")
     citing_raw = raw["citing_years"]
     if not isinstance(citing_raw, list) or not all(
         isinstance(y, int) and not isinstance(y, bool) for y in citing_raw
@@ -418,13 +374,6 @@ def _validate_record(raw: object) -> PublicationRecord:
         raise _RecordError("citation precedes publication")
     if not -_YEAR_LIMIT <= year <= max(citing_raw, default=year) <= _YEAR_LIMIT:
         raise _RecordError("year out of range")
-    return PublicationRecord(
-        pub_id=pub_id,
-        year=year,
-        disciplines=disciplines,
-        authors=tuple(authors),
-        citing_years=tuple(sorted(citing_raw)),
-    )
 
 
 @collector_paused()
@@ -448,15 +397,15 @@ def ingest_lines(lines: Iterable[str], source: str = "<memory>") -> Corpus:
             stats.rejected.append((line_no, f"invalid JSON: {exc.msg}"))
             continue
         try:
-            record = _validate_record(raw)
+            _validate_record(raw)
         except _RecordError as exc:
             stats.rejected.append((line_no, str(exc)))
             continue
-        if record.pub_id in builder.rows:
-            raise CorpusError(f"duplicate pub_id: {record.pub_id} ({source} line {line_no})")
-        builder.add(record)
+        if raw["pub_id"] in builder.rows:
+            raise CorpusError(f"duplicate pub_id: {raw['pub_id']} ({source} line {line_no})")
+        builder.add(raw)
         stats.accepted += 1
-    return Corpus._of(builder.columns(), stats)
+    return Corpus(builder.columns(), stats)
 
 
 def ingest(path: str | Path) -> Corpus:
@@ -511,4 +460,4 @@ def filter_corpus(corpus: Corpus, config: CorpusFilterConfig) -> tuple[Corpus, F
             stats.by_rule[rule] = hits
     stats.removed = int(np.count_nonzero(drop))
     stats.kept = len(corpus) - stats.removed
-    return Corpus._of(_take(columns, np.flatnonzero(~drop)) if stats.removed else columns), stats
+    return Corpus(_take(columns, np.flatnonzero(~drop)) if stats.removed else columns), stats

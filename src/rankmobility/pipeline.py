@@ -211,11 +211,11 @@ def _analyze_cohort(careers: Careers, discipline: str, year: int, config: Pipeli
 def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) -> RunResult:
     """Execute the full analysis and write the report bundle.
 
-    threads sets the size of the pool that analyzes cohorts; no output
-    depends on it. The output directory must not already contain files. The
-    bundle is written into a new staging directory beside it and renamed
-    onto it only when the run succeeds, so a run that fails or is killed
-    leaves no partial bundle there. A failed run removes its staging
+    threads (at least 1) sets the size of the pool that analyzes cohorts; no
+    output depends on it. The output directory must not already contain
+    files. The bundle is written into a new staging directory beside it and
+    renamed onto it only when the run succeeds, so a run that fails or is
+    killed leaves no partial bundle there. A failed run removes its staging
     directory. A killed one leaves it behind, and the next run into the
     same directory removes it: a run holds a lock on a file in its staging
     directory while it runs, and removes a sibling staging directory only
@@ -225,6 +225,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
     cyclic objects a run creates are left to the next collection
     (:func:`collector_paused`).
     """
+    if threads < 1:
+        raise PipelineError("threads must be at least 1")
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise PipelineError(f"output directory is not empty: {out}")
@@ -238,7 +240,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
         # itself is made by mkdir, with the permissions the umask gives.
         staged = scratch / "bundle"
         staged.mkdir()
-        manifest, all_converged = _run(config, staged, max(1, threads))
+        manifest, all_converged = _run(config, staged, threads)
         os.replace(staged, target)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -303,7 +305,7 @@ def _ingest_stage(config: PipelineConfig, bundle: _Bundle) -> Corpus:
         corpus, fstats = filter_corpus(corpus, config.filter)
         bundle.counts["filter_removed"] = fstats.removed
         bundle.counts["filter_by_rule"] = dict(sorted(fstats.by_rule.items()))
-    bundle.counts["publications"] = len(corpus.publications)
+    bundle.counts["publications"] = len(corpus)
     bundle.counts["mentions"] = len(corpus.mentions)
     return corpus
 

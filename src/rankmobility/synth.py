@@ -23,7 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, PublicationRecord, collector_paused
+from .columns import _Builder
+from .corpus import Corpus, collector_paused
 from .diffusion import model_matrix
 from .jsonio import read_config
 from .mobility import DEFAULT_BINS, RankTable
@@ -136,6 +137,10 @@ class SynthConfig:
             raise ValueError("citation_rate must be nonnegative")
         if not self.disciplines:
             raise ValueError("at least one discipline is required")
+        for label in self.disciplines:
+            # A corpus line joins a paper's labels with ';' and ingest strips them.
+            if not label or label != label.strip() or ";" in label:
+                raise ValueError(f"discipline label {label!r} must be non-blank, unpadded and free of ';'")
         if self.surname_pool < 1 or self.given_pool < 1:
             raise ValueError("surname_pool and given_pool must be positive")
 
@@ -414,13 +419,16 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, str]]:
     _simulate_citations(config, rng, authors, papers)
 
     truth: dict[str, str] = {}
-    return Corpus(_records(config, rng, authors, papers, truth)), truth
+    builder = _Builder()
+    for record in _records(config, rng, authors, papers, truth):
+        builder.add(record)
+    return Corpus(builder.columns()), truth
 
 
 def _records(config: SynthConfig, rng: np.random.Generator, authors: list[_Author], papers: list[_Paper],
              truth: dict[str, str]):
-    """Each paper as a record, in paper order, with each mention's true
-    author id put into truth."""
+    """Each paper as a record, the dict its corpus line parses to, in paper
+    order, with each mention's true author id put into truth."""
     # Five draws per mention, in mention order: the same numbers as one
     # rng.random() call per draw.
     draws = rng.random((sum(len(paper.authors) for paper in papers), 5))
@@ -437,7 +445,7 @@ def _records(config: SynthConfig, rng: np.random.Generator, authors: list[_Autho
                 name = f"{author.given} {author.surname}"
             mention: dict = {"name": name, "journal": paper.journal}
             if paper.references:
-                mention["references"] = list(paper.references)
+                mention["references"] = paper.references
             if orcid >= config.p_missing_orcid:
                 mention["orcid"] = author.orcid
             if email >= P_MISSING_EMAIL:
@@ -445,17 +453,12 @@ def _records(config: SynthConfig, rng: np.random.Generator, authors: list[_Autho
             if affiliation >= P_MISSING_AFFILIATION:
                 mention["affiliation"] = author.affiliation
             if grants >= P_MISSING_GRANTS:
-                mention["grants"] = sorted(author.grants)
+                mention["grants"] = list(author.grants)
             mentions.append(mention)
             truth[f"{paper.pub_id}:{pos}"] = f"A{author_idx:06d}"
         row += len(paper.authors)
-        yield PublicationRecord(
-            pub_id=paper.pub_id,
-            year=paper.year,
-            disciplines=frozenset(paper.disciplines),
-            authors=tuple(mentions),
-            citing_years=tuple(sorted(paper.citing_years)),
-        )
+        yield {"pub_id": paper.pub_id, "year": paper.year, "disciplines": ";".join(paper.disciplines),
+               "authors": mentions, "citing_years": paper.citing_years}
 
 
 def sample_transitions(

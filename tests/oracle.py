@@ -2,10 +2,11 @@
 block scorer are tested against.
 
 The record path holds a corpus as one PublicationRecord per publication:
-ingest_records validates each line into one, record_to_json writes its
-canonical line, filter_records keeps or drops it and c5 counts its early
-citations. The package itself holds a corpus as columns (corpus.Corpus);
-the tests check that both ingest, filter and export alike, byte for byte.
+ingest_records validates each line and puts it in canonical form (_record),
+record_to_json writes its canonical line, filter_records keeps or drops it
+and c5 counts its early citations. The package itself holds a corpus as
+columns (corpus.Corpus); the tests check that both ingest, filter and
+export alike, byte for byte.
 
 The pair oracle describes every mention as one AuthorMention and every
 criterion as a comparison of two of them, one pair at a time. The package
@@ -29,10 +30,7 @@ from rankmobility.corpus import (
     FilterStats,
     IngestStats,
     PublicationRecord,
-    _lower_or_none,
-    _norm_or_none,
     _RecordError,
-    _strip_or_none,
     _validate_record,
 )
 from rankmobility.disambig import _CRITERIA_TABLE, BlockKey, ScoringRuleTable
@@ -54,15 +52,35 @@ def ingest_records(lines: Iterable[str], source: str = "<memory>") -> tuple[dict
             stats.rejected.append((line_no, f"invalid JSON: {exc.msg}"))
             continue
         try:
-            record = _validate_record(raw)
+            _validate_record(raw)
         except _RecordError as exc:
             stats.rejected.append((line_no, str(exc)))
             continue
+        record = _record(raw)
         if record.pub_id in records:
             raise CorpusError(f"duplicate pub_id: {record.pub_id} ({source} line {line_no})")
         records[record.pub_id] = record
         stats.accepted += 1
     return records, stats
+
+
+def _record(raw: dict) -> PublicationRecord:
+    """A validated line in canonical form: a blank optional string is
+    absent, each list sorted without repeats, the citing years sorted, and
+    the discipline labels stripped, blanks dropped."""
+    authors = []
+    for author in raw["authors"]:
+        clean = {"name": author["name"]}
+        for key in ("affiliation", "email", "orcid", "journal"):
+            value = author.get(key)
+            if value is not None and value.strip():
+                clean[key] = value
+        for key in ("grants", "references"):
+            if author.get(key):
+                clean[key] = sorted(set(author[key]))
+        authors.append(clean)
+    labels = frozenset(label.strip() for label in raw["disciplines"].split(";")) - {""}
+    return PublicationRecord(raw["pub_id"], raw["year"], labels, tuple(authors), tuple(sorted(raw["citing_years"])))
 
 
 def record_to_json(pub: PublicationRecord) -> str:
@@ -169,10 +187,10 @@ def build_mentions(publications: dict[str, PublicationRecord]) -> dict[str, Auth
                 surname=surname,
                 initials=initials_of(given),
                 full_given=full_given_name(given),
-                affiliation=_norm_or_none(author.get("affiliation")),
-                email=_lower_or_none(author.get("email")),
-                orcid=_strip_or_none(author.get("orcid")),
-                journal=_norm_or_none(author.get("journal")),
+                affiliation=normalize_text(author.get("affiliation", "")) or None,
+                email=author.get("email", "").strip().casefold() or None,
+                orcid=author.get("orcid", "").strip() or None,
+                journal=normalize_text(author.get("journal", "")) or None,
                 grant_ids=frozenset(author.get("grants", ())),
                 references=frozenset(author.get("references", ())),
                 coauthor_names=coauthors,

@@ -151,6 +151,16 @@ def test_synth_corpus_rejects_a_removed_generator_key(capsys, tmp_path, key):
     assert f"unknown generator config keys: {key}" in err
 
 
+def test_synth_corpus_rejects_labels_that_do_not_read_back(capsys, tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_authors": 20, "seed": 0, "disciplines": ["Chem;Bio", " Physics "]}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "synth", "corpus", "--config", str(config), "--out", str(tmp_path / "c.jsonl"))
+    assert (code, out) == (2, "")
+    assert "discipline label 'Chem;Bio' must be non-blank, unpadded and free of ';'" in err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_run_requires_config(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 1
@@ -166,6 +176,22 @@ def test_run_requires_out_dir(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--config", str(config), "run")
     assert code == 1
     assert "run requires --out-dir" in err
+
+
+@pytest.mark.parametrize("threads", [["--threads", "0", "run"], ["run", "--threads", "-4"]], ids=["zero", "negative"])
+def test_run_with_fewer_than_one_thread_is_a_usage_error(capsys, tmp_path, threads):
+    corpus, _ = generate_corpus(SynthConfig(n_authors=40, seed=1, disciplines=("Chemistry",), start_years=(2000, 2000)))
+    export(corpus, tmp_path / "corpus.jsonl")
+    config = tmp_path / "pipeline.json"
+    config.write_text(
+        json.dumps({"corpus": str(tmp_path / "corpus.jsonl"), "disciplines": ["Chemistry"], "cohort_years": [2000],
+                    "null_reps": 5, "min_cohort_size": 10, "seed": 7}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, *threads, "--config", str(config), "--out-dir", str(tmp_path / "bundle"))
+    assert (code, out) == (1, "")
+    assert "--threads must be at least 1" in err
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_missing_input_file_is_a_data_error(capsys, tmp_path):

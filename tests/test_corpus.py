@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from rankmobility.columns import _code, _Coder
 from rankmobility.corpus import (
-    Corpus,
     CorpusError,
     CorpusFilterConfig,
     _RecordError,
@@ -95,12 +94,6 @@ def test_blank_lines_are_not_counted():
 def test_duplicate_pub_id_aborts():
     with pytest.raises(CorpusError, match="duplicate pub_id: P1"):
         corpus_of(make_record("P1"), make_record("P1"))
-
-
-def test_corpus_of_records_with_a_repeated_pub_id_aborts():
-    record = next(iter(corpus_of(make_record("P1")).publications.values()))
-    with pytest.raises(CorpusError, match="duplicate pub_id: P1"):
-        Corpus([record, record])
 
 
 def test_ingest_missing_file():
@@ -438,7 +431,8 @@ def test_each_listed_difference_between_validator_and_schema(difference, record_
 
 def test_corpus_equality_ignores_stats():
     a = corpus_of(make_record("P1"))
-    b = Corpus(a.publications.values())
+    b = ingest_lines(["{bad", json.dumps(make_record("P1"))])
+    assert a.stats != b.stats
     assert a == b
 
 
@@ -539,6 +533,19 @@ def test_columns_ingest_filter_and_export_as_the_record_path(lines, configs):
         assert kept_lines == list(map(record_to_json, kept_records))
         # The kept publications are coded as a corpus of just them codes them.
         assert _plain(kept._columns) == _plain(ingest_lines(kept_lines)._columns)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(n_authors=150, seed=4, name_collision_rate=0.2),
+        SynthConfig(n_authors=150, seed=5, disciplines=("Physics", "Biology", "Chemistry"), start_years=(2000, 2001)),
+    ],
+    ids=["collisions", "three_disciplines"],
+)
+def test_generated_columns_are_those_of_their_export_ingested(config):
+    corpus, _ = generate_corpus(config)
+    assert _plain(corpus._columns) == _plain(ingest_lines(export_lines(corpus))._columns)
 
 
 # Values a column may code: strings, tuples, frozensets and ints, and the

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankmobility import disambig
-from rankmobility.corpus import Corpus, PublicationRecord
 from rankmobility.disambig import (
     CRITERIA,
     DisambigError,
@@ -397,10 +396,10 @@ def test_blocks_larger_than_a_tile_give_the_components_score_pair_links(members,
         assert _ids(cluster_block(as_block(ms), rules)) == _oracle_clusters(ms, rules)
 
 
-# Corpora for the mention table's oracle test, built from records directly
-# so that optional fields may be empty or whitespace, as ingest never leaves
-# them. Names include non-ASCII and comma-order forms that block together,
-# and a publication may list two authors whose names normalize alike.
+# Corpora for the mention table's oracle test. Optional fields may be null,
+# empty or whitespace, which ingest leaves absent, or padded. Names include
+# non-ASCII and comma-order forms that block together, and a publication may
+# list two authors whose names normalize alike.
 _PUB_IDS = ["P1", "P2", "Q:1", "Q:1:2", "R"]
 _NAMES = ["José García", "Jose Garcia", "García, José", "J. García", "GARCIA,  J.", "Ada Park", "ada  park",
           "A. Park", "Park, Ada", "Ann Park", "Ångström, Åsa", "A Angstrom", "Park"]
@@ -419,16 +418,14 @@ _AUTHOR = st.fixed_dictionaries(
 @st.composite
 def _corpora(draw):
     pub_ids = draw(st.lists(st.sampled_from(_PUB_IDS), unique=True, min_size=1, max_size=len(_PUB_IDS)))
-    return Corpus(
-        PublicationRecord(
-            pub_id=pub_id,
-            year=2000,
-            disciplines=frozenset(draw(st.sets(st.sampled_from(["A", "B", "C"]), max_size=2))),
-            authors=tuple(draw(st.lists(_AUTHOR, min_size=1, max_size=4))),
-            citing_years=(),
+    return corpus_of(*(
+        make_record(
+            pub_id,
+            disciplines=";".join(draw(st.lists(st.sampled_from(["A", "B", "C"]), unique=True, max_size=2))),
+            authors=draw(st.lists(_AUTHOR, min_size=1, max_size=4)),
         )
         for pub_id in pub_ids
-    )
+    ))
 
 
 def _decoded(table, column):
@@ -441,18 +438,18 @@ def _decoded(table, column):
 
 
 # One corpus with every case above, so that each run checks all of them.
-_EVERY_CASE = Corpus([
-    PublicationRecord("Q:1", 2000, frozenset({"A"}), (
+_EVERY_CASE = corpus_of(
+    make_record("Q:1", 2000, "A", [
         {"name": "José García", "orcid": " x1 ", "email": "  ", "affiliation": "Ünï  Bonn",
          "references": ["Q:1", "X"]},
         {"name": "García, José", "journal": "", "grants": ["g1"]},
         {"name": "Jose  Garcia", "affiliation": "uni bonn", "grants": ["g1", "g2"]},
-    ), ()),
-    PublicationRecord("P1", 2001, frozenset({"A", "B"}), (
+    ]),
+    make_record("P1", 2001, "B;A", [
         {"name": "J. Garcia", "orcid": "x1", "email": "", "references": ["Q:1", "Q"]},
         {"name": "Ada Park", "references": ["P1"]},
-    ), ()),
-])
+    ]),
+)
 
 
 @settings(max_examples=150, deadline=None)

@@ -322,6 +322,13 @@ def test_run_triggers_no_garbage_collection(bundle, tmp_path, monkeypatch):
     assert result.manifest["counts"] == first.manifest["counts"]
 
 
+def test_run_needs_at_least_one_thread(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(PipelineError, match="threads must be at least 1"):
+        run_pipeline(pipeline_config(tmp_path / "missing.jsonl"), out, threads=0)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_run_removes_partial_bundle(tmp_path):
     config = pipeline_config(tmp_path / "missing.jsonl")
     out = tmp_path / "out"

@@ -206,6 +206,10 @@ def test_sample_transitions_custom_bins():
         ({"start_years": (2002, 2000)}, "start_years must be a nondecreasing pair"),
         ({"citation_rate": -1.0}, "citation_rate must be nonnegative"),
         ({"disciplines": ()}, "at least one discipline is required"),
+        ({"disciplines": ("Chemistry", "")}, "discipline label '' must be"),
+        ({"disciplines": ("  ",)}, "discipline label '  ' must be"),
+        ({"disciplines": (" Physics ",)}, "discipline label ' Physics ' must be"),
+        ({"disciplines": ("Chem;Bio", "Physics")}, "discipline label 'Chem;Bio' must be"),
         ({"surname_pool": 0}, "surname_pool and given_pool must be positive"),
         ({"given_pool": 0}, "surname_pool and given_pool must be positive"),
         ({"alpha": float("nan")}, "alpha must be finite"),
