@@ -273,8 +273,6 @@ def cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     if not args.out_dir:
         raise _UsageError("run requires --out-dir")
-    if args.threads < 1:
-        raise _UsageError("--threads must be at least 1")
     result = run_pipeline(config, args.out_dir, threads=args.threads)
     _print_json(
         {
@@ -423,6 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise _UsageError("--threads must be at least 1")
         if not getattr(args, "handler", None):
             if getattr(args, "command", None) == "synth":
                 raise _UsageError("synth needs a subcommand: corpus or transitions")

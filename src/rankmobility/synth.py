@@ -10,7 +10,11 @@ concentrates them. Ground-truth identities are returned alongside the
 corpus, keyed by mention id.
 
 Everything is driven by one seeded generator, so a config plus seed pins
-the corpus bit for bit.
+the corpus bit for bit. The citation bookkeeping (who is citable, whose
+papers a hit lands on, the running citation counts and each paper's citing
+years) is kept in arrays; the draws are still made one call at a time, with
+the same arguments and in the same order as a loop over the hits, which
+tests/oracle.py keeps as the reference.
 """
 
 from __future__ import annotations
@@ -137,10 +141,13 @@ class SynthConfig:
             raise ValueError("citation_rate must be nonnegative")
         if not self.disciplines:
             raise ValueError("at least one discipline is required")
-        for label in self.disciplines:
+        for k, label in enumerate(self.disciplines):
             # A corpus line joins a paper's labels with ';' and ingest strips them.
             if not label or label != label.strip() or ";" in label:
                 raise ValueError(f"discipline label {label!r} must be non-blank, unpadded and free of ';'")
+            # Authors draw their discipline uniformly from the list.
+            if label in self.disciplines[:k]:
+                raise ValueError(f"'disciplines' lists {label!r} twice")
         if self.surname_pool < 1 or self.given_pool < 1:
             raise ValueError("surname_pool and given_pool must be positive")
 
@@ -336,67 +343,97 @@ def _even_split(n: int) -> np.ndarray:
 def _simulate_citations(
     config: SynthConfig, rng: np.random.Generator, authors: list[_Author], papers: list[_Paper]
 ) -> None:
-    """Cumulative-advantage citation arrival, batched within each year."""
+    """Cumulative-advantage citation arrival, batched within each year.
+
+    Only the draws are made one call at a time, in the order of a loop over
+    the hits; everything around them runs on arrays. Papers are sorted by
+    year, so a span of years is a range of paper indices, and of rows of
+    the paper-to-author incidence (m_paper, m_author), which lists each
+    paper's authors in paper order.
+    """
     n_papers = len(papers)
     if n_papers == 0 or config.citation_rate == 0:
         return
     paper_year = np.array([p.year for p in papers], dtype=np.int64)
-    by_year: dict[int, list[int]] = {}
-    for idx, paper in enumerate(papers):
-        by_year.setdefault(paper.year, []).append(idx)
+    n_authors_of = np.array([len(p.authors) for p in papers], dtype=np.int64)
+    row_of = np.concatenate(([0], np.cumsum(n_authors_of)))
+    m_paper = np.repeat(np.arange(n_papers), n_authors_of)
+    m_author = np.fromiter((a for p in papers for a in p.authors), dtype=np.int64, count=int(row_of[-1]))
     author_citations = np.zeros(config.n_authors, dtype=np.int64)
-    first_year = int(paper_year.min())
-    last_year = int(paper_year.max()) + 4
+    # Each year's citations as (paper, year, count) rows, in year order.
+    cited_paper: list[np.ndarray] = []
+    cited_year: list[int] = []
+    cited_count: list[np.ndarray] = []
 
-    for year in range(first_year, last_year + 1):
-        citable = [i for y in range(year - 4, year + 1) for i in by_year.get(y, ())]
-        if not citable:
+    for year in range(int(paper_year[0]), int(paper_year[-1]) + 5):
+        # Stale papers (five to nine years old) are old..lo-1, citable ones lo..hi-1.
+        old, lo, hi = np.searchsorted(paper_year, (year - 9, year - 4, year + 1)).tolist()
+        if lo == hi:
             continue
-        stale = [i for y in range(year - 9, year - 4) for i in by_year.get(y, ())]
-        n_events = int(rng.poisson(config.citation_rate * len(citable)))
+        n_events = int(rng.poisson(config.citation_rate * (hi - lo)))
         if n_events == 0:
             continue
-        n_late = int(rng.binomial(n_events, LATE_CITATION_RATE)) if stale else 0
+        n_late = int(rng.binomial(n_events, LATE_CITATION_RATE)) if old < lo else 0
+        events = np.zeros(hi - old, dtype=np.int64)
         if n_late > 0:
-            targets = rng.integers(0, len(stale), size=n_late)
-            for t in targets:
-                paper = papers[stale[int(t)]]
-                paper.citing_years.append(year)
-                for a in paper.authors:
-                    author_citations[a] += 1
+            events[: lo - old] = np.bincount(rng.integers(0, lo - old, size=n_late), minlength=lo - old)
+            rows = slice(row_of[old], row_of[lo])
+            author_citations += np.bincount(
+                m_author[rows], weights=events[m_paper[rows] - old], minlength=config.n_authors
+            ).astype(np.int64)
 
         remaining = n_events - n_late
-        if remaining == 0:
-            continue
-        papers_of: dict[int, list[int]] = {}
-        for i in citable:
-            for a in papers[i].authors:
-                papers_of.setdefault(a, []).append(i)
-        active = np.array(sorted(papers_of), dtype=np.int64)
-        batches = np.full(UPDATES_PER_YEAR, remaining // UPDATES_PER_YEAR)
-        batches[: remaining % UPDATES_PER_YEAR] += 1
-        for batch in batches:
-            if batch == 0:
-                continue
-            weights = (1.0 + author_citations[active].astype(float)) ** config.alpha
-            probs = weights / weights.sum()
-            per_author = rng.multinomial(int(batch), probs)
-            hit = np.nonzero(per_author)[0]
-            for h in hit:
-                author_idx = int(active[h])
-                count = int(per_author[h])
-                mine = papers_of[author_idx]
-                if len(mine) == 1:
-                    split = [count]
-                else:
-                    split = rng.multinomial(count, _even_split(len(mine)))
-                for paper_idx, events in zip(mine, split):
-                    if events == 0:
-                        continue
-                    paper = papers[paper_idx]
-                    paper.citing_years.extend([year] * int(events))
-                    for a in paper.authors:
-                        author_citations[a] += int(events)
+        if remaining > 0:
+            # Each active author's citable papers, ascending, are mine[starts[j]:starts[j] + n_mine[j]].
+            rows = slice(row_of[lo], row_of[hi])
+            order = np.argsort(m_author[rows], kind="stable")
+            by_author = m_author[rows][order]
+            mine = m_paper[rows][order] - old
+            starts = np.flatnonzero(np.concatenate(([True], by_author[1:] != by_author[:-1])))
+            active = by_author[starts]
+            n_mine = np.diff(np.append(starts, len(by_author)))
+            batches = np.full(UPDATES_PER_YEAR, remaining // UPDATES_PER_YEAR)
+            batches[: remaining % UPDATES_PER_YEAR] += 1
+            for batch in batches:
+                if batch == 0:
+                    continue
+                weights = (1.0 + author_citations[active].astype(float)) ** config.alpha
+                probs = weights / weights.sum()
+                per_author = rng.multinomial(int(batch), probs)
+                hit = np.flatnonzero(per_author)
+                got = np.zeros(hi - old, dtype=np.int64)
+                # Coauthors can each be the one-paper hit on the same paper,
+                # so the repeated indices are added with np.add.at.
+                one = hit[n_mine[hit] == 1]
+                np.add.at(got, mine[starts[one]], per_author[one])
+                many = hit[n_mine[hit] > 1]
+                if len(many):
+                    k = n_mine[many]
+                    splits = [
+                        rng.multinomial(count, _even_split(n))
+                        for count, n in zip(per_author[many].tolist(), k.tolist())
+                    ]
+                    at = np.repeat(starts[many] - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
+                    got += np.bincount(mine[at], weights=np.concatenate(splits), minlength=hi - old).astype(np.int64)
+                author_citations[active] += np.add.reduceat(got[mine], starts)
+                events += got
+
+        cited = np.flatnonzero(events)
+        cited_paper.append(cited + old)
+        cited_year.append(year)
+        cited_count.append(events[cited])
+
+    if not cited_paper:
+        return
+    paper_rows = np.concatenate(cited_paper)
+    count_rows = np.concatenate(cited_count)
+    year_rows = np.repeat(cited_year, [len(c) for c in cited_paper])
+    # A stable sort keeps each paper's rows in year order.
+    order = np.argsort(paper_rows, kind="stable")
+    citing = np.repeat(year_rows[order], count_rows[order]).tolist()
+    ends = np.cumsum(np.bincount(paper_rows, weights=count_rows, minlength=n_papers).astype(np.int64)).tolist()
+    for paper, begin, end in zip(papers, [0] + ends, ends):
+        paper.citing_years = citing[begin:end]
 
 
 @collector_paused()

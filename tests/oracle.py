@@ -14,6 +14,12 @@ itself scores pairs only from the coded columns of a corpus's
 MentionTable, a block at a time (disambig.cluster_block); the tests check
 that both give the same values, the same satisfied criteria and the same
 clusters.
+
+The citation oracle simulates citation arrival one hit at a time, with a
+per-year map from each author to their citable papers. The package itself
+keeps that bookkeeping in arrays (synth._simulate_citations); the tests
+check that both make the same draws in the same order and give every paper
+the same citing years.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
+
+import numpy as np
 
 from rankmobility.corpus import (
     IMPACT_WINDOW_YEARS,
@@ -35,6 +43,7 @@ from rankmobility.corpus import (
 )
 from rankmobility.disambig import _CRITERIA_TABLE, BlockKey, ScoringRuleTable
 from rankmobility.names import full_given_name, initials_of, normalize_text, parse_name
+from rankmobility.synth import LATE_CITATION_RATE, UPDATES_PER_YEAR, _even_split
 
 
 def ingest_records(lines: Iterable[str], source: str = "<memory>") -> tuple[dict[str, PublicationRecord], IngestStats]:
@@ -243,3 +252,68 @@ def score_pair(a: AuthorMention, b: AuthorMention, rules: ScoringRuleTable) -> f
 
 def block_key(mention: AuthorMention) -> BlockKey:
     return (mention.surname, mention.initials[:1])
+
+
+def simulate_citations(config, rng, authors, papers) -> None:
+    """Cumulative-advantage citation arrival, batched within each year,
+    one hit at a time: what synth._simulate_citations computes."""
+    n_papers = len(papers)
+    if n_papers == 0 or config.citation_rate == 0:
+        return
+    paper_year = np.array([p.year for p in papers], dtype=np.int64)
+    by_year: dict[int, list[int]] = {}
+    for idx, paper in enumerate(papers):
+        by_year.setdefault(paper.year, []).append(idx)
+    author_citations = np.zeros(config.n_authors, dtype=np.int64)
+    first_year = int(paper_year.min())
+    last_year = int(paper_year.max()) + 4
+
+    for year in range(first_year, last_year + 1):
+        citable = [i for y in range(year - 4, year + 1) for i in by_year.get(y, ())]
+        if not citable:
+            continue
+        stale = [i for y in range(year - 9, year - 4) for i in by_year.get(y, ())]
+        n_events = int(rng.poisson(config.citation_rate * len(citable)))
+        if n_events == 0:
+            continue
+        n_late = int(rng.binomial(n_events, LATE_CITATION_RATE)) if stale else 0
+        if n_late > 0:
+            targets = rng.integers(0, len(stale), size=n_late)
+            for t in targets:
+                paper = papers[stale[int(t)]]
+                paper.citing_years.append(year)
+                for a in paper.authors:
+                    author_citations[a] += 1
+
+        remaining = n_events - n_late
+        if remaining == 0:
+            continue
+        papers_of: dict[int, list[int]] = {}
+        for i in citable:
+            for a in papers[i].authors:
+                papers_of.setdefault(a, []).append(i)
+        active = np.array(sorted(papers_of), dtype=np.int64)
+        batches = np.full(UPDATES_PER_YEAR, remaining // UPDATES_PER_YEAR)
+        batches[: remaining % UPDATES_PER_YEAR] += 1
+        for batch in batches:
+            if batch == 0:
+                continue
+            weights = (1.0 + author_citations[active].astype(float)) ** config.alpha
+            probs = weights / weights.sum()
+            per_author = rng.multinomial(int(batch), probs)
+            hit = np.nonzero(per_author)[0]
+            for h in hit:
+                author_idx = int(active[h])
+                count = int(per_author[h])
+                mine = papers_of[author_idx]
+                if len(mine) == 1:
+                    split = [count]
+                else:
+                    split = rng.multinomial(count, _even_split(len(mine)))
+                for paper_idx, events in zip(mine, split):
+                    if events == 0:
+                        continue
+                    paper = papers[paper_idx]
+                    paper.citing_years.extend([year] * int(events))
+                    for a in paper.authors:
+                        author_citations[a] += int(events)

@@ -161,6 +161,15 @@ def test_synth_corpus_rejects_labels_that_do_not_read_back(capsys, tmp_path):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_synth_corpus_rejects_a_repeated_label(capsys, tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_authors": 20, "seed": 0, "disciplines": ["A", "A", "B"]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "synth", "corpus", "--config", str(config), "--out", str(tmp_path / "c.jsonl"))
+    assert (code, out) == (2, "")
+    assert "'disciplines' lists 'A' twice" in err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_run_requires_config(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 1
@@ -192,6 +201,16 @@ def test_run_with_fewer_than_one_thread_is_a_usage_error(capsys, tmp_path, threa
     assert (code, out) == (1, "")
     assert "--threads must be at least 1" in err
     assert not (tmp_path / "bundle").exists()
+
+
+def test_every_command_needs_at_least_one_thread(capsys, tmp_path):
+    corpus, _ = generate_corpus(SynthConfig(n_authors=20, seed=1, disciplines=("Chemistry",), start_years=(2000, 2000)))
+    export(corpus, tmp_path / "corpus.jsonl")
+    code, out, err = run_cli(capsys, "--threads", "0", "ingest", "--in", str(tmp_path / "corpus.jsonl"),
+                             "--out", str(tmp_path / "out.jsonl"))
+    assert (code, out) == (1, "")
+    assert "--threads must be at least 1" in err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_missing_input_file_is_a_data_error(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import gc
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -19,7 +19,7 @@ from rankmobility import synth
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
 from conftest import REMOVED_SYNTH_SETTINGS, collector_set, export_lines
-from oracle import build_mentions
+from oracle import build_mentions, simulate_citations
 
 
 def small_config(**overrides):
@@ -151,6 +151,37 @@ def author_citation_totals(corpus, truth):
     return totals
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(n_authors=300, seed=1, name_collision_rate=0.2),
+        small_config(n_authors=200, alpha=0.0, start_years=(2000, 2000)),
+        small_config(n_authors=200, alpha=1.26, start_years=(2000, 2000)),
+        small_config(citation_rate=0.0),
+        SynthConfig(n_authors=1, seed=4),
+        small_config(n_authors=150, seed=5, start_years=(1990, 2004)),
+    ],
+    ids=["collisions", "alpha-0", "alpha-1.26", "no-citations", "one-author", "spread-starts"],
+)
+def test_citation_arrival_matches_the_per_hit_oracle(config):
+    rng = np.random.default_rng(config.seed)
+    journals = {d: [f"Journal of {d} {k + 1}" for k in range(6)] for d in config.disciplines}
+    authors = synth._make_authors(config, rng, journals)
+    papers = synth._make_papers(config, rng, authors, journals)
+    synth._add_references(rng, authors, papers)
+    oracle_rng = np.random.default_rng()
+    oracle_rng.bit_generator.state = rng.bit_generator.state
+    oracle_papers = [replace(paper, citing_years=[]) for paper in papers]
+
+    synth._simulate_citations(config, rng, authors, papers)
+    simulate_citations(config, oracle_rng, authors, oracle_papers)
+
+    assert [p.citing_years for p in papers] == [p.citing_years for p in oracle_papers]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if config.start_years == (1990, 2004):
+        assert any(year - p.year >= 5 for p in papers for year in p.citing_years)
+
+
 def test_concentration_rises_with_alpha():
     ginis = []
     for alpha in (0.0, 1.0, 2.0):
@@ -210,6 +241,7 @@ def test_sample_transitions_custom_bins():
         ({"disciplines": ("  ",)}, "discipline label '  ' must be"),
         ({"disciplines": (" Physics ",)}, "discipline label ' Physics ' must be"),
         ({"disciplines": ("Chem;Bio", "Physics")}, "discipline label 'Chem;Bio' must be"),
+        ({"disciplines": ("A", "A", "B")}, "'disciplines' lists 'A' twice"),
         ({"surname_pool": 0}, "surname_pool and given_pool must be positive"),
         ({"given_pool": 0}, "surname_pool and given_pool must be positive"),
         ({"alpha": float("nan")}, "alpha must be finite"),
