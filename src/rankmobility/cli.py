@@ -423,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise _UsageError("--threads must be at least 1")
+        if args.seed is not None and args.seed < 0:
+            raise _UsageError("--seed must be nonnegative")
         if not getattr(args, "handler", None):
             if getattr(args, "command", None) == "synth":
                 raise _UsageError("synth needs a subcommand: corpus or transitions")

@@ -13,14 +13,15 @@ A corpus file holds one JSON object per line with the fields
 The formal schema ships at ``rankmobility/data/publication-record.schema.json``.
 Validation here is hand-rolled so ingestion stays cheap at corpus scale.
 A corpus is held as numpy columns with no Python object per mention; each
-validated record is coded into them in batches and then dropped.
+validated record is coded into them in batches and then dropped. The only
+way back to records is the canonical lines export writes.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,22 +74,6 @@ def collector_paused():
             gc.enable()
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationRecord:
-    """One publication of a corpus, decoded in canonical form.
-
-    ``authors`` holds the mention payloads as export writes them; the
-    matching-oriented derived forms live in the corpus's
-    :class:`MentionTable`.
-    """
-
-    pub_id: str
-    year: int
-    disciplines: frozenset[str]
-    authors: tuple[dict, ...]
-    citing_years: tuple[int, ...]
-
-
 @dataclass(slots=True)
 class IngestStats:
     lines_read: int = 0
@@ -130,9 +115,8 @@ class FilterStats:
 class Corpus:
     """Immutable-after-ingest container of publications, held as columns.
 
-    year and c5 are per publication, in corpus order. publications is a
-    read-only mapping from pub_id to a PublicationRecord decoded on access,
-    for callers off the run path. Its mentions are a MentionTable whose
+    year and c5 are per publication, in corpus order; export writes the
+    records back as canonical lines. Its mentions are a MentionTable whose
     derived forms are built on first use, once per corpus, so stages that
     only read or write records build none.
     """
@@ -143,7 +127,6 @@ class Corpus:
         self.stats = stats if stats is not None else IngestStats(lines_read=n, accepted=n)
         self.year = columns.year
         self.c5 = _c5(columns)
-        self.publications: Mapping[str, PublicationRecord] = _Publications(columns)
         self.mentions = MentionTable(columns)
 
     def __len__(self) -> int:
@@ -158,11 +141,6 @@ class Corpus:
                 tagged.setdefault(label, np.zeros(len(columns.discipline_sets), bool))[k] = True
         return {label: sets[columns.disciplines] for label, sets in tagged.items()}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self.publications == other.publications
-
 
 def _c5(columns: _Columns) -> np.ndarray:
     """Citations received within the first five calendar years.
@@ -175,31 +153,6 @@ def _c5(columns: _Columns) -> np.ndarray:
     year = columns.year[owner]
     inside = (year <= columns.citing) & (columns.citing <= year + (IMPACT_WINDOW_YEARS - 1))
     return np.bincount(owner[inside], minlength=n)
-
-
-class _Publications(Mapping):
-    """pub_id -> PublicationRecord, each decoded from the columns on access."""
-
-    def __init__(self, columns: _Columns):
-        self._columns = columns
-
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {pub_id: k for k, pub_id in enumerate(self._columns.pub_ids)}
-
-    def __getitem__(self, pub_id: str) -> PublicationRecord:
-        k = self._rows[pub_id]
-        pub_id, year, disciplines, authors, citing = next(_decoded(self._columns, k, k + 1))
-        return PublicationRecord(pub_id, year, frozenset(disciplines), tuple(authors), tuple(citing))
-
-    def __contains__(self, pub_id: object) -> bool:
-        return pub_id in self._rows
-
-    def __iter__(self):
-        return iter(self._columns.pub_ids)
-
-    def __len__(self) -> int:
-        return len(self._columns.pub_ids)
 
 
 class MentionTable:

@@ -19,6 +19,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .columns import _indptr
 from .corpus import Corpus
 from .jsonio import load, read_config, read_lines, write_lines
 
@@ -132,7 +133,7 @@ class _Blocks:
         self.table = table
         self.block = rank[key]
         self.order = np.argsort(self.block, kind="stable")
-        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(self.block, minlength=len(keys)))))
+        self.bounds = _indptr(np.bincount(self.block, minlength=len(keys)))
         # Each row's position in its block.
         self.local = np.empty(len(key), np.int64)
         self.local[self.order] = np.arange(len(key)) - self.bounds[self.block[self.order]]
@@ -189,7 +190,7 @@ class _Blocks:
         first = np.cumsum(width) - width
         entry_block = block[rows]
         sort = np.argsort(entry_block, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(np.bincount(entry_block, minlength=n_blocks))))
+        starts = _indptr(np.bincount(entry_block, minlength=n_blocks))
         prepared = (width, starts, self.local[rows][sort], (inverse - first[entry_block])[sort])
         if kind == "overlap":
             return prepared

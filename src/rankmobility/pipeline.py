@@ -79,6 +79,8 @@ class PipelineConfig:
             raise PipelineError("config needs at least one cohort year")
         if self.null_reps < 1:
             raise PipelineError("null_reps must be at least 1")
+        if self.seed < 0:
+            raise PipelineError("seed must be nonnegative")
         if self.gini_window not in (1, 2):
             raise PipelineError("gini_window must be 1 or 2")
         if self.min_cohort_size < 10:

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .columns import _Builder
+from .columns import _Builder, _indptr, _ranges
 from .corpus import Corpus, collector_paused
 from .diffusion import model_matrix
 from .jsonio import read_config
@@ -129,6 +129,8 @@ class SynthConfig:
             raise ValueError("n_authors must be positive")
         if self.seed is None:
             raise ValueError("seed is mandatory")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         for name in ("name_collision_rate", "p_missing_orcid", "p_initials_only"):
@@ -356,7 +358,7 @@ def _simulate_citations(
         return
     paper_year = np.array([p.year for p in papers], dtype=np.int64)
     n_authors_of = np.array([len(p.authors) for p in papers], dtype=np.int64)
-    row_of = np.concatenate(([0], np.cumsum(n_authors_of)))
+    row_of = _indptr(n_authors_of)
     m_paper = np.repeat(np.arange(n_papers), n_authors_of)
     m_author = np.fromiter((a for p in papers for a in p.authors), dtype=np.int64, count=int(row_of[-1]))
     author_citations = np.zeros(config.n_authors, dtype=np.int64)
@@ -413,7 +415,7 @@ def _simulate_citations(
                         rng.multinomial(count, _even_split(n))
                         for count, n in zip(per_author[many].tolist(), k.tolist())
                     ]
-                    at = np.repeat(starts[many] - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
+                    at = _ranges(starts[many], k)
                     got += np.bincount(mine[at], weights=np.concatenate(splits), minlength=hi - old).astype(np.int64)
                 author_citations[active] += np.add.reduceat(got[mine], starts)
                 events += got
@@ -431,8 +433,8 @@ def _simulate_citations(
     # A stable sort keeps each paper's rows in year order.
     order = np.argsort(paper_rows, kind="stable")
     citing = np.repeat(year_rows[order], count_rows[order]).tolist()
-    ends = np.cumsum(np.bincount(paper_rows, weights=count_rows, minlength=n_papers).astype(np.int64)).tolist()
-    for paper, begin, end in zip(papers, [0] + ends, ends):
+    bounds = _indptr(np.bincount(paper_rows, weights=count_rows, minlength=n_papers).astype(np.int64)).tolist()
+    for paper, begin, end in zip(papers, bounds, bounds[1:]):
         paper.citing_years = citing[begin:end]
 
 

@@ -6,7 +6,8 @@ ingest_records validates each line and puts it in canonical form (_record),
 record_to_json writes its canonical line, filter_records keeps or drops it
 and c5 counts its early citations. The package itself holds a corpus as
 columns (corpus.Corpus); the tests check that both ingest, filter and
-export alike, byte for byte.
+export alike, byte for byte. A corpus is read back as records only from
+the lines export writes, by the record path's own ingest (records_of).
 
 The pair oracle describes every mention as one AuthorMention and every
 criterion as a comparison of two of them, one pair at a time. The package
@@ -33,17 +34,36 @@ import numpy as np
 
 from rankmobility.corpus import (
     IMPACT_WINDOW_YEARS,
+    Corpus,
     CorpusError,
     CorpusFilterConfig,
     FilterStats,
     IngestStats,
-    PublicationRecord,
+    _lines,
     _RecordError,
     _validate_record,
 )
 from rankmobility.disambig import _CRITERIA_TABLE, BlockKey, ScoringRuleTable
 from rankmobility.names import full_given_name, initials_of, normalize_text, parse_name
 from rankmobility.synth import LATE_CITATION_RATE, UPDATES_PER_YEAR, _even_split
+
+
+@dataclass(frozen=True, slots=True)
+class PublicationRecord:
+    """One publication of a corpus in canonical form; authors holds the
+    mention payloads as export writes them."""
+
+    pub_id: str
+    year: int
+    disciplines: frozenset[str]
+    authors: tuple[dict, ...]
+    citing_years: tuple[int, ...]
+
+
+def records_of(corpus: Corpus) -> dict[str, PublicationRecord]:
+    """A corpus's records by pub_id in corpus order, read from the lines
+    export writes."""
+    return ingest_records(_lines(corpus._columns))[0]
 
 
 def ingest_records(lines: Iterable[str], source: str = "<memory>") -> tuple[dict[str, PublicationRecord], IngestStats]:

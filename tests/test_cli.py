@@ -213,6 +213,38 @@ def test_every_command_needs_at_least_one_thread(capsys, tmp_path):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", "ingest", "--in", "{corpus}", "--out", "{out}"],
+    ["synth", "corpus", "--seed", "-3", "--config", "{config}", "--out", "{out}"],
+    ["--seed", "-2", "synth", "transitions", "--d", "0.5", "--n", "100", "--out", "{out}"],
+    ["--seed", "-1", "null", "--cohort", "{corpus}", "--out", "{out}"],
+], ids=["ingest", "synth-corpus", "synth-transitions", "null"])
+def test_a_negative_seed_is_a_usage_error(capsys, tmp_path, argv):
+    corpus, config, out = tmp_path / "corpus.jsonl", tmp_path / "synth.json", tmp_path / "out"
+    corpus.write_text(json.dumps(make_record("P1")) + "\n", encoding="utf-8")
+    config.write_text(json.dumps({"n_authors": 20, "seed": 0}), encoding="utf-8")
+    code, out_text, err = run_cli(capsys, *(arg.format(corpus=corpus, config=config, out=out) for arg in argv))
+    assert (code, out_text) == (1, "")
+    assert "--seed must be nonnegative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corpus_exists", [False, True], ids=["absent-corpus", "every-cohort-skipped"])
+def test_a_negative_config_seed_is_a_data_error_before_any_work(capsys, tmp_path, corpus_exists):
+    corpus = tmp_path / "corpus.jsonl"
+    if corpus_exists:
+        corpus.write_text(json.dumps(make_record("P1", year=2000)) + "\n", encoding="utf-8")
+    config = tmp_path / "pipeline.json"
+    config.write_text(
+        json.dumps({"corpus": str(corpus), "disciplines": ["Chemistry"], "cohort_years": [1990], "seed": -1}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "run", "--config", str(config), "--out-dir", str(tmp_path / "bundle"))
+    assert (code, out) == (2, "")
+    assert "seed must be nonnegative" in err
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_missing_input_file_is_a_data_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "ingest", "--in", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "o")

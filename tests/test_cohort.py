@@ -10,7 +10,7 @@ from rankmobility.disambig import MentionCluster
 from rankmobility.inequality import gini, population_gini_series
 
 from conftest import careers_of, corpus_of, make_record
-from oracle import build_mentions, c5
+from oracle import build_mentions, c5, records_of
 
 
 def members_of(careers, spec):
@@ -34,7 +34,7 @@ def test_build_profiles_from_corpus():
         MentionCluster("A1", ("P1:0", "P2:0")),
     ]
     careers = build_profiles(corpus, clusters)
-    pub_ids = list(corpus.publications)
+    pub_ids = list(records_of(corpus))
     assert careers.author_ids == ("A1", "A2")
     assert len(careers) == 2
     assert careers.start.tolist() == [2001, 1999]
@@ -160,17 +160,12 @@ def corpora_and_clusters(draw):
     return corpus, draw(st.permutations(clusters))
 
 
-def scan(corpus, cluster, discipline, lo, hi):
+def scan(records, mentions, cluster, discipline, lo, hi):
     """Whether the cluster's author publishes in the discipline in [lo, hi],
     and the c5 sum of those publications, by a plain scan."""
-    mentions = build_mentions(corpus.publications)
     pub_ids = {mentions[mid].pub_id for mid in cluster.mention_ids}
-    hits = [
-        pid
-        for pid in pub_ids
-        if lo <= corpus.publications[pid].year <= hi and discipline in corpus.publications[pid].disciplines
-    ]
-    return bool(hits), sum(c5(corpus.publications[pid]) for pid in hits)
+    hits = [pid for pid in pub_ids if lo <= records[pid].year <= hi and discipline in records[pid].disciplines]
+    return bool(hits), sum(c5(records[pid]) for pid in hits)
 
 
 @settings(max_examples=80, deadline=None)
@@ -181,12 +176,13 @@ def test_cohort_and_population_impacts_match_a_plain_scan(data, discipline, year
     assert len(careers) == len(clusters)
 
     spec = CohortSpec(discipline, year)
-    mentions = build_mentions(corpus.publications)
+    records = records_of(corpus)
+    mentions = build_mentions(records)
     expected = ([], [], [])
     for cluster in sorted(clusters, key=lambda c: c.author_id):
-        start = min(corpus.publications[mentions[mid].pub_id].year for mid in cluster.mention_ids)
-        active1, impact1 = scan(corpus, cluster, discipline, *spec.window1)
-        active2, impact2 = scan(corpus, cluster, discipline, *spec.window2)
+        start = min(records[mentions[mid].pub_id].year for mid in cluster.mention_ids)
+        active1, impact1 = scan(records, mentions, cluster, discipline, *spec.window1)
+        active2, impact2 = scan(records, mentions, cluster, discipline, *spec.window2)
         if start == year and active1 and active2:
             for column, value in zip(expected, (cluster.author_id, impact1, impact2)):
                 column.append(value)
@@ -196,7 +192,8 @@ def test_cohort_and_population_impacts_match_a_plain_scan(data, discipline, year
     series = population_gini_series(careers, discipline, windows, min_authors=2)
     points, skipped = [], []
     for lo in windows:
-        impacts = [total for active, total in (scan(corpus, c, discipline, lo, lo + 4) for c in clusters) if active]
+        scans = (scan(records, mentions, c, discipline, lo, lo + 4) for c in clusters)
+        impacts = [total for active, total in scans if active]
         if len(impacts) < 2 or not any(impacts):
             skipped.append(lo)
         else:

@@ -26,7 +26,7 @@ from rankmobility.corpus import (
 from rankmobility.synth import SynthConfig, generate_corpus
 
 from conftest import collector_set, corpus_of, export_lines, make_record
-from oracle import build_mentions, c5, filter_records, ingest_records, record_to_json
+from oracle import build_mentions, c5, filter_records, ingest_records, record_to_json, records_of
 
 
 def test_ingest_accepts_minimal_record():
@@ -153,7 +153,7 @@ def test_mention_derivation():
         make_record("P0", year=1999),
         make_record("P2", year=2001, authors=[{"name": "C. Citer", "references": ["P1"]}]),
     )
-    mentions = build_mentions(corpus.publications)
+    mentions = build_mentions(records_of(corpus))
     m = mentions["P1:0"]
     assert m.surname == "garcia"
     assert m.given == "jose"
@@ -183,7 +183,7 @@ def test_filter_rules_and_counters():
         make_record("BOTH", year=1990, disciplines="History"),
     )
     kept, stats = filter_corpus(corpus, config)
-    assert set(kept.publications) == {"KEEP"}
+    assert set(records_of(kept)) == {"KEEP"}
     assert stats.kept == 1
     assert stats.removed == 4
     assert stats.by_rule == {
@@ -208,7 +208,7 @@ def test_filter_with_no_disciplines_applies_no_discipline_filter():
         config = CorpusFilterConfig(disciplines=disciplines)
         assert config.disciplines is None
         kept, stats = filter_corpus(corpus, config)
-        assert set(kept.publications) == {"P1", "P2"}
+        assert set(records_of(kept)) == {"P1", "P2"}
         assert stats.removed == 0
 
 
@@ -429,17 +429,17 @@ def test_each_listed_difference_between_validator_and_schema(difference, record_
     assert record_schema.is_valid(raw) is not validator_accepts
 
 
-def test_corpus_equality_ignores_stats():
+def test_a_rejected_line_changes_the_stats_not_the_corpus():
     a = corpus_of(make_record("P1"))
     b = ingest_lines(["{bad", json.dumps(make_record("P1"))])
     assert a.stats != b.stats
-    assert a == b
+    assert export_lines(a) == export_lines(b)
 
 
 def test_record_to_json_is_canonical():
     corpus = corpus_of(make_record("P1", disciplines="B; A"))
     (line,) = export_lines(corpus)
-    assert line == record_to_json(corpus.publications["P1"])
+    assert line == record_to_json(records_of(corpus)["P1"])
     assert '"disciplines":"A;B"' in line
     assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -523,7 +523,6 @@ def test_columns_ingest_filter_and_export_as_the_record_path(lines, configs):
     corpus = ingest_lines(lines)
     assert corpus.stats == stats
     assert export_lines(corpus) == list(map(record_to_json, records.values()))
-    assert dict(corpus.publications) == records
     assert corpus.c5.tolist() == list(map(c5, records.values()))
     for config in configs:
         kept, filter_stats = filter_corpus(corpus, config)

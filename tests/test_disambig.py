@@ -27,7 +27,7 @@ from rankmobility.disambig import (
 )
 
 from conftest import corpus_of, make_record
-from oracle import VALUE, AuthorMention, block_key, build_mentions, satisfied_criteria, score_pair
+from oracle import VALUE, AuthorMention, block_key, build_mentions, records_of, satisfied_criteria, score_pair
 
 
 def mention(mention_id="M:0", **overrides):
@@ -456,10 +456,11 @@ _EVERY_CASE = corpus_of(
 @given(corpus=_corpora(), weights=_WEIGHTS, threshold=st.sampled_from([0.3, 3.4, 4.4, 10.0, 11.6]))
 @example(corpus=_EVERY_CASE, weights=dict.fromkeys(CRITERIA, 1.1), threshold=3.4)
 def test_mention_table_codes_what_the_oracle_mentions_hold(corpus, weights, threshold):
-    mentions = build_mentions(corpus.publications)
+    records = records_of(corpus)
+    mentions = build_mentions(records)
     table = corpus.mentions
     assert table.ids == list(mentions)
-    pub_ids = list(corpus.publications)
+    pub_ids = list(records)
     key, keys = table.block_keys()
     sets = {column: _decoded(table, column) for _, kind, column in disambig._CRITERIA_TABLE if kind != "same"}
     for row, m in enumerate(mentions.values()):

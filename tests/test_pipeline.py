@@ -94,6 +94,7 @@ def test_config_from_json_requires_core_keys():
         ({"disciplines": []}, "config needs at least one discipline"),
         ({"cohort_years": []}, "config needs at least one cohort year"),
         ({"null_reps": 0}, "null_reps must be at least 1"),
+        ({"seed": -1}, "seed must be nonnegative"),
         ({"gini_window": 3}, "gini_window must be 1 or 2"),
         ({"min_cohort_size": 5}, "min_cohort_size must be at least 10"),
         ({"fit_bracket": [10.0, 1.0]}, "fit_bracket must satisfy 0 < lo < hi"),

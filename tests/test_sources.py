@@ -6,6 +6,10 @@ import pytest
 import rankmobility
 
 MODULES = sorted(Path(rankmobility.__file__).parent.glob("*.py"))
+# The benchmark harness calls the package too, some of it by name in strings.
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+# Called from outside Python: pyproject.toml's console script.
+ENTRY_POINTS = {"cli.main"}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +54,60 @@ def test_an_unused_import_is_found():
     tree = ast.parse("from __future__ import annotations\nimport os.path\nfrom a import b, c as d\n"
                      "def f(x: 'b') -> None:\n    return os.sep\n")
     assert {name: line for name, line in _imported(tree).items() if name not in _used(tree)} == {"d": 3}
+
+
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level function and class, and each method of such a
+    class but the dunder ones, by (qualified) name, with its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    defined[f"{node.name}.{item.name}"] = item.lineno
+    return defined
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name a module reads, every attribute it takes, every name it
+    imports and every string constant it holds."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _unreferenced(defining: dict[str, ast.Module], referring: list[ast.Module]) -> dict[str, int]:
+    """The definitions of the defining modules, as module.name, that no
+    referring module references, with their lines."""
+    referenced = set().union(*map(_references, referring))
+    return {
+        f"{module}.{name}": line
+        for module, tree in defining.items()
+        for name, line in _definitions(tree).items()
+        if name.rpartition(".")[2] not in referenced
+    }
+
+
+def test_every_definition_has_a_caller():
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    harness = [ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH]
+    assert harness, "the benchmark harness was not found"
+    unreferenced = _unreferenced(package, [*package.values(), *harness])
+    assert {name: line for name, line in unreferenced.items() if name not in ENTRY_POINTS} == {}
+
+
+def test_a_definition_with_no_caller_is_found():
+    defining = ast.parse("class A:\n    def __eq__(self, o): ...\n    def used(self): ...\n    def dead(self): ...\n"
+                         "def f(): ...\ndef g(): ...\ndef h(): ...\nclass B: ...\n")
+    referring = ast.parse("from m import f\nA().used()\nWRAPS = (('m', 'g'),)\nx: 'B'\n")
+    assert _unreferenced({"m": defining}, [defining, referring]) == {"m.A.dead": 4, "m.h": 7}

@@ -19,7 +19,7 @@ from rankmobility import synth
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
 from conftest import REMOVED_SYNTH_SETTINGS, collector_set, export_lines
-from oracle import build_mentions, simulate_citations
+from oracle import build_mentions, records_of, simulate_citations
 
 
 def small_config(**overrides):
@@ -50,7 +50,7 @@ def test_truth_covers_every_mention():
     corpus, truth = generate_corpus(small_config())
     expected = {
         f"{pub.pub_id}:{pos}"
-        for pub in corpus.publications.values()
+        for pub in records_of(corpus).values()
         for pos in range(len(pub.authors))
     }
     assert set(truth) == expected
@@ -60,7 +60,7 @@ def test_truth_covers_every_mention():
 def test_every_author_leads_at_least_one_paper():
     corpus, truth = generate_corpus(small_config())
     leads = {
-        truth[f"{pub.pub_id}:0"] for pub in corpus.publications.values()
+        truth[f"{pub.pub_id}:0"] for pub in records_of(corpus).values()
     }
     assert leads == set(truth.values())
 
@@ -69,7 +69,7 @@ def test_zero_collision_rate_means_names_identify_authors():
     corpus, truth = generate_corpus(
         small_config(name_collision_rate=0.0, p_initials_only=0.0)
     )
-    mentions = build_mentions(corpus.publications)
+    mentions = build_mentions(records_of(corpus))
     labels_by_name: dict[str, set[str]] = {}
     for mid, label in truth.items():
         labels_by_name.setdefault(mentions[mid].name, set()).add(label)
@@ -81,7 +81,7 @@ def test_high_collision_rate_produces_shared_names():
     corpus, truth = generate_corpus(
         small_config(n_authors=80, name_collision_rate=0.5, p_initials_only=0.0)
     )
-    mentions = build_mentions(corpus.publications)
+    mentions = build_mentions(records_of(corpus))
     labels_by_name: dict[str, set[str]] = {}
     for mid, label in truth.items():
         labels_by_name.setdefault(mentions[mid].name, set()).add(label)
@@ -113,10 +113,11 @@ def test_full_orcid_coverage_allows_exact_recovery():
 
 def test_references_point_at_real_publications():
     corpus, _ = generate_corpus(small_config())
-    for pub in corpus.publications.values():
+    records = records_of(corpus)
+    for pub in records.values():
         for mention in pub.authors:
             for ref in mention.get("references", ()):
-                assert ref in corpus.publications
+                assert ref in records
                 assert ref != pub.pub_id
 
 
@@ -125,7 +126,7 @@ def test_years_disciplines_and_citations_in_range():
     corpus, _ = generate_corpus(config)
     lo = config.start_years[0]
     hi = config.start_years[1] + synth.CAREER_YEARS - 1
-    for pub in corpus.publications.values():
+    for pub in records_of(corpus).values():
         assert lo <= pub.year <= hi
         assert pub.disciplines <= set(config.disciplines)
         assert list(pub.citing_years) == sorted(pub.citing_years)
@@ -136,14 +137,14 @@ def test_some_citations_arrive_after_the_impact_window():
     corpus, _ = generate_corpus(small_config(n_authors=80, seed=3))
     assert any(
         year > pub.year + 4
-        for pub in corpus.publications.values()
+        for pub in records_of(corpus).values()
         for year in pub.citing_years
     )
 
 
 def author_citation_totals(corpus, truth):
     totals: dict[str, int] = {}
-    for pub in corpus.publications.values():
+    for pub in records_of(corpus).values():
         weight = len(pub.citing_years)
         for pos in range(len(pub.authors)):
             label = truth[f"{pub.pub_id}:{pos}"]
@@ -231,6 +232,7 @@ def test_sample_transitions_custom_bins():
     "overrides,message",
     [
         ({"n_authors": 0}, "n_authors must be positive"),
+        ({"seed": -3}, "seed must be nonnegative"),
         ({"alpha": -0.1}, "alpha must be nonnegative"),
         ({"name_collision_rate": 1.5}, "name_collision_rate must lie in"),
         ({"p_initials_only": -0.2}, "p_initials_only must lie in"),
