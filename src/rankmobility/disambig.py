@@ -1,10 +1,13 @@
 """Rule-based author name disambiguation.
 
 Mentions are first blocked on (normalized surname, first given initial);
-within a block every pair is scored against a weighted criterion table and
-pairs at or above the threshold are linked. Identity clusters are the
-connected components of the linked pairs (single linkage), so evidence
-chains: A-B and B-C merge A, B and C even if A and C share nothing.
+within a block a pair is linked when the weights of the criteria it
+satisfies reach the threshold of a weighted criterion table. Only the
+pairs that share a value of an anchor criterion can (see _Plan), so only
+those are listed, from the (block, value) groups of the mention table,
+and scored. Identity clusters are the connected components of the linked
+pairs (single linkage), so evidence chains: A-B and B-C merge A, B and C
+even if A and C share nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .columns import _indptr
+from .columns import _indptr, _ranges
 from .corpus import Corpus
 from .jsonio import load, read_config, read_lines, write_lines
 
@@ -32,9 +35,9 @@ class DisambigError(Exception):
 
 # The pair criteria, one (criterion, kind, column) row each: column names
 # the MentionTable column that holds the values the criterion compares, and
-# kind how Block.operand encodes a block's codes for cluster_block's hit
-# matrices: same (both set and equal), overlap (the sets intersect) or cites
-# (one row's publication is among the other's references).
+# kind how two rows' values satisfy it: same (both set and equal), overlap
+# (the sets intersect) or cites (one row's publication is among the other's
+# references). A criterion's row number is its bit in a mask of criteria.
 _CRITERIA_TABLE = (
     ("orcid_match", "same", "orcid"),
     ("email_match", "same", "email"),
@@ -116,89 +119,55 @@ class _Member(NamedTuple):
 
 
 class _Blocks:
-    """The blocks of a mention table, with what cluster_block scores them by.
+    """The blocks of a mention table, with the forest cluster_block reads
+    their clusters from.
 
     The rows are laid out block by block (in table order within a block), so
-    that each block is a run bounds[b]:bounds[b + 1] of that layout. Each
-    criterion's encoding of every block is prepared at once, on the first
-    block that asks for it, so a block's operand is a few slices of it.
+    that each block is a run bounds[b]:bounds[b + 1] of that layout. The
+    forest is computed for a run of consecutive blocks at once (_Run), on
+    the first block of it that is asked for, and kept until a block outside
+    it, or other rules, are asked for.
     """
 
     def __init__(self, table):
         key, keys = table.block_keys()
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
-        rank = np.empty(len(keys), np.int64)
+        rank = np.empty(len(keys), np.int32)
         rank[ranked] = np.arange(len(keys))
         self.keys = [keys[k] for k in ranked]
         self.table = table
-        self.block = rank[key]
-        self.order = np.argsort(self.block, kind="stable")
-        self.bounds = _indptr(np.bincount(self.block, minlength=len(keys)))
-        # Each row's position in its block.
-        self.local = np.empty(len(key), np.int64)
-        self.local[self.order] = np.arange(len(key)) - self.bounds[self.block[self.order]]
+        block = rank[key]
+        self.order = np.argsort(block, kind="stable").astype(np.int32)
+        sizes = np.bincount(block, minlength=len(keys))
+        self.bounds = _indptr(sizes)
+        # The block pairs before each block.
+        self.pairs_before = _indptr(sizes * (sizes - 1) // 2)
         ids = table.ids
         self.ids = [ids[r] for r in self.order.tolist()]
-        self._prepared: dict[tuple[str, str], tuple] = {}
+        self._entries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._run: tuple | None = None
 
     def by_key(self) -> dict[BlockKey, Block]:
         return {key: Block(self, b) for b, key in enumerate(self.keys)}
 
-    def prepared(self, kind: str, column: str) -> tuple:
-        """A criterion's encoding of every block.
+    def entries(self, column: str) -> tuple[np.ndarray, np.ndarray]:
+        """A set-valued column as (indptr, codes): table row r holds the
+        values of codes[indptr[r]:indptr[r + 1]]."""
+        if column not in self._entries:
+            rows, codes = self.table.pairs(column)
+            self._entries[column] = (_indptr(np.bincount(rows, minlength=len(self.order))), codes.astype(np.int32))
+        return self._entries[column]
 
-        same: which blocks have two rows with one value, and every row's
-        code in block layout, where a missing value gets a negative code of
-        its own. overlap and cites: per block, its number of columns and
-        where its (row, column) incidence entries start, then those entries
-        as row positions in the block and column numbers; for cites also
-        each row's publication column in block layout.
-        """
-        if (kind, column) not in self._prepared:
-            self._prepared[kind, column] = self._prepare(kind, column)
-        return self._prepared[kind, column]
-
-    def _prepare(self, kind: str, column: str) -> tuple:
-        block, n_blocks = self.block, len(self.keys)
-        if kind == "same":
-            codes = self.table.codes(column)
-            held = codes >= 0
-            span = int(codes.max(initial=0)) + 1
-            groups, counts = np.unique(block[held] * span + codes[held], return_counts=True)
-            shared = np.zeros(n_blocks, bool)
-            shared[groups[counts > 1] // span] = True
-            codes = np.where(held, codes, -1 - np.arange(len(codes)))
-            return shared, codes[self.order]
-        rows, codes = self.table.pairs(column)
-        if kind == "cites":
-            # A reference counts when it is to the publication of a row of the same block.
-            pub = self.table.pub
-            span = int(max(codes.max(initial=0), pub.max(initial=0))) + 1
-            own = block * span + pub
-            found = np.isin(block[rows] * span + codes, own)
-            rows, codes = rows[found], codes[found]
-        else:
-            span = int(codes.max(initial=0)) + 1
-        # A block's columns are the distinct codes of its rows' entries.
-        groups, inverse, counts = np.unique(block[rows] * span + codes, return_inverse=True, return_counts=True)
-        if kind == "overlap":
-            # Only the values that at least two of the block's rows hold.
-            kept = counts > 1
-            rows, inverse = rows[kept[inverse]], (np.cumsum(kept) - 1)[inverse[kept[inverse]]]
-            groups = groups[kept]
-        width = np.bincount(groups // span, minlength=n_blocks)
-        first = np.cumsum(width) - width
-        entry_block = block[rows]
-        sort = np.argsort(entry_block, kind="stable")
-        starts = _indptr(np.bincount(entry_block, minlength=n_blocks))
-        prepared = (width, starts, self.local[rows][sort], (inverse - first[entry_block])[sort])
-        if kind == "overlap":
-            return prepared
-        # Each row's publication is its column, or else the block's empty last one.
-        at = np.searchsorted(groups, own)
-        found = at < len(groups)
-        found[found] = groups[at[found]] == own[found]
-        return (*prepared, np.where(found, at - first[block], width[block])[self.order])
+    def roots(self, b: int, rules: ScoringRuleTable) -> np.ndarray:
+        """The root of each row of block b in the forest of the pairs that
+        the rules link: the first row of its component in b's run."""
+        run = self._run
+        if run is None or run[0] != rules or not run[1] <= b < run[2]:
+            before = self.pairs_before
+            stop = max(b + 1, int(np.searchsorted(before, before[b] + _RUN_PAIRS, side="right")) - 1)
+            self._run = run = (rules, b, stop, _Run(self, b, stop).forest(_plan(rules)))
+        lo = self.bounds[run[1]]
+        return run[3][self.bounds[b] - lo:self.bounds[b + 1] - lo]
 
 
 class Block:
@@ -221,46 +190,225 @@ class Block:
     def mention_ids(self) -> list[str]:
         return self._blocks.ids[self._lo:self._hi]
 
-    def operand(self, kind: str, column: str):
-        """What the block's hit matrix for a criterion is computed from, or
-        None when no pair of the block can satisfy it.
 
-        same: one integer code per row, compared by broadcasting. overlap:
-        an incidence matrix B of rows × the values that at least two of them
-        hold, so B @ B.T is positive where two sets intersect. cites: an
-        incidence R of rows × the block's publications that some row
-        references, plus an empty last column, and each row's publication
-        as a column of R; C = R[:, publication] is references × pub ids.
-        """
-        b, n = self._b, len(self)
+# The pairs handled at once. A run takes the blocks from the one asked for
+# on while their block pairs stay within this bound, and at least that one
+# block; its candidate pairs are then scored a chunk of rows at a time,
+# each chunk holding about this many of them.
+_RUN_PAIRS = 1 << 16
+# Bits that number a criterion, below a pair's number in a sorted key.
+_SHIFT = len(CRITERIA).bit_length()
+
+
+class _Plan(NamedTuple):
+    """How a rule table links pairs, by criterion number (its row of
+    _CRITERIA_TABLE and its bit in a criteria mask).
+
+    links[mask] says whether the weights of the criteria in mask, added
+    largest first, reach the threshold. decisive criteria reach it alone.
+    others are the lowest positive weights, taken in ascending order (same
+    before overlap and cites among equal weights) while their sum stays
+    below the threshold, so a pair that satisfies none of the anchors,
+    the remaining positive criteria, never links. others_mask holds the bits
+    of others, which are listed same first, then by descending weight.
+    """
+
+    decisive: list[int]
+    anchors: list[int]
+    others: list[int]
+    others_mask: int
+    links: np.ndarray
+
+
+def _plan(rules: ScoringRuleTable) -> _Plan:
+    weights = [rules.weight(name) for name in CRITERIA]
+    masks = np.arange(1 << len(CRITERIA))
+    total = np.zeros(len(masks))
+    # Largest first, as a pair's weights are added; a miss adds 0.0, which changes no sum.
+    for k in sorted(range(len(CRITERIA)), key=lambda k: -weights[k]):
+        total += np.where(masks >> k & 1, weights[k], 0.0)
+    links = total >= rules.threshold
+    same = [kind == "same" for _, kind, _ in _CRITERIA_TABLE]
+    ascending = sorted((k for k in range(len(CRITERIA)) if weights[k] > 0), key=lambda k: (weights[k], not same[k]))
+    others_mask = 0
+    for k in ascending:
+        if links[others_mask | 1 << k]:
+            break
+        others_mask |= 1 << k
+    decisive = [k for k in ascending if links[1 << k]]
+    anchors = [k for k in ascending if not others_mask >> k & 1 and k not in decisive]
+    others = sorted((k for k in ascending if others_mask >> k & 1), key=lambda k: (not same[k], -weights[k]))
+    return _Plan(decisive, anchors, others, others_mask, links)
+
+
+class _Run:
+    """Consecutive blocks first..stop-1 of a _Blocks, whose rows it numbers
+    0..n-1 in block layout, so that each block is a range of them. Every
+    row and pair below is in those numbers."""
+
+    def __init__(self, blocks: _Blocks, first: int, stop: int):
+        lo = blocks.bounds[first]
+        self.table = blocks.table
+        self.entries = blocks.entries
+        self.rows = blocks.order[lo:blocks.bounds[stop]]
+        self.n = len(self.rows)
+        self.bounds = blocks.bounds[first:stop + 1] - lo
+        self.block = np.repeat(np.arange(stop - first), np.diff(self.bounds))
+        self._held: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def held(self, column: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A set-valued column over the run as (indptr, codes, keys): row r
+        holds the values of codes[indptr[r]:indptr[r + 1]], and keys holds
+        code * n + row of every value a row holds, sorted."""
+        if column not in self._held:
+            indptr, codes = self.entries(column)
+            sizes = indptr[self.rows + 1] - indptr[self.rows]
+            codes = codes[_ranges(indptr[self.rows], sizes)]
+            keys = np.sort(codes.astype(np.int64) * self.n + np.repeat(np.arange(self.n), sizes))
+            self._held[column] = (_indptr(sizes), codes, keys)
+        return self._held[column]
+
+    def groups(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows that hold a value of a same or overlap criterion, grouped
+        by (block, value), each group in ascending order, with where each
+        group starts and its size."""
+        _, kind, column = _CRITERIA_TABLE[k]
         if kind == "same":
-            shared, codes = self._blocks.prepared(kind, column)
-            return codes[self._lo:self._hi] if shared[b] else None
-        width, starts, rows, cols, *publication = self._blocks.prepared(kind, column)
-        if not width[b]:
-            return None
-        entries = slice(starts[b], starts[b + 1])
-        if kind == "overlap":
-            matrix = np.zeros((n, width[b]), dtype=np.float32)
-            matrix[rows[entries], cols[entries]] = 1.0
-            return matrix
-        matrix = np.zeros((n, width[b] + 1), dtype=bool)
-        matrix[rows[entries], cols[entries]] = True
-        return matrix, publication[0][self._lo:self._hi]
+            codes = self.table.codes(column)[self.rows]
+            rows = np.flatnonzero(codes >= 0)
+            keys = np.sort(codes[rows].astype(np.int64) * self.n + rows)
+        else:
+            keys = self.held(column)[2]
+        codes, rows = np.divmod(keys, self.n)
+        block = self.block[rows]
+        new = np.ones(len(rows), bool)
+        new[1:] = (codes[1:] != codes[:-1]) | (block[1:] != block[:-1])
+        starts = np.flatnonzero(new)
+        return rows, starts, np.diff(starts, append=len(rows))
+
+    def citations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair (a, b), a != b, of rows of one block where b's
+        publication is among a's references."""
+        indptr, codes, _ = self.held("references")
+        rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        own = np.sort(self.table.pub[self.rows] * self.n + np.arange(self.n))
+        start = codes.astype(np.int64) * self.n + self.bounds[self.block[rows]]
+        left = np.searchsorted(own, start)
+        counts = np.searchsorted(own, start + np.diff(self.bounds)[self.block[rows]]) - left
+        a, b = np.repeat(rows, counts), own[_ranges(left, counts)] % self.n
+        return a[a != b], b[a != b]
+
+    def star(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs whose components hold every pair that satisfies criterion
+        k: each group's first row with each other row."""
+        if _CRITERIA_TABLE[k][1] == "cites":
+            return self.citations()
+        rows, starts, sizes = self.groups(k)
+        later = np.ones(len(rows), bool)
+        later[starts] = False
+        return np.repeat(rows[starts], sizes - 1), rows[later]
+
+    def listing(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair a < b that satisfies criterion k, once or more, as
+        (first, count, start, partners): entry e lists the pairs of first[e]
+        with each of partners[start[e]:start[e] + count[e]]."""
+        if _CRITERIA_TABLE[k][1] == "cites":
+            a, b = self.citations()
+            return np.minimum(a, b), np.ones(len(a), np.int64), np.arange(len(a)), np.maximum(a, b)
+        # Each row with every later row of its group.
+        rows, starts, sizes = self.groups(k)
+        after = np.arange(1, len(rows) + 1)
+        return rows, np.repeat(starts + sizes, sizes) - after, after, rows
+
+    def holds(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each pair (a[p], b[p]) satisfies criterion k."""
+        _, kind, column = _CRITERIA_TABLE[k]
+        if kind == "same":
+            codes = self.table.codes(column)
+            x, y = codes[self.rows[a]], codes[self.rows[b]]
+            return (x == y) & (x >= 0)
+        indptr, codes, keys = self.held(column)
+        if kind == "cites":
+            pub = self.table.pub[self.rows]
+            return _member(keys, pub[a] * self.n + b) | _member(keys, pub[b] * self.n + a)
+        # Each value of the row with fewer of them, looked up among the other's.
+        sizes = np.diff(indptr)
+        a, b = np.where(sizes[a] <= sizes[b], a, b), np.where(sizes[a] <= sizes[b], b, a)
+        probes = codes[_ranges(indptr[a], sizes[a])].astype(np.int64) * self.n + np.repeat(b, sizes[a])
+        return np.bincount(np.repeat(np.arange(len(a)), sizes[a])[_member(keys, probes)], minlength=len(a)) > 0
+
+    def forest(self, plan: _Plan) -> np.ndarray:
+        """Each row's root in the forest of the pairs the plan links.
+
+        A decisive criterion's groups are merged whole. Every other pair
+        that can link satisfies an anchor, so the anchors list the pairs to
+        score, a chunk of rows at a time: a chunk takes the pairs whose
+        smaller row is in it, about _RUN_PAIRS of them.
+        """
+        n = self.n
+        parent = np.arange(n)
+        if plan.decisive:
+            _merge(parent, *map(np.concatenate, zip(*map(self.star, plan.decisive))))
+        listings = [self.listing(k) for k in plan.anchors]
+        listed = np.zeros(n, np.int64)
+        for first, count, _, _ in listings:
+            np.add.at(listed, first, count)
+        chunk = (np.cumsum(listed) - listed) // max(_RUN_PAIRS, 1)
+        cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), n]
+        for lo, hi in zip(cuts, cuts[1:]):
+            # (a * n + b) << _SHIFT | k for each pair a < b an anchor k
+            # lists, written in place, then sorted.
+            keys = np.empty(int(listed[lo:hi].sum()), np.int64)
+            if not len(keys):
+                continue
+            end = 0
+            for k, (first, count, start, partners) in zip(plan.anchors, listings):
+                at = np.flatnonzero((first >= lo) & (first < hi))
+                part = keys[end:end + int(count[at].sum())]
+                np.multiply(np.repeat(first[at], count[at]), n, out=part)
+                part += partners[_ranges(start[at], count[at])]
+                part <<= _SHIFT
+                part |= k
+                end += len(part)
+            keys.sort()
+            # Each pair once, with the bits of the anchors it satisfies.
+            bits = keys & (1 << _SHIFT) - 1
+            np.left_shift(1, bits, out=bits)
+            keys >>= _SHIFT
+            first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            mask = np.bitwise_or.reduceat(bits, first)
+            del bits
+            _merge(parent, *np.divmod(self.linking(plan, keys[first], mask), n))
+        return parent
+
+    def linking(self, plan: _Plan, pair: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The pairs a * n + b that link among the pairs given, each with
+        the mask of the anchors it satisfies.
+
+        A pair whose anchors link it, or that cannot link even with every
+        other criterion, is decided; for the rest the other criteria are
+        checked one at a time, each for the pairs still undecided.
+        """
+        linked, undecided = [], plan.others_mask
+        for k in [*plan.others, None]:
+            links = plan.links[mask]
+            linked.append(pair[links])
+            open_ = ~links & plan.links[mask | undecided]
+            pair, mask = pair[open_], mask[open_]
+            # With no criterion left undecided, no pair is open.
+            if not len(pair):
+                break
+            undecided &= ~(1 << k)
+            mask |= self.holds(k, *np.divmod(pair, self.n)).astype(np.int64) << k
+        return np.concatenate(linked)
 
 
-# Rows of a block that cluster_block scores at a time.
-_TILE = 256
-
-
-def _hits(kind: str, operand, rows: slice, cols: slice) -> np.ndarray:
-    """Which pairs of rows × cols satisfy a criterion, from its operand."""
-    if kind == "same":
-        return operand[rows, None] == operand[None, cols]
-    if kind == "overlap":
-        return operand[rows] @ operand[cols].T > 0
-    matrix, publication = operand
-    return matrix[rows][:, publication[cols]] | matrix[cols][:, publication[rows]].T
+def _member(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Whether each probe is among the sorted keys."""
+    at = np.searchsorted(keys, probes)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == probes[found]
+    return found
 
 
 def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -278,37 +426,24 @@ def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def cluster_block(block: Block, rules: ScoringRuleTable) -> list[MentionCluster]:
-    """Single-linkage clustering of one block.
+    """Single-linkage clustering of one block: the connected components of
+    the pairs whose satisfied criteria's weights, added largest first,
+    reach the threshold.
 
-    Each positively weighted criterion gives an n × n hit matrix, built by
-    its kind from the block's codes (see Block.operand). The hits' weights
-    are added largest first, so every pair's total and its linked/not
-    decision equal the sum of the weights of the criteria it satisfies,
-    taken largest first, which the tests compute one pair at a time as the
-    oracle: adding 0.0 for a miss changes nothing. Rows are scored in tiles of _TILE against the rows
-    from the tile on, so the score matrices take O(_TILE × n) memory (an
-    incidence matrix takes n × the values at least two mentions share).
-    Clusters are the connected components of the pairs at the threshold.
+    Weights are nonnegative, so a pair can link only if it satisfies an
+    anchor criterion (_Plan). Only the pairs that share a value of an
+    anchor in their block are listed, from the (block, value) groups of
+    the mention table, and a decisive criterion's groups are merged whole.
+    A listed pair's satisfied criteria form a mask, and the rule table's
+    subset table (_Plan.links) says whether the mask links; the other
+    criteria are checked only for the pairs they can still decide. The
+    forest is computed for a run of neighbouring blocks at once, on the
+    first of them asked for (_Blocks.roots), and a run's pairs a chunk at
+    a time, so memory grows with _RUN_PAIRS, not with the square of a
+    block.
     """
-    n = len(block)
-    checks = []
-    for name, kind, column in sorted(_CRITERIA_TABLE, key=lambda row: -rules.weight(row[0])):
-        weight = rules.weight(name)
-        if weight > 0 and (operand := block.operand(kind, column)) is not None:
-            checks.append((weight, kind, operand))
-
-    parent = np.arange(n)
-    for start in range(0, n, _TILE):
-        stop = min(start + _TILE, n)
-        rows, cols = slice(start, stop), slice(start, n)
-        total = np.zeros((stop - start, n - start))
-        for weight, kind, operand in checks:
-            np.add(total, weight, out=total, where=_hits(kind, operand, rows, cols))
-        a, b = np.nonzero(total >= rules.threshold)
-        _merge(parent, a + start, b + start)
-
     groups: dict[int, list[str]] = {}
-    for root, mention_id in zip(parent.tolist(), block.mention_ids):
+    for root, mention_id in zip(block._blocks.roots(block._b, rules).tolist(), block.mention_ids):
         groups.setdefault(root, []).append(mention_id)
     clusters = [
         MentionCluster(author_id=min(ids), mention_ids=tuple(sorted(ids)))

@@ -11,10 +11,12 @@ the lines export writes, by the record path's own ingest (records_of).
 
 The pair oracle describes every mention as one AuthorMention and every
 criterion as a comparison of two of them, one pair at a time. The package
-itself scores pairs only from the coded columns of a corpus's
-MentionTable, a block at a time (disambig.cluster_block); the tests check
-that both give the same values, the same satisfied criteria and the same
-clusters.
+itself scores only the pairs that share a value of an anchor criterion,
+listed from the coded columns of a corpus's MentionTable a run of blocks
+at a time (disambig.cluster_block); the tests check that both give the
+same values, the same satisfied criteria and the same clusters. The dense
+oracle (dense_cluster_block) scores every pair of a block from the same
+columns, as n × n hit matrices summed tile by tile.
 
 The citation oracle simulates citation arrival one hit at a time, with a
 per-year map from each author to their citable papers. The package itself
@@ -43,7 +45,7 @@ from rankmobility.corpus import (
     _RecordError,
     _validate_record,
 )
-from rankmobility.disambig import _CRITERIA_TABLE, BlockKey, ScoringRuleTable
+from rankmobility.disambig import _CRITERIA_TABLE, BlockKey, MentionCluster, ScoringRuleTable, _merge
 from rankmobility.names import full_given_name, initials_of, normalize_text, parse_name
 from rankmobility.synth import LATE_CITATION_RATE, UPDATES_PER_YEAR, _even_split
 
@@ -272,6 +274,78 @@ def score_pair(a: AuthorMention, b: AuthorMention, rules: ScoringRuleTable) -> f
 
 def block_key(mention: AuthorMention) -> BlockKey:
     return (mention.surname, mention.initials[:1])
+
+
+def dense_cluster_block(block, rules: ScoringRuleTable, tile: int = 256) -> list[MentionCluster]:
+    """What cluster_block returns, from every pair of the block.
+
+    Each positively weighted criterion gives n × n hit matrices, built by
+    its kind from the block's columns (_operand). The hits' weights are
+    added largest first, as score_pair adds them, so adding 0.0 for a miss
+    changes nothing. Rows are scored in tiles of `tile` against the rows
+    from the tile on, and clusters are the connected components of the
+    pairs at the threshold.
+    """
+    table = block._blocks.table
+    rows = block._blocks.order[block._lo:block._hi]
+    n = len(rows)
+    checks = []
+    for name, kind, column in sorted(_CRITERIA_TABLE, key=lambda row: -rules.weight(row[0])):
+        weight = rules.weight(name)
+        if weight > 0:
+            checks.append((weight, kind, _operand(table, rows, kind, column)))
+
+    parent = np.arange(n)
+    for start in range(0, n, tile):
+        stop = min(start + tile, n)
+        tile_rows, cols = slice(start, stop), slice(start, n)
+        total = np.zeros((stop - start, n - start))
+        for weight, kind, operand in checks:
+            np.add(total, weight, out=total, where=_hits(kind, operand, tile_rows, cols))
+        a, b = np.nonzero(total >= rules.threshold)
+        _merge(parent, a + start, b + start)
+
+    groups: dict[int, list[str]] = {}
+    for root, mention_id in zip(parent.tolist(), block.mention_ids):
+        groups.setdefault(root, []).append(mention_id)
+    return sorted((MentionCluster(min(ids), tuple(sorted(ids))) for ids in groups.values()), key=attrgetter("author_id"))
+
+
+def _operand(table, rows: np.ndarray, kind: str, column: str):
+    """What the hit matrices of a criterion over the table rows are
+    computed from. same: one code per row, a missing value a negative code
+    of its own. overlap: an incidence matrix B of rows × values, so
+    B @ B.T is positive where two sets intersect. cites: an incidence R of
+    rows × referenced values plus an empty last column, and each row's
+    publication as a column of R."""
+    n = len(rows)
+    if kind == "same":
+        codes = table.codes(column)[rows]
+        return np.where(codes >= 0, codes, -1 - np.arange(n))
+    position = np.full(len(table.pub), -1)
+    position[rows] = np.arange(n)
+    entry_rows, codes = table.pairs(column)
+    at = position[entry_rows]
+    values, columns = np.unique(codes[at >= 0], return_inverse=True)
+    matrix = np.zeros((n, len(values) + 1), dtype=np.float32 if kind == "overlap" else bool)
+    matrix[at[at >= 0], columns] = 1
+    if kind == "overlap":
+        return matrix
+    pub = table.pub[rows]
+    column_of = np.searchsorted(values, pub)
+    found = column_of < len(values)
+    found[found] = values[column_of[found]] == pub[found]
+    return matrix, np.where(found, column_of, len(values))
+
+
+def _hits(kind: str, operand, rows: slice, cols: slice) -> np.ndarray:
+    """Which pairs of rows × cols satisfy a criterion, from its operand."""
+    if kind == "same":
+        return operand[rows, None] == operand[None, cols]
+    if kind == "overlap":
+        return operand[rows] @ operand[cols].T > 0
+    matrix, publication = operand
+    return matrix[rows][:, publication[cols]] | matrix[cols][:, publication[rows]].T
 
 
 def simulate_citations(config, rng, authors, papers) -> None:

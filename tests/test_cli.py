@@ -229,6 +229,20 @@ def test_a_negative_seed_is_a_usage_error(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+def test_a_seed_is_a_usage_error_where_nothing_is_drawn(capsys, tmp_path):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out.jsonl"
+    corpus.write_text(json.dumps(make_record("P1")) + "\n", encoding="utf-8")
+    code, out_text, err = run_cli(capsys, "--seed", "5", "ingest", "--in", str(corpus), "--out", str(out))
+    assert (code, out_text) == (1, "")
+    assert "--seed applies only to null, synth corpus, synth transitions and run" in err
+    assert not out.exists()
+    # Where a seed is drawn from it is taken (run: test_run_seed_flag_matches_a_config_seed).
+    table, null = tmp_path / "table.csv", tmp_path / "null.csv"
+    assert run_cli(capsys, "--seed", "5", "synth", "transitions", "--d", "0.5", "--n", "1000", "--out", str(table))[0] == 0
+    assert run_cli(capsys, "--seed", "5", "null", "--cohort", str(table), "--reps", "2", "--out", str(null))[0] == 0
+    assert null.is_file()
+
+
 @pytest.mark.parametrize("corpus_exists", [False, True], ids=["absent-corpus", "every-cohort-skipped"])
 def test_a_negative_config_seed_is_a_data_error_before_any_work(capsys, tmp_path, corpus_exists):
     corpus = tmp_path / "corpus.jsonl"

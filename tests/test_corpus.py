@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmobility.columns import _code, _Coder
+from rankmobility.columns import _code, _Coder, _unique
 from rankmobility.corpus import (
     CorpusError,
     CorpusFilterConfig,
@@ -609,3 +609,10 @@ def test_ingest_keeps_the_bytes_of_its_columns_per_mention():
     bound = 1.5 * arithmetic + 64 * 1024
     assert kept < bound
     assert kept_by_records > 3 * bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**62), 2**62), max_size=30))
+def test_unique_gives_what_numpy_unique_gives(keys):
+    keys = np.array(keys, np.int64)
+    assert np.array_equal(_unique(keys), np.unique(keys))

@@ -1,6 +1,9 @@
 import itertools
 import json
 import re
+import tracemalloc
+from collections import Counter
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankmobility import disambig
+from rankmobility import disambig, synth
 from rankmobility.disambig import (
     CRITERIA,
     DisambigError,
@@ -26,8 +29,17 @@ from rankmobility.disambig import (
     write_truth,
 )
 
-from conftest import corpus_of, make_record
-from oracle import VALUE, AuthorMention, block_key, build_mentions, records_of, satisfied_criteria, score_pair
+from conftest import corpus_of, export_lines, make_record
+from oracle import (
+    VALUE,
+    AuthorMention,
+    block_key,
+    build_mentions,
+    dense_cluster_block,
+    records_of,
+    satisfied_criteria,
+    score_pair,
+)
 
 
 def mention(mention_id="M:0", **overrides):
@@ -281,13 +293,12 @@ def test_raising_threshold_only_refines(blocks, low, step):
 
 # Mentions P0:0 to P5:0 of one block, which cite each other's publications
 # and differ in given names, spelled out or not.
-_BLOCK_MEMBER = st.fixed_dictionaries(
-    {
-        **_ATTR_VALUES,
-        "given": st.sampled_from(["ada", "ann"]),
-        "references": st.sets(st.sampled_from(["P0", "P1", "P2", "P3", "P4", "P5", "R1"]), max_size=3).map(frozenset),
-    }
-)
+_BLOCK_MEMBER_VALUES = {
+    **_ATTR_VALUES,
+    "given": st.sampled_from(["ada", "ann"]),
+    "references": st.sets(st.sampled_from(["P0", "P1", "P2", "P3", "P4", "P5", "R1"]), max_size=3).map(frozenset),
+}
+_BLOCK_MEMBER = st.fixed_dictionaries(_BLOCK_MEMBER_VALUES)
 # Weights whose float sums depend on the order they are added in.
 _WEIGHTS = st.fixed_dictionaries({name: st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.1, 3.3, 10.0]) for name in CRITERIA})
 
@@ -381,19 +392,68 @@ def test_doubling_every_weight_and_the_threshold_keeps_the_clusters(members, wei
     assert cluster_block(as_block(ms), doubled) == cluster_block(as_block(ms), rules)
 
 
+# Mentions of up to three blocks, which cite each other's publications.
+_MEMBER = st.fixed_dictionaries({**_BLOCK_MEMBER_VALUES, "surname": st.sampled_from(["park", "quinn", "ross"])})
+
+
+@st.composite
+def _rule_tables(draw):
+    """Rule tables of three shapes: any weights and threshold; a threshold
+    that every positive weight reaches alone, so that every criterion is an
+    anchor; and one that no single weight reaches."""
+    weights = draw(_WEIGHTS)
+    shape = draw(st.sampled_from(["any", "every_anchor", "none_decisive"]))
+    positive = [w for w in weights.values() if w > 0]
+    if shape == "every_anchor" and positive:
+        threshold = min(positive)
+    elif shape == "none_decisive":
+        threshold = max(weights.values()) + draw(st.sampled_from([0.1, 0.3, 1.1, 3.4]))
+    else:
+        threshold = draw(st.one_of(st.sampled_from([0.3, 0.6, 3.4, 4.4, 11.6]), st.floats(0.01, 20.0)))
+    return ScoringRuleTable(weights=weights, threshold=threshold)
+
+
+def test_the_rule_table_shapes_split_as_named(default_rules):
+    every_anchor = disambig._plan(ScoringRuleTable(weights=dict.fromkeys(CRITERIA, 1.1), threshold=1.1))
+    assert every_anchor.others == [] and sorted(every_anchor.decisive) == list(range(len(CRITERIA)))
+    plan = disambig._plan(default_rules)
+    names = lambda ks: {CRITERIA[k] for k in ks}
+    assert names(plan.others) == {"shared_discipline", "same_journal", "co_citation", "name_detail_match"}
+    assert names(plan.decisive) == {"orcid_match"}
+    # Among equal weights a same criterion is left out of the anchors first.
+    rules = ScoringRuleTable(weights={"shared_affiliation": 3, "shared_grant": 3, "email_match": 3}, threshold=7)
+    assert names(disambig._plan(rules).others) == {"shared_affiliation", "email_match"}
+
+
+def _blocks(mentions):
+    """Each block of hand-made mentions, by mention id, in key order."""
+    by_id = {m.mention_id: m for m in mentions}
+    blocks = disambig._Blocks(HandMadeTable(mentions)).by_key().values()
+    return [(block, [by_id[mid] for mid in block.mention_ids]) for block in blocks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.lists(_MEMBER, min_size=1, max_size=14), tables=st.lists(_rule_tables(), min_size=1, max_size=2),
+       data=st.data())
+def test_cluster_block_gives_the_dense_clusters_and_the_score_pair_components(members, tables, data):
+    blocks = _blocks(_block_of(members))
+    # Blocks in any order, so that a block is asked for before and after
+    # its run, each under every rule table in turn.
+    for block, ms in data.draw(st.permutations(blocks)):
+        for rules in tables:
+            clusters = cluster_block(block, rules)
+            assert _ids(clusters) == _oracle_clusters(ms, rules)
+            assert clusters == dense_cluster_block(block, rules, tile=3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    members=st.lists(_BLOCK_MEMBER, min_size=5, max_size=14),
-    weights=_WEIGHTS,
-    threshold=st.sampled_from([0.3, 3.4, 4.4, 10.0]),
-    tile=st.integers(1, 4),
-)
-def test_blocks_larger_than_a_tile_give_the_components_score_pair_links(members, weights, threshold, tile):
-    rules = ScoringRuleTable(weights=weights, threshold=threshold)
-    ms = _block_of(members)
+@given(members=st.lists(_MEMBER, min_size=5, max_size=16), rules=_rule_tables(), bound=st.integers(0, 4))
+def test_runs_of_one_block_or_a_few_pairs_give_the_components_score_pair_links(members, rules, bound):
+    # Bound 0 makes every block with a pair a run of its own.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(disambig, "_TILE", tile)
-        assert _ids(cluster_block(as_block(ms), rules)) == _oracle_clusters(ms, rules)
+        patch.setattr(disambig, "_RUN_PAIRS", bound)
+        for block, ms in _blocks(_block_of(members)):
+            assert _ids(cluster_block(block, rules)) == _oracle_clusters(ms, rules)
 
 
 # Corpora for the mention table's oracle test. Optional fields may be null,
@@ -483,6 +543,59 @@ def test_mention_table_codes_what_the_oracle_mentions_hold(corpus, weights, thre
     clusters = disambiguate(corpus, rules)
     assert _ids(clusters) == expected
     assert [c.author_id for c in clusters] == [ids[0] for ids in expected]
+
+
+def _listed_pairs(ms, rules):
+    """The pairs of the mentions that an anchor criterion of the rules
+    lists, counted once for each value they share: for same and overlap
+    criteria C(g, 2) per group of g mentions that hold one value, and for
+    self_citation one per reference to another mention's publication."""
+    plan = disambig._plan(rules)
+    pubs = Counter(m.pub_id for m in ms)
+    listed = 0
+    for k in plan.anchors:
+        name, kind, _ = disambig._CRITERIA_TABLE[k]
+        if kind == "cites":
+            listed += sum(pubs[ref] - (ref == m.pub_id) for m in ms for ref in m.references)
+            continue
+        values = [VALUE[name](m) for m in ms]
+        held = Counter(v for v in values if v is not None) if kind == "same" else Counter(itertools.chain(*values))
+        listed += sum(comb(g, 2) for g in held.values())
+    return listed
+
+
+def test_a_large_block_is_scored_in_memory_far_below_its_candidate_pairs(default_rules):
+    # Mentions renamed into one block of 4,800 with their fields kept, as
+    # when a common name meets many authors: most of its pairs share an
+    # affiliation, a coauthor or a reference.
+    corpus, _ = synth.generate_corpus(synth.SynthConfig(n_authors=500, seed=1))
+    records = [json.loads(line) for line in export_lines(corpus)]
+    renamed = itertools.islice((a for r in records for a in r["authors"]), 4800)
+    for author in renamed:
+        author["name"] = "Ada Probe"
+    corpus = corpus_of(*records)
+    blocks = block_mentions(corpus)
+    large = blocks[("probe", "a")]
+    assert len(large) == 4800
+    # The corpus's set columns are built on the first block clustered; the
+    # last block's run holds no earlier block.
+    last = list(blocks.values())[-1]
+    assert last is not large
+    cluster_block(last, default_rules)
+    mentions = build_mentions(records_of(corpus))
+    listed = _listed_pairs([mentions[mid] for mid in large.mention_ids], default_rules)
+    assert listed > 2_000_000
+
+    tracemalloc.start()
+    try:
+        clusters = cluster_block(large, default_rules)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Listing every candidate pair at once would take 8 bytes per pair for
+    # its key alone; scoring them a chunk at a time takes under half that.
+    assert peak < 4 * listed, (peak, listed)
+    assert sum(len(c.mention_ids) for c in clusters) == len(large)
 
 
 def test_empty_and_single_mention_blocks(default_rules):

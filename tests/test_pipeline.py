@@ -365,6 +365,28 @@ def test_killed_run_leaves_no_partial_bundle(tmp_path):
     assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
 
 
+def test_a_bundle_does_not_depend_on_the_hash_seed(tmp_path):
+    # Each process hashes strings with its own seed, so output that followed
+    # the iteration order of a set of strings would differ between the two.
+    corpus_path = make_corpus_file(tmp_path / "corpus.jsonl", name_collision_rate=0.2)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps(pipeline_config(corpus_path).canonical_dict()), encoding="utf-8")
+    src = str(Path(rankmobility.__file__).resolve().parents[1])
+    bundles = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"hash-seed-{hash_seed}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   PYTHONHASHSEED=hash_seed, SOURCE_DATE_EPOCH="0")
+        argv = [sys.executable, "-m", "rankmobility.cli", "--threads", "2", "run", "--config", str(config),
+                "--out-dir", "bundle"]
+        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        bundles.append({str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()})
+    assert "bundle/clusters.jsonl" in bundles[0]
+    assert bundles[0] == bundles[1]
+
+
 def _quick_runs(monkeypatch):
     """Make run_pipeline stage an empty bundle without running anything."""
     monkeypatch.setattr(pipeline, "_run", lambda config, out, threads: ({}, True))
