@@ -1,10 +1,10 @@
 """The columns a corpus is held in, with no Python object per mention:
-built from records a batch at a time, narrowed to some of the
-publications, and decoded back into records."""
+built from records a batch at a time and narrowed to some of the
+publications. Export reads them back as lines (corpus._lines)."""
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from collections.abc import Iterable
 from itertools import chain, count, repeat
 from operator import itemgetter
@@ -204,46 +204,6 @@ def _recode(codes: np.ndarray, values: list, seed: Iterable = ()) -> tuple[np.nd
     """codes coded afresh, the seed's old codes first, with their values."""
     codes, old = _code(codes.tolist(), seed)
     return codes, list(map(values.__getitem__, old))
-
-
-def _decoded(columns: _Columns, lo: int, hi: int):
-    """(pub_id, year, disciplines, authors, citing years) of publications
-    lo..hi-1: the labels as a sorted tuple, the rest as lists."""
-    first, citing_ptr = columns.first, columns.citing_ptr
-    authors = _authors(columns, int(first[lo]), int(first[hi]))
-    bounds = (first[lo:hi + 1] - first[lo]).tolist()
-    citing = columns.citing[citing_ptr[lo]:citing_ptr[hi]].tolist()
-    citing_bounds = (citing_ptr[lo:hi + 1] - citing_ptr[lo]).tolist()
-    return zip(
-        columns.pub_ids[lo:hi],
-        columns.year[lo:hi].tolist(),
-        map(columns.discipline_sets.__getitem__, columns.disciplines[lo:hi].tolist()),
-        map(authors.__getitem__, map(slice, bounds, bounds[1:])),
-        map(citing.__getitem__, map(slice, citing_bounds, citing_bounds[1:])),
-    )
-
-
-def _authors(columns: _Columns, lo: int, hi: int) -> list[dict]:
-    """The author objects of mention rows lo..hi-1, keys in canonical order;
-    an absent field is left out."""
-    held, absent = [], []
-    for key in _AUTHOR_KEYS:
-        if key in columns.lists:
-            indptr, codes, values = columns.lists[key]
-            items = list(map(values.__getitem__, codes[indptr[lo]:indptr[hi]].tolist()))
-            bounds = indptr[lo:hi + 1] - indptr[lo]
-            held.append(list(map(items.__getitem__, map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))))
-            absent.append(bounds[:-1] == bounds[1:])
-        else:
-            codes, values = columns.fields[key]
-            codes = codes[lo:hi]
-            # An absent field's code, -1, reads the last value until it is deleted.
-            held.append(list(map(values.__getitem__, codes.tolist())) if values else [None] * len(codes))
-            absent.append(codes < 0)
-    authors = list(map(dict, map(zip, repeat(_AUTHOR_KEYS), zip(*held))))
-    for key, rows in zip(_AUTHOR_KEYS, absent):
-        deque(map(dict.__delitem__, map(authors.__getitem__, np.flatnonzero(rows).tolist()), repeat(key)), maxlen=0)
-    return authors
 
 
 def _indptr(sizes: np.ndarray) -> np.ndarray:

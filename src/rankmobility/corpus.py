@@ -31,14 +31,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .columns import _BATCH, _Builder, _Columns, _code, _decoded, _forms, _indptr, _ranges, _take, _unique
+from .columns import _AUTHOR_KEYS, _BATCH, _Builder, _Columns, _code, _forms, _indptr, _ranges, _take, _unique
 from .names import full_given_name, initials_of, normalize_text, parse_name
 
 IMPACT_WINDOW_YEARS = 5
 # Years are held as 64-bit integers, with room for the impact window.
 _YEAR_LIMIT = 2**62
-# Canonical JSON: sorted keys (the payloads are built in that order), fixed
-# separators, non-ASCII kept.
+# Canonical JSON: fixed separators, non-ASCII kept; _lines writes the keys
+# in sorted order.
 _encode = json.JSONEncoder(ensure_ascii=False, check_circular=False, separators=(",", ":")).encode
 
 
@@ -171,10 +171,12 @@ class MentionTable:
     out, else missing; grant_ids and references are the author's lists;
     coauthor_names are the normalized full names of the publication's other
     authors; disciplines are the publication's, and cited_by are the corpus
-    publications that reference it. The tests check every column against a
-    scalar description of each mention, built one mention at a time. The
-    build takes no lock: the pipeline reads mentions only on its main
-    thread, before its cohort pool starts.
+    publications that reference it. A set-valued column is stored once,
+    per publication or per row, and sets(column, rows) gathers it for just
+    the rows asked for, in their order. The tests check
+    every column against a scalar description of each mention, built one
+    mention at a time. The build takes no lock: the pipeline reads mentions
+    only on its main thread, before its cohort pool starts.
     """
 
     def __init__(self, columns: _Columns):
@@ -204,24 +206,29 @@ class MentionTable:
         affiliation, journal) per row."""
         return self._forms.codes[column]
 
-    def pairs(self, column: str) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, codes) of a set-valued column (coauthor_names, grant_ids,
-        disciplines, references, cited_by): row rows[k] holds the value of
-        code codes[k], rows ascending."""
+    def sets(self, column: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sizes, codes) of a set-valued column (coauthor_names, grant_ids,
+        disciplines, references, cited_by) for the given rows, in the order
+        given: rows[k] holds the values of the k-th run of sizes[k] codes,
+        each once. They are read from where each column is stored: per
+        publication (disciplines, cited_by), per row (grant_ids, references),
+        and from the rows of the publication (coauthor_names)."""
         if column == "coauthor_names":
             # The full names of the other authors of the row's publication.
-            sizes = np.diff(self.first)[self.pub]
-            rows = np.repeat(np.arange(len(self)), sizes)
-            others = _ranges(self.first[self.pub], sizes)
-            rows, others = rows[others != rows], others[others != rows]
+            pubs = self.pub[rows]
+            sizes = np.diff(self.first)[pubs]
+            at = np.repeat(np.arange(len(rows)), sizes)
+            others = _ranges(self.first[pubs], sizes)
+            other = others != rows[at]
+            at, others = at[other], others[other]
             # Two coauthors may share a full name; the row holds it once.
-            span = len(self._forms.values["coauthor_names"])
-            return np.divmod(_unique(rows * span + self._forms.full_name[others]), max(span, 1))
+            span = max(len(self._forms.values["coauthor_names"]), 1)
+            at, codes = np.divmod(_unique(at * span + self._forms.full_name[others]), span)
+            return np.bincount(at, minlength=len(rows)), codes
         indptr, flat, per_pub = self._forms.sets[column]
-        if not per_pub:
-            return np.repeat(np.arange(len(self)), np.diff(indptr)), flat
-        sizes = np.diff(indptr)[self.pub]
-        return np.repeat(np.arange(len(self)), sizes), flat[_ranges(indptr[self.pub], sizes)]
+        at = self.pub[rows] if per_pub else rows
+        sizes = indptr[at + 1] - indptr[at]
+        return sizes, flat[_ranges(indptr[at], sizes)]
 
     def values(self, column: str) -> list:
         """The distinct values of a column, indexed by code."""
@@ -256,7 +263,7 @@ def _build_forms(columns: _Columns, pub: np.ndarray) -> _Forms:
     sets: dict[str, tuple[np.ndarray, np.ndarray, bool]] = {}
     for column, field_name in (("grant_ids", "grants"), ("references", "references")):
         indptr, flat, values[column] = columns.lists[field_name]
-        sets[column] = (indptr, flat.astype(np.int64), False)
+        sets[column] = (indptr, flat, False)
     labels, values["disciplines"] = _code(chain.from_iterable(columns.discipline_sets))
     label_ptr = _indptr(np.fromiter(map(len, columns.discipline_sets), np.int64, len(columns.discipline_sets)))
     sizes = np.diff(label_ptr)[columns.disciplines]
@@ -266,7 +273,7 @@ def _build_forms(columns: _Columns, pub: np.ndarray) -> _Forms:
     citer = pub[np.repeat(np.arange(len(pub)), np.diff(indptr))]
     n_pubs = len(columns.pub_ids)
     cited = refs < n_pubs
-    target, citer = np.divmod(_unique(refs[cited] * n_pubs + citer[cited]), max(n_pubs, 1))
+    target, citer = np.divmod(_unique(refs[cited].astype(np.int64) * n_pubs + citer[cited]), max(n_pubs, 1))
     sets["cited_by"] = (_indptr(np.bincount(target, minlength=n_pubs)), citer, True)
     values["cited_by"] = columns.pub_ids
     return _Forms(key[name], keys, full_name[name], codes, sets, values)
@@ -382,13 +389,41 @@ def export(corpus: Corpus, path: str | Path) -> None:
 
 def _lines(columns: _Columns):
     """Each publication's canonical line: sorted-key JSON with fixed
-    separators, and a newline."""
-    n = len(columns.pub_ids)
+    separators, and a newline. A batch's lines are joined from the JSON
+    fragments of the values it uses, each encoded once (_fragments), an
+    author's keys in _AUTHOR_KEYS order and an absent field left out."""
+    n, first, citing_ptr = len(columns.pub_ids), columns.first, columns.citing_ptr
+    labels = list(map(";".join, columns.discipline_sets))
     for lo in range(0, n, _BATCH):
-        for pub_id, year, disciplines, authors, citing in _decoded(columns, lo, min(lo + _BATCH, n)):
-            payload = {"authors": authors, "citing_years": citing, "disciplines": ";".join(disciplines),
-                       "pub_id": pub_id, "year": year}
-            yield _encode(payload) + "\n"
+        hi = min(lo + _BATCH, n)
+        m_lo, m_hi = first[lo], first[hi]
+        fields = []
+        for key in _AUTHOR_KEYS:
+            if key in columns.fields:
+                codes, values = columns.fields[key]
+                fields.append(_fragments(codes[m_lo:m_hi].tolist(), values, f'"{key}":'))
+                continue
+            indptr, codes, values = columns.lists[key]
+            items = _fragments(codes[indptr[m_lo]:indptr[m_hi]].tolist(), values)
+            bounds = (indptr[m_lo:m_hi + 1] - indptr[m_lo]).tolist()
+            fields.append([f'"{key}":[{",".join(items[a:b])}]' if a < b else "" for a, b in zip(bounds, bounds[1:])])
+        authors = ["{" + ",".join(filter(None, held)) + "}" for held in zip(*fields)]
+        slots = (first[lo:hi + 1] - m_lo).tolist()
+        citing = columns.citing[citing_ptr[lo]:citing_ptr[hi]].tolist()
+        cited = (citing_ptr[lo:hi + 1] - citing_ptr[lo]).tolist()
+        disciplines = _fragments(columns.disciplines[lo:hi].tolist(), labels)
+        for k, (pub_id, year) in enumerate(zip(columns.pub_ids[lo:hi], columns.year[lo:hi].tolist())):
+            yield (f'{{"authors":[{",".join(authors[slots[k]:slots[k + 1]])}],'
+                   f'"citing_years":{_encode(citing[cited[k]:cited[k + 1]])},'
+                   f'"disciplines":{disciplines[k]},"pub_id":{_encode(pub_id)},"year":{year}}}\n')
+
+
+def _fragments(codes: list[int], values: list, head: str = "") -> list[str]:
+    """head and the JSON of values[code] for each code, encoded once per
+    distinct code; an absent value's code, -1, gives ""."""
+    cache = {code: head + _encode(values[code]) for code in set(codes) - {-1}}
+    cache[-1] = ""
+    return list(map(cache.__getitem__, codes))
 
 
 def filter_corpus(corpus: Corpus, config: CorpusFilterConfig) -> tuple[Corpus, FilterStats]:

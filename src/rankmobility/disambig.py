@@ -144,19 +144,10 @@ class _Blocks:
         self.pairs_before = _indptr(sizes * (sizes - 1) // 2)
         ids = table.ids
         self.ids = [ids[r] for r in self.order.tolist()]
-        self._entries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._run: tuple | None = None
 
     def by_key(self) -> dict[BlockKey, Block]:
         return {key: Block(self, b) for b, key in enumerate(self.keys)}
-
-    def entries(self, column: str) -> tuple[np.ndarray, np.ndarray]:
-        """A set-valued column as (indptr, codes): table row r holds the
-        values of codes[indptr[r]:indptr[r + 1]]."""
-        if column not in self._entries:
-            rows, codes = self.table.pairs(column)
-            self._entries[column] = (_indptr(np.bincount(rows, minlength=len(self.order))), codes.astype(np.int32))
-        return self._entries[column]
 
     def roots(self, b: int, rules: ScoringRuleTable) -> np.ndarray:
         """The root of each row of block b in the forest of the pairs that
@@ -249,7 +240,6 @@ class _Run:
     def __init__(self, blocks: _Blocks, first: int, stop: int):
         lo = blocks.bounds[first]
         self.table = blocks.table
-        self.entries = blocks.entries
         self.rows = blocks.order[lo:blocks.bounds[stop]]
         self.n = len(self.rows)
         self.bounds = blocks.bounds[first:stop + 1] - lo
@@ -261,9 +251,7 @@ class _Run:
         holds the values of codes[indptr[r]:indptr[r + 1]], and keys holds
         code * n + row of every value a row holds, sorted."""
         if column not in self._held:
-            indptr, codes = self.entries(column)
-            sizes = indptr[self.rows + 1] - indptr[self.rows]
-            codes = codes[_ranges(indptr[self.rows], sizes)]
+            sizes, codes = self.table.sets(column, self.rows)
             keys = np.sort(codes.astype(np.int64) * self.n + np.repeat(np.arange(self.n), sizes))
             self._held[column] = (_indptr(sizes), codes, keys)
         return self._held[column]

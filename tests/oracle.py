@@ -322,13 +322,10 @@ def _operand(table, rows: np.ndarray, kind: str, column: str):
     if kind == "same":
         codes = table.codes(column)[rows]
         return np.where(codes >= 0, codes, -1 - np.arange(n))
-    position = np.full(len(table.pub), -1)
-    position[rows] = np.arange(n)
-    entry_rows, codes = table.pairs(column)
-    at = position[entry_rows]
-    values, columns = np.unique(codes[at >= 0], return_inverse=True)
+    sizes, codes = table.sets(column, rows)
+    values, columns = np.unique(codes, return_inverse=True)
     matrix = np.zeros((n, len(values) + 1), dtype=np.float32 if kind == "overlap" else bool)
-    matrix[at[at >= 0], columns] = 1
+    matrix[np.repeat(np.arange(n), sizes), columns] = 1
     if kind == "overlap":
         return matrix
     pub = table.pub[rows]

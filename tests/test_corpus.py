@@ -5,12 +5,15 @@ import json
 import sys
 import tracemalloc
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankmobility import columns as columns_module
+from rankmobility import corpus as corpus_module
 from rankmobility.columns import _code, _Coder, _unique
 from rankmobility.corpus import (
     CorpusError,
@@ -532,6 +535,31 @@ def test_columns_ingest_filter_and_export_as_the_record_path(lines, configs):
         assert kept_lines == list(map(record_to_json, kept_records))
         # The kept publications are coded as a corpus of just them codes them.
         assert _plain(kept._columns) == _plain(ingest_lines(kept_lines)._columns)
+
+
+# Publications whose fields are absent, blank, escaped and non-ASCII.
+_ODD_FIELDS = [
+    make_record("P1", disciplines="", authors=[{"name": "Ada Park", "affiliation": "  ", "grants": []}]),
+    make_record("P2", disciplines="Ä; B", authors=[
+        {"name": 'Å "Q" Öl', "email": "tab\tnew\nline", "orcid": None, "references": ["P1", "Ω2", "P1"]},
+        {"name": "José García", "journal": "日本", "grants": ["g2", " ", "g1"]},
+    ], citing_years=[2004, 2003]),
+    make_record("P3", authors=[{"name": "A. Park", "affiliation": 'say "hi"\\', "references": []}]),
+    make_record("P4", disciplines="  ", authors=[{"name": "Bo Li", "email": "", "references": ["P3"]}]),
+]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+@settings(max_examples=50, deadline=None)
+@given(publications=st.lists(_PUBLICATION, min_size=1, max_size=6, unique_by=lambda p: p["pub_id"]))
+@example(publications=_ODD_FIELDS)
+def test_export_across_batch_boundaries_writes_what_one_batch_does(batch, publications):
+    lines = list(map(json.dumps, publications))
+    default = export_lines(ingest_lines(lines))
+    # Ingest and export both code a batch at a time.
+    with mock.patch.object(columns_module, "_BATCH", batch), mock.patch.object(corpus_module, "_BATCH", batch):
+        batched = export_lines(ingest_lines(lines))
+    assert batched == default == list(map(record_to_json, ingest_records(lines)[0].values()))
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,8 @@ class HandMadeTable:
         self.ids = [m.mention_id for m in self.mentions]
         self._pubs = {}
         self.pub = np.array([self._pubs.setdefault(m.pub_id, len(self._pubs)) for m in self.mentions], np.int64)
+        # The code of each set value; a pub_id has its publication's code.
+        self._codes = dict(self._pubs)
 
     def block_keys(self):
         keys = {}
@@ -88,11 +90,9 @@ class HandMadeTable:
         index = {None: -1}
         return np.array([index.setdefault(value(m), len(index) - 1) for m in self.mentions], np.int64)
 
-    def pairs(self, column):
-        index = dict(self._pubs)
-        rows = [r for r, m in enumerate(self.mentions) for _ in getattr(m, column)]
-        codes = [index.setdefault(v, len(index)) for m in self.mentions for v in getattr(m, column)]
-        return np.array(rows, np.int64), np.array(codes, np.int64)
+    def sets(self, column, rows):
+        held = [[self._codes.setdefault(v, len(self._codes)) for v in getattr(self.mentions[r], column)] for r in rows]
+        return np.array(list(map(len, held)), np.int64), np.array(list(itertools.chain(*held)), np.int64)
 
 
 def as_block(mentions):
@@ -488,13 +488,13 @@ def _corpora(draw):
     ))
 
 
-def _decoded(table, column):
-    """Each row's set of values of a set-valued column."""
-    values = table.values(column)
-    held = [set() for _ in range(len(table))]
-    for row, code in zip(*table.pairs(column)):
-        held[row].add(values[code])
-    return held
+def _decoded(table, column, rows):
+    """The values each of the rows holds of a set-valued column, as a list
+    per row in the order the table gives them."""
+    sizes, codes = table.sets(column, np.array(rows, np.int64))
+    values = list(map(table.values(column).__getitem__, codes.tolist()))
+    bounds = np.cumsum(sizes).tolist()
+    return [values[end - size:end] for size, end in zip(sizes.tolist(), bounds)]
 
 
 # One corpus with every case above, so that each run checks all of them.
@@ -522,7 +522,9 @@ def test_mention_table_codes_what_the_oracle_mentions_hold(corpus, weights, thre
     assert table.ids == list(mentions)
     pub_ids = list(records)
     key, keys = table.block_keys()
-    sets = {column: _decoded(table, column) for _, kind, column in disambig._CRITERIA_TABLE if kind != "same"}
+    rows = range(len(table))
+    sets = {column: list(map(set, _decoded(table, column, rows)))
+            for _, kind, column in disambig._CRITERIA_TABLE if kind != "same"}
     for row, m in enumerate(mentions.values()):
         assert (pub_ids[table.pub[row]], keys[key[row]]) == (m.pub_id, block_key(m))
         for name, kind, column in disambig._CRITERIA_TABLE:
@@ -543,6 +545,23 @@ def test_mention_table_codes_what_the_oracle_mentions_hold(corpus, weights, thre
     clusters = disambiguate(corpus, rules)
     assert _ids(clusters) == expected
     assert [c.author_id for c in clusters] == [ids[0] for ids in expected]
+
+
+# The set-valued columns, each once.
+_SET_COLUMNS = sorted({column for _, kind, column in disambig._CRITERIA_TABLE if kind != "same"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=_corpora(), order=st.lists(st.integers(0, 4 * len(_PUB_IDS) - 1), unique=True))
+@example(corpus=_EVERY_CASE, order=[4, 0, 3, 1, 2])
+def test_set_columns_are_gathered_for_rows_in_any_order(corpus, order):
+    # A run asks for its rows in block layout, not ascending.
+    mentions = list(build_mentions(records_of(corpus)).values())
+    rows = [row for row in order if row < len(mentions)]
+    for column in _SET_COLUMNS:
+        held = _decoded(corpus.mentions, column, rows)
+        assert [len(set(values)) for values in held] == list(map(len, held)), column
+        assert [frozenset(values) for values in held] == [getattr(mentions[row], column) for row in rows], column
 
 
 def _listed_pairs(ms, rules):
