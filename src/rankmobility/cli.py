@@ -202,7 +202,7 @@ def cmd_gini_series(args) -> int:
         for year in years:
             _, impact1, impact2 = cohort_impacts(careers, CohortSpec(args.discipline, year))
             impacts[year] = impact1 if args.window == 1 else impact2
-        series = cohort_gini_series(args.discipline, impacts, min_cohort=args.min_size)
+        series = cohort_gini_series(impacts, min_cohort=args.min_size)
     else:
         series = population_gini_series(careers, args.discipline, years, min_authors=args.min_size)
     write_gini_series_csv(args.out, series)

@@ -196,15 +196,14 @@ class _Plan(NamedTuple):
     _CRITERIA_TABLE and its bit in a criteria mask).
 
     links[mask] says whether the weights of the criteria in mask, added
-    largest first, reach the threshold. decisive criteria reach it alone.
-    others are the lowest positive weights, taken in ascending order (same
-    before overlap and cites among equal weights) while their sum stays
-    below the threshold, so a pair that satisfies none of the anchors,
-    the remaining positive criteria, never links. others_mask holds the bits
-    of others, which are listed same first, then by descending weight.
+    largest first, reach the threshold. others are the lowest positive
+    weights, taken in ascending order (same before overlap and cites among
+    equal weights) while their sum stays below the threshold, so a pair
+    that satisfies none of the anchors, the remaining positive criteria,
+    never links. others_mask holds the bits of others, which are listed
+    same first, then by descending weight.
     """
 
-    decisive: list[int]
     anchors: list[int]
     others: list[int]
     others_mask: int
@@ -226,10 +225,9 @@ def _plan(rules: ScoringRuleTable) -> _Plan:
         if links[others_mask | 1 << k]:
             break
         others_mask |= 1 << k
-    decisive = [k for k in ascending if links[1 << k]]
-    anchors = [k for k in ascending if not others_mask >> k & 1 and k not in decisive]
+    anchors = [k for k in ascending if not others_mask >> k & 1]
     others = sorted((k for k in ascending if others_mask >> k & 1), key=lambda k: (not same[k], -weights[k]))
-    return _Plan(decisive, anchors, others, others_mask, links)
+    return _Plan(anchors, others, others_mask, links)
 
 
 class _Run:
@@ -286,16 +284,6 @@ class _Run:
         a, b = np.repeat(rows, counts), own[_ranges(left, counts)] % self.n
         return a[a != b], b[a != b]
 
-    def star(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs whose components hold every pair that satisfies criterion
-        k: each group's first row with each other row."""
-        if _CRITERIA_TABLE[k][1] == "cites":
-            return self.citations()
-        rows, starts, sizes = self.groups(k)
-        later = np.ones(len(rows), bool)
-        later[starts] = False
-        return np.repeat(rows[starts], sizes - 1), rows[later]
-
     def listing(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every pair a < b that satisfies criterion k, once or more, as
         (first, count, start, partners): entry e lists the pairs of first[e]
@@ -328,15 +316,12 @@ class _Run:
     def forest(self, plan: _Plan) -> np.ndarray:
         """Each row's root in the forest of the pairs the plan links.
 
-        A decisive criterion's groups are merged whole. Every other pair
-        that can link satisfies an anchor, so the anchors list the pairs to
-        score, a chunk of rows at a time: a chunk takes the pairs whose
-        smaller row is in it, about _RUN_PAIRS of them.
+        Every pair that can link satisfies an anchor, so the anchors list
+        the pairs to score, a chunk of rows at a time: a chunk takes the
+        pairs whose smaller row is in it, about _RUN_PAIRS of them.
         """
         n = self.n
         parent = np.arange(n)
-        if plan.decisive:
-            _merge(parent, *map(np.concatenate, zip(*map(self.star, plan.decisive))))
         listings = [self.listing(k) for k in plan.anchors]
         listed = np.zeros(n, np.int64)
         for first, count, _, _ in listings:
@@ -421,14 +406,13 @@ def cluster_block(block: Block, rules: ScoringRuleTable) -> list[MentionCluster]
     Weights are nonnegative, so a pair can link only if it satisfies an
     anchor criterion (_Plan). Only the pairs that share a value of an
     anchor in their block are listed, from the (block, value) groups of
-    the mention table, and a decisive criterion's groups are merged whole.
-    A listed pair's satisfied criteria form a mask, and the rule table's
-    subset table (_Plan.links) says whether the mask links; the other
-    criteria are checked only for the pairs they can still decide. The
-    forest is computed for a run of neighbouring blocks at once, on the
-    first of them asked for (_Blocks.roots), and a run's pairs a chunk at
-    a time, so memory grows with _RUN_PAIRS, not with the square of a
-    block.
+    the mention table. A listed pair's satisfied criteria form a mask, and
+    the rule table's subset table (_Plan.links) says whether the mask
+    links; the other criteria are checked only for the pairs they can
+    still decide. The forest is computed for a run of neighbouring blocks
+    at once, on the first of them asked for (_Blocks.roots), and a run's
+    pairs a chunk at a time, so memory grows with _RUN_PAIRS, not with the
+    square of a block.
     """
     groups: dict[int, list[str]] = {}
     for root, mention_id in zip(block._blocks.roots(block._b, rules).tolist(), block.mention_ids):

@@ -40,28 +40,21 @@ def gini(values: Sequence[float]) -> float:
 
 @dataclass(eq=False)
 class GiniSeries:
-    """One Gini value per year for a discipline, with cohort sizes.
+    """One Gini value per year, with cohort sizes.
 
-    mode is "cohort" (years are career start years, impacts from a career
-    window) or "population" (years start 5-year activity windows). Years
-    with fewer authors than two or the configured minimum, or whose impacts
-    are all zero (the Gini is undefined), are omitted and listed in skipped.
+    The years are career start years (cohort_gini_series) or the starts of
+    5-year activity windows (population_gini_series). Years with fewer
+    authors than two or the configured minimum, or whose impacts are all
+    zero (the Gini is undefined), are omitted and listed in skipped.
     """
 
-    discipline: str
-    mode: str
     years: np.ndarray
     values: np.ndarray
     n_authors: np.ndarray
     skipped: tuple[int, ...] = field(default=())
 
 
-def _series(
-    discipline: str,
-    mode: str,
-    impacts_by_year: Iterable[tuple[int, Sequence[float]]],
-    min_size: int,
-) -> GiniSeries:
+def _series(impacts_by_year: Iterable[tuple[int, Sequence[float]]], min_size: int) -> GiniSeries:
     """The series over (year, impacts) pairs, taken in the order given."""
     years: list[int] = []
     values: list[float] = []
@@ -75,8 +68,6 @@ def _series(
         values.append(gini(impacts))
         sizes.append(len(impacts))
     return GiniSeries(
-        discipline=discipline,
-        mode=mode,
         years=np.array(years, dtype=np.int64),
         values=np.array(values),
         n_authors=np.array(sizes, dtype=np.int64),
@@ -85,7 +76,6 @@ def _series(
 
 
 def cohort_gini_series(
-    discipline: str,
     impacts_by_year: Mapping[int, Sequence[float]],
     min_cohort: int = DEFAULT_MIN_COHORT,
 ) -> GiniSeries:
@@ -96,7 +86,7 @@ def cohort_gini_series(
     taken in ascending order.
     """
     by_year = ((year, impacts_by_year[year]) for year in sorted(impacts_by_year))
-    return _series(discipline, "cohort", by_year, min_cohort)
+    return _series(by_year, min_cohort)
 
 
 def population_gini_series(
@@ -118,7 +108,7 @@ def population_gini_series(
         return impacts[active]
 
     by_year = ((year, population(year)) for year in window_start_years)
-    return _series(discipline, "population", by_year, min_authors)
+    return _series(by_year, min_authors)
 
 
 _GINI_SERIES_HEADER = ("year", "gini", "n_authors")

@@ -114,13 +114,17 @@ def slugify(label: str) -> str:
     return slug or "x"
 
 
-def _created_at() -> str:
+def _source_date() -> datetime | None:
+    """The moment SOURCE_DATE_EPOCH names, or None when it is unset; a
+    value that is not an integer timestamp within datetime's range raises
+    PipelineError."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
-    return moment.replace(microsecond=0).isoformat()
+    if epoch is None:
+        return None
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise PipelineError(f"SOURCE_DATE_EPOCH is not a valid timestamp: {epoch!r}") from exc
 
 
 def trend_payload(x: Sequence[float], y: Sequence[float]) -> dict:
@@ -229,6 +233,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
     """
     if threads < 1:
         raise PipelineError("threads must be at least 1")
+    source_date = _source_date()
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise PipelineError(f"output directory is not empty: {out}")
@@ -242,7 +247,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
         # itself is made by mkdir, with the permissions the umask gives.
         staged = scratch / "bundle"
         staged.mkdir()
-        manifest, all_converged = _run(config, staged, threads)
+        manifest, all_converged = _run(config, staged, threads, source_date)
         os.replace(staged, target)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -284,14 +289,14 @@ def _remove_left_staging(target: Path) -> None:
             os.close(fd)
 
 
-def _run(config: PipelineConfig, out: Path, threads: int) -> tuple[dict, bool]:
+def _run(config: PipelineConfig, out: Path, threads: int, source_date: datetime | None) -> tuple[dict, bool]:
     bundle = _Bundle(out=out, config_hash=config_hash(config), slugs=_slugs(config.disciplines))
     corpus = _ingest_stage(config, bundle)
     clusters = _disambiguate_stage(config, corpus, bundle)
     careers = _profiles_stage(corpus, clusters, bundle)
     results = _cohorts_stage(config, careers, threads, bundle)
     _disciplines_stage(config, results, bundle)
-    manifest = _manifest_stage(config, results, bundle)
+    manifest = _manifest_stage(config, results, bundle, source_date)
     return manifest, bundle.all_converged
 
 
@@ -362,7 +367,9 @@ def _cohorts_stage(
         null = reshuffle_null(
             r.table,
             n_reps=config.null_reps,
-            seed=np.random.SeedSequence([config.seed, zlib.crc32(r.discipline.encode("utf-8")), r.year]),
+            # SeedSequence takes no negative entry; a year's residue is the
+            # year itself for every year from 0 on.
+            seed=np.random.SeedSequence([config.seed, zlib.crc32(r.discipline.encode("utf-8")), r.year % 2**64]),
         )
         write_delta_q_csv(bundle.path(f"{rel}/null_delta_q.csv"), null.profile)
         write_matrix_csv(bundle.path(f"{rel}/null_transition.csv"), null.matrix.matrix)
@@ -391,7 +398,6 @@ def _disciplines_stage(config: PipelineConfig, results: list[_CohortResult], bun
             key=lambda r: r.year,
         )
         series = cohort_gini_series(
-            discipline,
             {r.year: r.table.impact1 if config.gini_window == 1 else r.table.impact2 for r in cohorts},
             min_cohort=config.min_cohort_size,
         )
@@ -466,11 +472,15 @@ def _disciplines_stage(config: PipelineConfig, results: list[_CohortResult], bun
     )
 
 
-def _manifest_stage(config: PipelineConfig, results: list[_CohortResult], bundle: _Bundle) -> dict:
+def _manifest_stage(
+    config: PipelineConfig, results: list[_CohortResult], bundle: _Bundle, source_date: datetime | None
+) -> dict:
+    """The manifest, created at source_date or, when that is None, now."""
+    created = source_date or datetime.now(tz=timezone.utc)
     manifest = {
         "tool": "rankmobility",
         "version": __version__,
-        "created_at": _created_at(),
+        "created_at": created.replace(microsecond=0).isoformat(),
         "config_hash": bundle.config_hash,
         "config": config.canonical_dict(),
         "inputs": {"corpus": config.corpus, "rules": config.rules or "builtin"},

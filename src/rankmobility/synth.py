@@ -457,25 +457,27 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, str]]:
     _add_references(rng, authors, papers)
     _simulate_citations(config, rng, authors, papers)
 
-    truth: dict[str, str] = {}
+    labels: list[str] = []
     builder = _Builder()
-    for record in _records(config, rng, authors, papers, truth):
+    for record in _records(config, rng, authors, papers, labels):
         builder.add(record)
-    return Corpus(builder.columns()), truth
+    corpus = Corpus(builder.columns())
+    return corpus, dict(zip(corpus.mentions.ids, labels))
 
 
 def _records(config: SynthConfig, rng: np.random.Generator, authors: list[_Author], papers: list[_Paper],
-             truth: dict[str, str]):
+             labels: list[str]):
     """Each paper as a record, the dict its corpus line parses to, in paper
-    order, with each mention's true author id put into truth."""
+    order, with each mention's true author id appended to labels, so that
+    they follow the mention table's rows."""
     # Five draws per mention, in mention order: the same numbers as one
     # rng.random() call per draw.
     draws = rng.random((sum(len(paper.authors) for paper in papers), 5))
     row = 0
     for paper in papers:
         mentions = []
-        for pos, (author_idx, (initials, orcid, email, affiliation, grants)) in enumerate(
-            zip(paper.authors, draws[row:row + len(paper.authors)].tolist())
+        for author_idx, (initials, orcid, email, affiliation, grants) in zip(
+            paper.authors, draws[row:row + len(paper.authors)].tolist()
         ):
             author = authors[author_idx]
             if initials < config.p_initials_only:
@@ -494,7 +496,7 @@ def _records(config: SynthConfig, rng: np.random.Generator, authors: list[_Autho
             if grants >= P_MISSING_GRANTS:
                 mention["grants"] = list(author.grants)
             mentions.append(mention)
-            truth[f"{paper.pub_id}:{pos}"] = f"A{author_idx:06d}"
+            labels.append(f"A{author_idx:06d}")
         row += len(paper.authors)
         yield {"pub_id": paper.pub_id, "year": paper.year, "disciplines": ";".join(paper.disciplines),
                "authors": mentions, "citing_years": paper.citing_years}

@@ -259,6 +259,40 @@ def test_a_negative_config_seed_is_a_data_error_before_any_work(capsys, tmp_path
     assert not (tmp_path / "bundle").exists()
 
 
+@pytest.mark.parametrize("epoch", ["100000000000000000000", "abc"])
+def test_a_bad_source_date_epoch_is_a_data_error_before_any_work(capsys, tmp_path, monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    config = tmp_path / "pipeline.json"
+    config.write_text(
+        json.dumps({"corpus": str(tmp_path / "corpus.jsonl"), "disciplines": ["Chemistry"], "cohort_years": [2000]}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "run", "--config", str(config), "--out-dir", str(tmp_path / "bundle"))
+    assert (code, out) == (2, "")
+    assert f"data error: SOURCE_DATE_EPOCH is not a valid timestamp: {epoch!r}" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["pipeline.json"]
+
+
+def test_a_negative_cohort_year_runs_through_the_null(capsys, tmp_path):
+    synth = tmp_path / "synth.json"
+    synth.write_text(
+        json.dumps({"n_authors": 300, "seed": 5, "disciplines": ["Chemistry"], "start_years": [-5, -5]}),
+        encoding="utf-8",
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    assert run_cli(capsys, "synth", "corpus", "--config", str(synth), "--out", str(corpus))[0] == 0
+    config = tmp_path / "pipeline.json"
+    config.write_text(
+        json.dumps({"corpus": str(corpus), "disciplines": ["Chemistry"], "cohort_years": [-5],
+                    "min_cohort_size": 20, "null_reps": 5}),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(capsys, "run", "--config", str(config), "--out-dir", str(tmp_path / "bundle"))
+    assert code == 0, err
+    assert (tmp_path / "bundle" / "chemistry" / "-5" / "null_delta_q.csv").is_file()
+
+
 def test_missing_input_file_is_a_data_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "ingest", "--in", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "o")

@@ -415,11 +415,14 @@ def _rule_tables(draw):
 
 def test_the_rule_table_shapes_split_as_named(default_rules):
     every_anchor = disambig._plan(ScoringRuleTable(weights=dict.fromkeys(CRITERIA, 1.1), threshold=1.1))
-    assert every_anchor.others == [] and sorted(every_anchor.decisive) == list(range(len(CRITERIA)))
+    assert every_anchor.others == [] and sorted(every_anchor.anchors) == list(range(len(CRITERIA)))
     plan = disambig._plan(default_rules)
     names = lambda ks: {CRITERIA[k] for k in ks}
     assert names(plan.others) == {"shared_discipline", "same_journal", "co_citation", "name_detail_match"}
-    assert names(plan.decisive) == {"orcid_match"}
+    assert names(plan.anchors) == {
+        "orcid_match", "email_match", "self_citation", "shared_affiliation",
+        "shared_grant", "shared_coauthor", "bibliographic_coupling",
+    }
     # Among equal weights a same criterion is left out of the anchors first.
     rules = ScoringRuleTable(weights={"shared_affiliation": 3, "shared_grant": 3, "email_match": 3}, threshold=7)
     assert names(disambig._plan(rules).others) == {"shared_affiliation", "email_match"}

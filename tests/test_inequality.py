@@ -101,9 +101,7 @@ def chemistry_impacts(years, window):
 
 
 def test_cohort_series_first_window():
-    series = cohort_gini_series("Chemistry", chemistry_impacts([2000, 2001], 1), min_cohort=2)
-    assert series.discipline == "Chemistry"
-    assert series.mode == "cohort"
+    series = cohort_gini_series(chemistry_impacts([2000, 2001], 1), min_cohort=2)
     assert series.years.tolist() == [2000]
     # Window-1 impacts of the four members are 0, 1, 2, 5.
     assert series.values[0] == pytest.approx(gini([0, 1, 2, 5]))
@@ -112,25 +110,25 @@ def test_cohort_series_first_window():
 
 
 def test_cohort_series_second_window():
-    series = cohort_gini_series("Chemistry", chemistry_impacts([2000], 2), min_cohort=2)
+    series = cohort_gini_series(chemistry_impacts([2000], 2), min_cohort=2)
     assert series.values.tolist() == [0.0]
 
 
 def test_cohort_series_skips_all_zero_years_and_sorts():
-    series = cohort_gini_series("Chemistry", {2001: [0, 0, 0], 2000: [1, 2, 3]}, min_cohort=2)
+    series = cohort_gini_series({2001: [0, 0, 0], 2000: [1, 2, 3]}, min_cohort=2)
     assert series.years.tolist() == [2000]
     assert series.skipped == (2001,)
 
 
 def test_cohort_series_skips_a_one_author_year_whatever_the_minimum():
     for min_cohort in (0, 1):
-        series = cohort_gini_series("X", {2000: [5], 2001: [1, 2, 3]}, min_cohort=min_cohort)
+        series = cohort_gini_series({2000: [5], 2001: [1, 2, 3]}, min_cohort=min_cohort)
         assert series.years.tolist() == [2001]
         assert series.skipped == (2000,)
 
 
 def test_cohort_series_min_size_skips_everything():
-    series = cohort_gini_series("Chemistry", chemistry_impacts([2000, 2001], 1), min_cohort=5)
+    series = cohort_gini_series(chemistry_impacts([2000, 2001], 1), min_cohort=5)
     assert series.years.tolist() == []
     assert series.skipped == (2000, 2001)
 
@@ -139,7 +137,6 @@ def test_population_series_ignores_career_stage():
     series = population_gini_series(
         chemistry_careers(), "Chemistry", [2000], min_authors=2
     )
-    assert series.mode == "population"
     assert series.years.tolist() == [2000]
     # Everyone with a Chemistry paper in 2000-2004: a, b, c, d, e (its 2003
     # paper only), and f, which the cohort mode would drop.
@@ -156,7 +153,7 @@ def test_population_series_skips_thin_windows():
 
 
 def test_series_csv_round_trip(tmp_path):
-    series = cohort_gini_series("Chemistry", chemistry_impacts([2000], 1), min_cohort=2)
+    series = cohort_gini_series(chemistry_impacts([2000], 1), min_cohort=2)
     path = tmp_path / "gini.csv"
     write_gini_series_csv(path, series)
     back = list(read_csv(path, "gini series", ("year", "gini", "n_authors")))

@@ -389,7 +389,7 @@ def test_a_bundle_does_not_depend_on_the_hash_seed(tmp_path):
 
 def _quick_runs(monkeypatch):
     """Make run_pipeline stage an empty bundle without running anything."""
-    monkeypatch.setattr(pipeline, "_run", lambda config, out, threads: ({}, True))
+    monkeypatch.setattr(pipeline, "_run", lambda config, out, threads, source_date: ({}, True))
 
 
 def _staging_dirs(parent):
@@ -401,7 +401,7 @@ def test_next_run_removes_the_staging_directory_a_killed_run_left(tmp_path, monk
     script = (
         "import sys, time\n"
         "from rankmobility import pipeline\n"
-        "def stalled(config, out, threads):\n"
+        "def stalled(config, out, threads, source_date):\n"
         "    print('staged', flush=True)\n"
         "    time.sleep(120)\n"
         "pipeline._run = stalled\n"
