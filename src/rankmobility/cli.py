@@ -80,10 +80,6 @@ def _parse_year_range(text: str) -> tuple[int, int]:
     raise _UsageError(f"expected a year range like 1986:2018, first year not after last, got {text!r}")
 
 
-def _load_rules(path: str | None) -> ScoringRuleTable:
-    return ScoringRuleTable.from_json(path) if path else ScoringRuleTable.default()
-
-
 def cmd_ingest(args) -> int:
     corpus = ingest(args.in_path)
     export(corpus, args.out)
@@ -118,8 +114,9 @@ def cmd_filter(args) -> int:
 
 
 def cmd_disambiguate(args) -> int:
+    rules = ScoringRuleTable.from_json(args.rules)
     corpus = ingest(args.corpus)
-    clusters = disambiguate(corpus, _load_rules(args.rules))
+    clusters = disambiguate(corpus, rules)
     write_clusters(args.out, clusters)
     _print_json({"mentions": len(corpus.mentions), "clusters": len(clusters)})
     return EXIT_OK
@@ -134,9 +131,8 @@ def cmd_disambig_eval(args) -> int:
 
 
 def cmd_cohort(args) -> int:
-    corpus = ingest(args.corpus)
     clusters = read_clusters(args.clusters)
-    careers = build_profiles(corpus, clusters)
+    careers = build_profiles(ingest(args.corpus), clusters)
     spec = CohortSpec(discipline=args.discipline, start_year=args.start_year)
     members, impact1, impact2 = cohort_impacts(careers, spec)
     table = RankTable.from_impacts(members, impact1, impact2)
@@ -194,8 +190,8 @@ def cmd_gini(args) -> int:
 
 def cmd_gini_series(args) -> int:
     lo, hi = _parse_year_range(args.years)
-    corpus = ingest(args.corpus)
-    careers = build_profiles(corpus, read_clusters(args.clusters))
+    clusters = read_clusters(args.clusters)
+    careers = build_profiles(ingest(args.corpus), clusters)
     years = list(range(lo, hi + 1))
     if args.mode == "cohort":
         impacts = {}
@@ -439,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, DisambigError, PipelineError, ValueError, KeyError, OSError) as exc:
+    except (CorpusError, DisambigError, PipelineError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

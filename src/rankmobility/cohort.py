@@ -11,7 +11,7 @@ import numpy as np
 
 from .columns import _unique
 from .corpus import Corpus
-from .disambig import MentionCluster
+from .disambig import DisambigError, MentionCluster
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,7 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
     labels = np.repeat(np.arange(len(ordered), dtype=np.int64), sizes)
     if (unknown := np.flatnonzero(rows < 0)).size:
         k = unknown[0]
-        raise KeyError(f"cluster {ordered[labels[k]].author_id} references unknown mention {mention_ids[k]}")
+        raise DisambigError(f"cluster {ordered[labels[k]].author_id} references unknown mention {mention_ids[k]}")
     n_pubs = max(len(corpus), 1)
     pairs = _unique(labels * n_pubs + corpus.mentions.pub[rows])
     author, pub = np.divmod(pairs, n_pubs)

@@ -25,15 +25,15 @@ def read_csv(
     path: str | Path,
     kind: str,
     header: Sequence[str] | None = None,
-    parse: Callable[[list[str]], T] | None = None,
-) -> Iterator[list[str] | T]:
-    """Yield the non-blank rows below the header row, one at a time.
+    *,
+    parse: Callable[[list[str]], T],
+) -> Iterator[T]:
+    """Yield parse(row) for each non-blank row below the header row, one at a time.
 
     The file must start with a header row, equal to header when one is
     given. Every row must have as many fields as the header; a row that
-    does not raises ValueError naming its line. When parse is given, each
-    row is yielded as parse(row), and a ValueError it raises is re-raised
-    naming the row's line.
+    does not, or whose parse raises ValueError, raises ValueError naming
+    its line.
     """
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -48,8 +48,7 @@ def read_csv(
             try:
                 if len(row) != len(found):
                     raise ValueError(f"{len(row)} fields, header has {len(found)}")
-                if parse is not None:
-                    row = parse(row)
+                row = parse(row)
             except ValueError as exc:
                 raise ValueError(f"{kind} file {path}, line {reader.line_num}: {exc}") from None
             yield row

@@ -84,7 +84,10 @@ class ScoringRuleTable:
         return self.weights.get(criterion, 0.0)
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "ScoringRuleTable":
+    def from_json(cls, path: str | Path | None) -> "ScoringRuleTable":
+        """The rule table in the JSON file at path; None gives the builtin table."""
+        if path is None:
+            return cls.default()
         return cls._from_payload(load(path, f"rule table {path}", DisambigError), str(path))
 
     @classmethod
@@ -425,10 +428,8 @@ def cluster_block(block: Block, rules: ScoringRuleTable) -> list[MentionCluster]
     return clusters
 
 
-def disambiguate(corpus: Corpus, rules: ScoringRuleTable | None = None) -> list[MentionCluster]:
+def disambiguate(corpus: Corpus, rules: ScoringRuleTable) -> list[MentionCluster]:
     """Block and cluster every mention in the corpus."""
-    if rules is None:
-        rules = ScoringRuleTable.default()
     clusters: list[MentionCluster] = []
     for block in block_mentions(corpus).values():
         clusters.extend(cluster_block(block, rules))

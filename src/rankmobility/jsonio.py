@@ -115,7 +115,7 @@ def _build(cls, payload, label: str, error: type[Exception]):
         try:
             values[key] = read(payload[key], key, error)
         except _Mismatch:
-            raise error(f"'{key}' must be {words}") from None
+            raise error(f"'{key}' must be {words} in {label}") from None
     return cls(**values)
 
 
@@ -125,7 +125,7 @@ def read_config(cls, source: str | PathLike | Mapping, label: str, error: type[E
     Every key must name a field, every field without a default must be
     given, and every value must have its field's type; lists become the
     declared tuple or frozenset. A problem raises error, with a message
-    naming label or the key; a file is read as load reads it.
+    naming label and any key at fault; a file is read as load reads it.
     """
     if isinstance(source, (str, PathLike)):
         source = load(source, label, error)
@@ -145,7 +145,7 @@ def _no_constants(label: str, error: type[Exception]):
 def load(path: str | PathLike, label: str, error: type[Exception]):
     """The JSON data in the file at path; NaN or Infinity raises error, and a
     file that is not JSON raises ValueError."""
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle, parse_constant=_no_constants(label, error))
 
 

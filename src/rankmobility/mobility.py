@@ -287,7 +287,7 @@ def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTab
     # go into typed arrays, not lists, so no float object outlives its row.
     ids: list[str] = []
     i1, i2, q1, q2 = array("d"), array("d"), array("q"), array("q")
-    for aid, a, b, c, d in read_csv(path, "rank table", _RANK_TABLE_HEADER, parse):
+    for aid, a, b, c, d in read_csv(path, "rank table", _RANK_TABLE_HEADER, parse=parse):
         ids.append(aid)
         i1.append(a)
         i2.append(b)
@@ -305,7 +305,7 @@ def read_rank_table_csv(path: str | Path, n_bins: int = DEFAULT_BINS) -> RankTab
                 raise ValueError(f"repeated author_id {row[0]!r}")
             seen.add(row[0])
 
-        for _ in read_csv(path, "rank table", _RANK_TABLE_HEADER, first_use):
+        for _ in read_csv(path, "rank table", _RANK_TABLE_HEADER, parse=first_use):
             pass
     return RankTable(
         author_ids=tuple(ids),
@@ -329,7 +329,7 @@ def read_delta_q_csv(path: str | Path) -> DeltaQProfile:
     def parse(row: list[str]) -> tuple[int, float, float, int]:
         return int(row[0]), float(row[1]), float(row[2]), int(row[3])
 
-    rows = list(read_csv(path, "decile-change profile", _DELTA_Q_HEADER, parse))
+    rows = list(read_csv(path, "decile-change profile", _DELTA_Q_HEADER, parse=parse))
     deciles, mean, sem, count = zip(*rows) if rows else ((), (), (), ())
     return DeltaQProfile(
         deciles=np.array(deciles, dtype=np.int64),

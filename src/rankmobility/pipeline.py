@@ -291,8 +291,9 @@ def _remove_left_staging(target: Path) -> None:
 
 def _run(config: PipelineConfig, out: Path, threads: int, source_date: datetime | None) -> tuple[dict, bool]:
     bundle = _Bundle(out=out, config_hash=config_hash(config), slugs=_slugs(config.disciplines))
+    rules = ScoringRuleTable.from_json(config.rules)
     corpus = _ingest_stage(config, bundle)
-    clusters = _disambiguate_stage(config, corpus, bundle)
+    clusters = _disambiguate_stage(rules, corpus, bundle)
     careers = _profiles_stage(corpus, clusters, bundle)
     results = _cohorts_stage(config, careers, threads, bundle)
     _disciplines_stage(config, results, bundle)
@@ -317,8 +318,7 @@ def _ingest_stage(config: PipelineConfig, bundle: _Bundle) -> Corpus:
     return corpus
 
 
-def _disambiguate_stage(config: PipelineConfig, corpus: Corpus, bundle: _Bundle) -> list[MentionCluster]:
-    rules = ScoringRuleTable.from_json(config.rules) if config.rules else ScoringRuleTable.default()
+def _disambiguate_stage(rules: ScoringRuleTable, corpus: Corpus, bundle: _Bundle) -> list[MentionCluster]:
     clusters = disambiguate(corpus, rules)
     bundle.counts["clusters"] = len(clusters)
     write_clusters(bundle.path("clusters.jsonl"), clusters)

@@ -11,6 +11,7 @@ import pytest
 from rankmobility.corpus import export
 from rankmobility.diffusion import fit_d, model_matrix
 from rankmobility.disambig import (
+    ScoringRuleTable,
     block_mentions,
     disambiguate,
     evaluate_disambiguation,
@@ -165,7 +166,7 @@ def test_07_disambiguation_benchmark():
         SynthConfig(n_authors=420, seed=0, name_collision_rate=0.2)
     )
     assert 9_000 <= len(corpus.mentions) <= 11_000, len(corpus.mentions)
-    clusters = disambiguate(corpus)
+    clusters = disambiguate(corpus, ScoringRuleTable.default())
     result = evaluate_disambiguation(clusters, truth, blocks=block_mentions(corpus))
     assert result.precision >= 0.90, result
     assert result.recall >= 0.90, result

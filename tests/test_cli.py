@@ -11,7 +11,7 @@ import pytest
 import rankmobility
 from rankmobility.cli import main
 from rankmobility.corpus import export
-from rankmobility.disambig import disambiguate, write_clusters, write_truth
+from rankmobility.disambig import ScoringRuleTable, disambiguate, write_clusters, write_truth
 from rankmobility.mobility import read_rank_table_csv, transition_matrix, write_matrix_csv, write_rank_table_csv
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
@@ -272,6 +272,73 @@ def test_a_bad_source_date_epoch_is_a_data_error_before_any_work(capsys, tmp_pat
     assert f"data error: SOURCE_DATE_EPOCH is not a valid timestamp: {epoch!r}" in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["pipeline.json"]
+
+
+def _rules_argv(tmp_path, command, corpus, rules) -> list[str]:
+    """Arguments that make command cluster corpus under the rule table at rules."""
+    if command == "disambiguate":
+        return ["disambiguate", "--corpus", str(corpus), "--rules", rules, "--out", str(tmp_path / "clusters.jsonl")]
+    config = tmp_path / "pipeline.json"
+    config.write_text(
+        json.dumps({"corpus": str(corpus), "rules": rules, "disciplines": ["Chemistry"], "cohort_years": [2000]}),
+        encoding="utf-8",
+    )
+    return ["run", "--config", str(config), "--out-dir", str(tmp_path / "bundle")]
+
+
+@pytest.mark.parametrize("command", ["run", "disambiguate"])
+def test_the_rule_table_is_read_before_the_corpus(capsys, tmp_path, command):
+    # The corpus is missing too; only the rule table is reported.
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"weights": {"orcid_match": "10"}, "threshold": 10}), encoding="utf-8")
+    argv = _rules_argv(tmp_path, command, tmp_path / "absent.jsonl", str(rules))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"data error: 'weights' must be an object of numbers in rule table {rules}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "disambiguate"])
+def test_an_empty_rule_table_path_is_a_data_error(capsys, tmp_path, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(make_record("P1", year=2000)) + "\n", encoding="utf-8")
+    argv = _rules_argv(tmp_path, command, corpus, "")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "data error: [Errno 2] No such file or directory: ''\n"
+    inputs = {"corpus.jsonl", "pipeline.json"} if command == "run" else {"corpus.jsonl"}
+    assert {p.name for p in tmp_path.iterdir()} == inputs
+
+
+_CLUSTERS_ARGV = {
+    "cohort": ["--discipline", "Chemistry", "--start-year", "2000"],
+    "gini-series": ["--discipline", "Chemistry", "--years", "2000:2001"],
+}
+
+
+@pytest.mark.parametrize("command", list(_CLUSTERS_ARGV))
+def test_the_clusters_file_is_read_before_the_corpus(capsys, tmp_path, command):
+    # The corpus is missing too; only the clusters file is reported.
+    clusters = tmp_path / "clusters.jsonl"
+    clusters.write_text("[1]\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, command, "--corpus", str(tmp_path / "absent.jsonl"), "--clusters", str(clusters),
+        *_CLUSTERS_ARGV[command], "--out", str(tmp_path / "out.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"data error: {clusters}, line 1: cluster must be a JSON object\n"
+
+
+@pytest.mark.parametrize("command", list(_CLUSTERS_ARGV))
+def test_a_cluster_with_an_unknown_mention_is_a_data_error(capsys, tmp_path, command):
+    corpus, clusters = tmp_path / "corpus.jsonl", tmp_path / "clusters.jsonl"
+    corpus.write_text(json.dumps(make_record("P1", year=2000)) + "\n", encoding="utf-8")
+    clusters.write_text(json.dumps({"author_id": "zz", "mention_ids": ["NOPE:0"]}) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, command, "--corpus", str(corpus), "--clusters", str(clusters),
+        *_CLUSTERS_ARGV[command], "--out", str(tmp_path / "out.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "data error: cluster zz references unknown mention NOPE:0\n"
 
 
 def test_a_negative_cohort_year_runs_through_the_null(capsys, tmp_path):
@@ -929,7 +996,7 @@ def fuzz_inputs(tmp_path_factory):
     table = sample_transitions(0.5, 1000, seed=1)
     paths = {name: root / name for name in ("corpus", "clusters", "truth", "table", "matrix", "sample")}
     export(corpus, paths["corpus"])
-    write_clusters(paths["clusters"], disambiguate(corpus))
+    write_clusters(paths["clusters"], disambiguate(corpus, ScoringRuleTable.default()))
     write_truth(paths["truth"], truth)
     write_rank_table_csv(paths["table"], table)
     write_matrix_csv(paths["matrix"], transition_matrix(table).matrix)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmobility.cohort import CohortSpec, build_profiles, cohort_impacts
-from rankmobility.disambig import MentionCluster
+from rankmobility.disambig import DisambigError, MentionCluster
 from rankmobility.inequality import gini, population_gini_series
 
 from conftest import careers_of, corpus_of, make_record
@@ -57,7 +57,7 @@ def test_build_profiles_unknown_mention(mention_id):
     corpus = corpus_of(make_record("P1"), make_record("A:P1"))
     careers = build_profiles(corpus, [MentionCluster("A1", ("A:P1:0", "P1:0"))])
     assert careers.pub.tolist() == [0, 1]
-    with pytest.raises(KeyError, match=re.escape(f"cluster A2 references unknown mention {mention_id}")):
+    with pytest.raises(DisambigError, match=re.escape(f"cluster A2 references unknown mention {mention_id}")):
         build_profiles(corpus, [MentionCluster("A1", ("P1:0",)), MentionCluster("A2", (mention_id,))])
 
 

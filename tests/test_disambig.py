@@ -178,6 +178,10 @@ def test_rule_table_from_json(tmp_path):
         ScoringRuleTable.from_json(path)
 
 
+def test_rule_table_from_json_without_a_path_is_the_builtin_table():
+    assert ScoringRuleTable.from_json(None) == ScoringRuleTable.default()
+
+
 @pytest.mark.parametrize(
     "payload,message",
     [
@@ -188,6 +192,7 @@ def test_rule_table_from_json(tmp_path):
         ({"weights": {"orcid_match": float("nan")}, "threshold": 5}, "holds NaN, which is not a JSON number"),
         ({"weights": {"orcid_match": 10}, "threshold": float("inf")}, "holds Infinity, which is not a JSON number"),
         ({"weights": {"orcid_match": float("-inf")}, "threshold": 5}, "holds -Infinity, which is not a JSON number"),
+        ({"weights": [1], "threshold": 5}, "'weights' must be an object of numbers in rule table .*rules.json$"),
     ],
 )
 def test_rule_table_from_json_rejects_wrong_types(tmp_path, payload, message):

@@ -156,7 +156,7 @@ def test_series_csv_round_trip(tmp_path):
     series = cohort_gini_series(chemistry_impacts([2000], 1), min_cohort=2)
     path = tmp_path / "gini.csv"
     write_gini_series_csv(path, series)
-    back = list(read_csv(path, "gini series", ("year", "gini", "n_authors")))
+    back = list(read_csv(path, "gini series", ("year", "gini", "n_authors"), parse=list))
     assert [int(r[0]) for r in back] == series.years.tolist()
     assert [float(r[1]) for r in back] == series.values.tolist()
     assert [int(r[2]) for r in back] == series.n_authors.tolist()
@@ -166,4 +166,4 @@ def test_series_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("year,value\n2000,0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not a gini series file"):
-        list(read_csv(path, "gini series", ("year", "gini", "n_authors")))
+        list(read_csv(path, "gini series", ("year", "gini", "n_authors"), parse=list))

@@ -127,6 +127,9 @@ def test_config_validation(overrides, message):
         ({"filter": {"disciplines": "Chemistry"}}, "'disciplines' must be a list of strings"),
         ({"filter": {"year_range": [2000]}}, "'year_range' must be a list of two integers"),
         ({"corpus": 5}, "'corpus' must be a path"),
+        # A mismatch names the object that holds the key.
+        ({"disciplines": "Chemistry"}, "^'disciplines' must be a list of strings in pipeline config$"),
+        ({"filter": {"disciplines": "Chemistry"}}, "^'disciplines' must be a list of strings or null in filter$"),
     ],
 )
 def test_config_types_and_duplicates_are_rejected(overrides, message):

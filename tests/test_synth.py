@@ -161,8 +161,14 @@ def author_citation_totals(corpus, truth):
         small_config(citation_rate=0.0),
         SynthConfig(n_authors=1, seed=4),
         small_config(n_authors=150, seed=5, start_years=(1990, 2004)),
+        SynthConfig(n_authors=2, seed=2, start_years=(1980, 2010)),
+        SynthConfig(n_authors=5, seed=3, citation_rate=0.05),
+        SynthConfig(n_authors=5, seed=3, citation_rate=1e-6),
     ],
-    ids=["collisions", "alpha-0", "alpha-1.26", "no-citations", "one-author", "spread-starts"],
+    ids=[
+        "collisions", "alpha-0", "alpha-1.26", "no-citations", "one-author", "spread-starts",
+        "year-gap", "sparse-citations", "none-drawn",
+    ],
 )
 def test_citation_arrival_matches_the_per_hit_oracle(config):
     rng = np.random.default_rng(config.seed)
@@ -181,6 +187,16 @@ def test_citation_arrival_matches_the_per_hit_oracle(config):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     if config.start_years == (1990, 2004):
         assert any(year - p.year >= 5 for p in papers for year in p.citing_years)
+    # The years with a citable paper, and those a citation arrived in.
+    citable = {year for p in papers for year in range(p.year, p.year + 5)}
+    cited = {year for p in papers for year in p.citing_years}
+    if config.start_years == (1980, 2010):
+        # A year with nothing to cite, and a citable year that drew no citation.
+        assert set(range(papers[0].year, papers[-1].year + 5)) - citable and citable - cited
+    if config.citation_rate == 0.05:
+        assert cited and citable - cited
+    if config.citation_rate == 1e-6:
+        assert not cited
 
 
 def test_concentration_rises_with_alpha():
