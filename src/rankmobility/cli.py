@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .cohort import CohortSpec, build_profiles, cohort_impacts
+from .cohort import build_profiles, cohort_impacts, population_impacts
 from .corpus import CorpusError, CorpusFilterConfig, collector_paused, export, filter_corpus, ingest
 from .csvio import finite_float, read_csv
 from .diffusion import fit_d, fit_d_pooled
@@ -27,13 +27,7 @@ from .disambig import (
     write_clusters,
     write_truth,
 )
-from .inequality import (
-    DEFAULT_MIN_COHORT,
-    cohort_gini_series,
-    gini,
-    population_gini_series,
-    write_gini_series_csv,
-)
+from .inequality import DEFAULT_MIN_COHORT, cohort_gini_series, gini, write_gini_series_csv
 from .mobility import (
     RankTable,
     delta_q_profile,
@@ -98,7 +92,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_filter(args) -> int:
     disciplines = None
-    if args.disciplines:
+    if args.disciplines is not None:
         with open(args.disciplines, "r", encoding="utf-8") as handle:
             disciplines = frozenset(line.strip() for line in handle if line.strip())
     config = CorpusFilterConfig(
@@ -125,7 +119,7 @@ def cmd_disambiguate(args) -> int:
 def cmd_disambig_eval(args) -> int:
     clusters = read_clusters(args.pred)
     truth = read_truth(args.truth)
-    blocks = block_mentions(ingest(args.corpus)) if args.corpus else None
+    blocks = block_mentions(ingest(args.corpus)) if args.corpus is not None else None
     _print_json(evaluate_disambiguation(clusters, truth, blocks=blocks))
     return EXIT_OK
 
@@ -133,8 +127,7 @@ def cmd_disambig_eval(args) -> int:
 def cmd_cohort(args) -> int:
     clusters = read_clusters(args.clusters)
     careers = build_profiles(ingest(args.corpus), clusters)
-    spec = CohortSpec(discipline=args.discipline, start_year=args.start_year)
-    members, impact1, impact2 = cohort_impacts(careers, spec)
+    members, impact1, impact2 = cohort_impacts(careers, args.discipline, args.start_year)
     table = RankTable.from_impacts(members, impact1, impact2)
     write_rank_table_csv(args.out, table)
     _print_json({"discipline": args.discipline, "start_year": args.start_year, "size": len(members)})
@@ -145,7 +138,7 @@ def cmd_mobility(args) -> int:
     table = read_rank_table_csv(args.cohort)
     matrix = transition_matrix(table)
     write_matrix_csv(args.out, matrix.matrix)
-    if args.delta_q_out:
+    if args.delta_q_out is not None:
         write_delta_q_csv(args.delta_q_out, delta_q_profile(table))
     payload = {"n_authors": len(table), "uniform_columns": list(matrix.uniform_columns)}
     _print_json(payload)
@@ -156,14 +149,14 @@ def cmd_null(args) -> int:
     table = read_rank_table_csv(args.cohort)
     null = reshuffle_null(table, n_reps=args.reps, seed=args.seed if args.seed is not None else 0)
     write_delta_q_csv(args.out, null.profile)
-    if args.matrix_out:
+    if args.matrix_out is not None:
         write_matrix_csv(args.matrix_out, null.matrix.matrix)
     _print_json({"n_authors": len(table), "reps": null.n_reps})
     return EXIT_OK
 
 
 def _report_fit(args, fit, failure: str) -> int:
-    if args.out:
+    if args.out is not None:
         write_json(args.out, fit)
     _print_json(fit)
     if not fit.converged:
@@ -192,15 +185,14 @@ def cmd_gini_series(args) -> int:
     lo, hi = _parse_year_range(args.years)
     clusters = read_clusters(args.clusters)
     careers = build_profiles(ingest(args.corpus), clusters)
-    years = list(range(lo, hi + 1))
-    if args.mode == "cohort":
-        impacts = {}
-        for year in years:
-            _, impact1, impact2 = cohort_impacts(careers, CohortSpec(args.discipline, year))
+    impacts = {}
+    for year in range(lo, hi + 1):
+        if args.mode == "population":
+            impacts[year] = population_impacts(careers, args.discipline, year)
+        else:
+            _, impact1, impact2 = cohort_impacts(careers, args.discipline, year)
             impacts[year] = impact1 if args.window == 1 else impact2
-        series = cohort_gini_series(impacts, min_cohort=args.min_size)
-    else:
-        series = population_gini_series(careers, args.discipline, years, min_authors=args.min_size)
+    series = cohort_gini_series(impacts, min_cohort=args.min_size)
     write_gini_series_csv(args.out, series)
     _print_json(
         {
@@ -218,7 +210,7 @@ def cmd_trend(args) -> int:
     if rows and len(rows[0]) < 2:
         raise ValueError(f"series file needs an x and a y column: {args.series}")
     payload = trend_payload([r[0] for r in rows], [r[1] for r in rows])
-    if args.out:
+    if args.out is not None:
         write_json(args.out, payload)
     _print_json({k: payload[k] for k in ("n", "r", "p", "slope", "intercept")})
     return EXIT_OK
@@ -239,7 +231,7 @@ def cmd_synth_corpus(args) -> int:
         config = replace(config, seed=args.seed)
     corpus, truth = generate_corpus(config)
     export(corpus, args.out)
-    truth_out = args.truth_out or str(Path(args.out).with_suffix("")) + ".truth.jsonl"
+    truth_out = str(Path(args.out).with_suffix("")) + ".truth.jsonl" if args.truth_out is None else args.truth_out
     write_truth(truth_out, truth)
     _print_json(
         {

@@ -1,4 +1,5 @@
-"""Author careers and discipline cohorts over the first ten career years."""
+"""Author careers, discipline cohorts over the first ten career years, and
+the discipline populations of five-year windows."""
 
 from __future__ import annotations
 
@@ -57,27 +58,6 @@ class Careers:
         return active, total.astype(np.int64)
 
 
-@dataclass(frozen=True, slots=True)
-class CohortSpec:
-    """A (discipline, career start year) cohort definition.
-
-    The first and second career windows are [start, start+4] and
-    [start+5, start+9]; membership requires at least one publication tagged
-    with the discipline in each window.
-    """
-
-    discipline: str
-    start_year: int
-
-    @property
-    def window1(self) -> tuple[int, int]:
-        return (self.start_year, self.start_year + 4)
-
-    @property
-    def window2(self) -> tuple[int, int]:
-        return (self.start_year + 5, self.start_year + 9)
-
-
 def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Careers:
     """One career per cluster, labelled in author_id order."""
     ordered = sorted(clusters, key=attrgetter("author_id"))
@@ -105,13 +85,21 @@ def build_profiles(corpus: Corpus, clusters: Sequence[MentionCluster]) -> Career
     )
 
 
-def cohort_impacts(careers: Careers, spec: CohortSpec) -> tuple[list[str], list[int], list[int]]:
+def cohort_impacts(careers: Careers, discipline: str, start_year: int) -> tuple[list[str], list[int], list[int]]:
     """Member ids (sorted) with their window-1 and window-2 discipline impacts.
 
-    Members start their career in spec.start_year and publish in the
-    discipline in both windows.
+    The career windows are [start_year, start_year+4] and [start_year+5,
+    start_year+9]. Members start their career in start_year and publish in
+    the discipline in both windows.
     """
-    active1, impact1 = careers.impacts(spec.discipline, *spec.window1)
-    active2, impact2 = careers.impacts(spec.discipline, *spec.window2)
-    members = np.flatnonzero((careers.start == spec.start_year) & active1 & active2)
+    active1, impact1 = careers.impacts(discipline, start_year, start_year + 4)
+    active2, impact2 = careers.impacts(discipline, start_year + 5, start_year + 9)
+    members = np.flatnonzero((careers.start == start_year) & active1 & active2)
     return [careers.author_ids[k] for k in members], impact1[members].tolist(), impact2[members].tolist()
+
+
+def population_impacts(careers: Careers, discipline: str, year: int) -> np.ndarray:
+    """The c5 sums of everyone with a publication tagged with the discipline
+    in [year, year+4], whatever their career stage, in author_id order."""
+    active, impacts = careers.impacts(discipline, year, year + 4)
+    return impacts[active]

@@ -370,9 +370,8 @@ def ingest_lines(lines: Iterable[str], source: str = "<memory>") -> Corpus:
 
 def ingest(path: str | Path) -> Corpus:
     """Ingest a corpus store from disk."""
-    path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             return ingest_lines(handle, source=str(path))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus: {exc}") from exc
@@ -382,8 +381,7 @@ def ingest(path: str | Path) -> Corpus:
 def export(corpus: Corpus, path: str | Path) -> None:
     """Write the canonical store; export after ingest is byte-stable. The
     cyclic garbage collector is paused while the lines are written."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(_lines(corpus._columns))
 
 

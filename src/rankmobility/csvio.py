@@ -15,7 +15,7 @@ T = TypeVar("T")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -35,7 +35,7 @@ def read_csv(
     does not, or whose parse raises ValueError, raises ValueError naming
     its line.
     """
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, None)
         if not found:

@@ -129,7 +129,8 @@ class _Blocks:
     that each block is a run bounds[b]:bounds[b + 1] of that layout. The
     forest is computed for a run of consecutive blocks at once (_Run), on
     the first block of it that is asked for, and kept until a block outside
-    it, or other rules, are asked for.
+    it, or other rules, are asked for. The rules' plan is kept with them
+    and computed again only for other rules.
     """
 
     def __init__(self, table):
@@ -156,12 +157,13 @@ class _Blocks:
         """The root of each row of block b in the forest of the pairs that
         the rules link: the first row of its component in b's run."""
         run = self._run
-        if run is None or run[0] != rules or not run[1] <= b < run[2]:
+        if run is None or run[0] != rules or not run[2] <= b < run[3]:
+            plan = run[1] if run is not None and run[0] == rules else _plan(rules)
             before = self.pairs_before
             stop = max(b + 1, int(np.searchsorted(before, before[b] + _RUN_PAIRS, side="right")) - 1)
-            self._run = run = (rules, b, stop, _Run(self, b, stop).forest(_plan(rules)))
-        lo = self.bounds[run[1]]
-        return run[3][self.bounds[b] - lo:self.bounds[b + 1] - lo]
+            self._run = run = (rules, plan, b, stop, _Run(self, b, stop).forest(plan))
+        lo = self.bounds[run[2]]
+        return run[4][self.bounds[b] - lo:self.bounds[b + 1] - lo]
 
 
 class Block:

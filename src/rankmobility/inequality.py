@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import Careers
 from .csvio import write_csv
 
 DEFAULT_MIN_COHORT = 100
@@ -40,12 +39,13 @@ def gini(values: Sequence[float]) -> float:
 
 @dataclass(eq=False)
 class GiniSeries:
-    """One Gini value per year, with cohort sizes.
+    """One Gini value per year, with cohort sizes, as cohort_gini_series
+    builds it.
 
-    The years are career start years (cohort_gini_series) or the starts of
-    5-year activity windows (population_gini_series). Years with fewer
-    authors than two or the configured minimum, or whose impacts are all
-    zero (the Gini is undefined), are omitted and listed in skipped.
+    The years are career start years (cohort mode) or the starts of 5-year
+    activity windows (population mode). Years with fewer authors than two or
+    the configured minimum, or whose impacts are all zero (the Gini is
+    undefined), are omitted and listed in skipped.
     """
 
     years: np.ndarray
@@ -54,14 +54,23 @@ class GiniSeries:
     skipped: tuple[int, ...] = field(default=())
 
 
-def _series(impacts_by_year: Iterable[tuple[int, Sequence[float]]], min_size: int) -> GiniSeries:
-    """The series over (year, impacts) pairs, taken in the order given."""
+def cohort_gini_series(
+    impacts_by_year: Mapping[int, Sequence[float]],
+    min_cohort: int = DEFAULT_MIN_COHORT,
+) -> GiniSeries:
+    """Gini of the impacts given for each year, years in ascending order.
+
+    impacts_by_year maps each year to the impacts of the authors counted in
+    it: a cohort's members in one career window (cohort.cohort_impacts), or
+    a window's population (cohort.population_impacts).
+    """
     years: list[int] = []
     values: list[float] = []
     sizes: list[int] = []
     skipped: list[int] = []
-    for year, impacts in impacts_by_year:
-        if len(impacts) < max(min_size, 2) or not np.any(impacts):
+    for year in sorted(impacts_by_year):
+        impacts = impacts_by_year[year]
+        if len(impacts) < max(min_cohort, 2) or not np.any(impacts):
             skipped.append(year)
             continue
         years.append(year)
@@ -73,42 +82,6 @@ def _series(impacts_by_year: Iterable[tuple[int, Sequence[float]]], min_size: in
         n_authors=np.array(sizes, dtype=np.int64),
         skipped=tuple(skipped),
     )
-
-
-def cohort_gini_series(
-    impacts_by_year: Mapping[int, Sequence[float]],
-    min_cohort: int = DEFAULT_MIN_COHORT,
-) -> GiniSeries:
-    """Gini of cohort members' impacts per career start year.
-
-    impacts_by_year maps each start year to its members' impacts in one
-    career window (cohort.cohort_impacts gives both windows). Years are
-    taken in ascending order.
-    """
-    by_year = ((year, impacts_by_year[year]) for year in sorted(impacts_by_year))
-    return _series(by_year, min_cohort)
-
-
-def population_gini_series(
-    careers: Careers,
-    discipline: str,
-    window_start_years: Sequence[int],
-    min_authors: int = DEFAULT_MIN_COHORT,
-) -> GiniSeries:
-    """Gini over everyone publishing in the discipline per 5-year window.
-
-    Unlike the cohort mode this ignores career stage: an author is in the
-    window's population when they have at least one publication tagged with
-    the discipline inside [year, year+4], and their impact is the c5 sum of
-    those publications.
-    """
-
-    def population(year: int) -> np.ndarray:
-        active, impacts = careers.impacts(discipline, year, year + 4)
-        return impacts[active]
-
-    by_year = ((year, population(year)) for year in window_start_years)
-    return _series(by_year, min_authors)
 
 
 _GINI_SERIES_HEADER = ("year", "gini", "n_authors")

@@ -16,7 +16,6 @@ import json
 import types
 import typing
 from os import PathLike
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NewType
 
 import numpy as np
@@ -149,21 +148,18 @@ def load(path: str | PathLike, label: str, error: type[Exception]):
         return json.load(handle, parse_constant=_no_constants(label, error))
 
 
-def read_lines(
-    path: str | PathLike, cls, label: str, error: type[Exception], check: Callable | None = None
-) -> Iterator:
+def read_lines(path: str | PathLike, cls, label: str, error: type[Exception], check: Callable) -> Iterator:
     """One cls per non-blank line of a JSON-lines file, each read as
     read_config reads an object and then passed to check, which may raise
     error too; a bad line raises error naming the line."""
     constant = _no_constants(label, error)
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             try:
                 record = _build(cls, json.loads(line, parse_constant=constant), label, error)
-                if check is not None:
-                    check(record)
+                check(record)
             except (ValueError, error) as exc:
                 raise error(f"{path}, line {number}: {exc}") from None
             yield record
@@ -197,9 +193,10 @@ def plain(value):
 
 
 def write_json(path: str | PathLike, payload) -> None:
-    Path(path).write_text(dumps(payload), encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(dumps(payload))
 
 
 def write_lines(path: str | PathLike, records: Iterable) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(compact(record) + "\n" for record in records)

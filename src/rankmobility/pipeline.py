@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .cohort import Careers, CohortSpec, build_profiles, cohort_impacts
+from .cohort import Careers, build_profiles, cohort_impacts
 from .corpus import Corpus, CorpusFilterConfig, collector_paused, filter_corpus, ingest
 from .csvio import write_csv
 from .diffusion import DEFAULT_BRACKET, DEFAULT_GRID_POINTS, DiffusionFit, fit_d, fit_d_pooled, model_matrix
@@ -198,8 +198,7 @@ class _Bundle:
 
 
 def _analyze_cohort(careers: Careers, discipline: str, year: int, config: PipelineConfig) -> _CohortResult:
-    spec = CohortSpec(discipline=discipline, start_year=year)
-    members, impact1, impact2 = cohort_impacts(careers, spec)
+    members, impact1, impact2 = cohort_impacts(careers, discipline, year)
     result = _CohortResult(discipline=discipline, year=year, size=len(members))
     if result.size < config.min_cohort_size:
         result.skipped_reason = f"cohort below minimum size ({result.size} < {config.min_cohort_size})"

@@ -63,7 +63,7 @@ _MAX_NAME_DRAWS = 100_000
 
 
 # Settings that no caller varies. CAREER_YEARS is 10 because
-# cohort.CohortSpec reads the career windows start..start+9. The papers an
+# cohort.cohort_impacts reads the career windows start..start+9. The papers an
 # author leads per year are Poisson with mean PAPER_RATE times a per-author
 # lognormal productivity factor of log-scale PRODUCTIVITY_SIGMA.
 CAREER_YEARS = 10

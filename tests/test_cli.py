@@ -11,7 +11,7 @@ import pytest
 import rankmobility
 from rankmobility.cli import main
 from rankmobility.corpus import export
-from rankmobility.disambig import ScoringRuleTable, disambiguate, write_clusters, write_truth
+from rankmobility.disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters, write_truth
 from rankmobility.mobility import read_rank_table_csv, transition_matrix, write_matrix_csv, write_rank_table_csv
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
@@ -366,6 +366,50 @@ def test_missing_input_file_is_a_data_error(capsys, tmp_path):
     )
     assert code == 2
     assert err.startswith("data error:")
+
+
+# Commands with one empty input or output path, "" below; every other path
+# names a file in the test's directory, written by _empty_path_inputs.
+_EMPTY_PATH_ARGV = {
+    "ingest --in": ["ingest", "--in", "", "--out", "out.jsonl"],
+    "ingest --out": ["ingest", "--in", "corpus.jsonl", "--out", ""],
+    "filter --disciplines": ["filter", "--in", "corpus.jsonl", "--out", "out.jsonl", "--disciplines", ""],
+    "cohort --clusters": [
+        "cohort", "--corpus", "corpus.jsonl", "--clusters", "", "--discipline", "Chemistry",
+        "--start-year", "2000", "--out", "out.csv",
+    ],
+    "gini --cohort": ["gini", "--cohort", ""],
+    "disambig-eval --pred": ["disambig-eval", "--pred", "", "--truth", "truth.jsonl"],
+    "disambig-eval --corpus": ["disambig-eval", "--pred", "clusters.jsonl", "--truth", "truth.jsonl", "--corpus", ""],
+    "disambiguate --out": ["disambiguate", "--corpus", "corpus.jsonl", "--out", ""],
+    "mobility --delta-q-out": ["mobility", "--cohort", "rank.csv", "--out", "out.csv", "--delta-q-out", ""],
+    "null --matrix-out": ["null", "--cohort", "rank.csv", "--reps", "2", "--out", "out.csv", "--matrix-out", ""],
+    "fit-d --out": ["fit-d", "--matrix", "matrix.csv", "--out", ""],
+    "trend --out": ["trend", "--series", "series.csv", "--out", ""],
+    "synth corpus --truth-out": ["synth", "corpus", "--config", "synth.json", "--out", "out.jsonl", "--truth-out", ""],
+    "synth transitions --out": ["synth", "transitions", "--d", "0.1", "--n", "1000", "--out", ""],
+}
+
+
+def _empty_path_inputs(tmp_path):
+    (tmp_path / "corpus.jsonl").write_text(json.dumps(make_record("P1", year=2000)) + "\n", encoding="utf-8")
+    write_clusters(tmp_path / "clusters.jsonl", [MentionCluster("P1:0", ("P1:0",))])
+    write_truth(tmp_path / "truth.jsonl", {"P1:0": "a"})
+    table = sample_transitions(1.0, 1000, 0)
+    write_rank_table_csv(tmp_path / "rank.csv", table)
+    write_matrix_csv(tmp_path / "matrix.csv", transition_matrix(table).matrix)
+    (tmp_path / "series.csv").write_text("x,y\n1,2\n2,3\n3,5\n", encoding="utf-8")
+    (tmp_path / "synth.json").write_text(json.dumps({"n_authors": 40, "seed": 3}), encoding="utf-8")
+
+
+@pytest.mark.parametrize("flag", list(_EMPTY_PATH_ARGV))
+def test_an_empty_path_is_a_data_error_naming_it(capsys, tmp_path, flag):
+    _empty_path_inputs(tmp_path)
+    argv = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl", ".csv")) else arg for arg in _EMPTY_PATH_ARGV[flag]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("data error: ")
+    assert err.endswith("[Errno 2] No such file or directory: ''\n")
 
 
 @pytest.mark.parametrize(

@@ -5,22 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmobility.cohort import CohortSpec, build_profiles, cohort_impacts
+from rankmobility.cohort import build_profiles, cohort_impacts, population_impacts
 from rankmobility.disambig import DisambigError, MentionCluster
-from rankmobility.inequality import gini, population_gini_series
+from rankmobility.inequality import cohort_gini_series, gini
 
 from conftest import careers_of, corpus_of, make_record
 from oracle import build_mentions, c5, records_of
 
 
-def members_of(careers, spec):
-    return cohort_impacts(careers, spec)[0]
+def members_of(careers, discipline, start_year):
+    return cohort_impacts(careers, discipline, start_year)[0]
 
 
 def test_windows_are_five_years_each():
-    spec = CohortSpec(discipline="Chemistry", start_year=2000)
-    assert spec.window1 == (2000, 2004)
-    assert spec.window2 == (2005, 2009)
+    # One Chemistry paper in each year 2000..2010 with c5 = 2^(year - 2000).
+    careers = careers_of(("A1", [(year, "Chemistry", 1 << (year - 2000)) for year in range(2000, 2011)]))
+    assert cohort_impacts(careers, "Chemistry", 2000) == (["A1"], [0b11111], [0b1111100000])
 
 
 def test_build_profiles_from_corpus():
@@ -65,27 +65,25 @@ def test_career_start_is_global_across_disciplines():
     # First paper in another field sets the clock; the author is not in the
     # 2002 chemistry cohort even though chemistry starts for them in 2002.
     careers = careers_of(("A1", [(2000, "History", 0), (2002, "Chemistry", 1), (2007, "Chemistry", 2)]))
-    assert members_of(careers, CohortSpec("Chemistry", 2002)) == []
-    assert members_of(careers, CohortSpec("Chemistry", 2000)) == ["A1"]
+    assert members_of(careers, "Chemistry", 2002) == []
+    assert members_of(careers, "Chemistry", 2000) == ["A1"]
 
 
 def test_membership_requires_discipline_papers_in_both_windows():
-    spec = CohortSpec("Chemistry", 2000)
     careers = careers_of(
         ("A1", [(2000, "Chemistry", 1)]),
         ("A2", [(2000, "Biology", 1), (2006, "Chemistry", 1)]),
         ("A3", [(2000, "Chemistry", 1), (2005, "Chemistry", 1)]),
         ("A4", [(2000, "Chemistry", 1), (2006, "Biology", 1)]),
     )
-    assert members_of(careers, spec) == ["A3"]
+    assert members_of(careers, "Chemistry", 2000) == ["A3"]
 
 
 def test_window_edges_are_inclusive():
-    spec = CohortSpec("Chemistry", 2000)
     edges = careers_of(("A1", [(2000, "Chemistry", 1), (2004, "Chemistry", 1), (2009, "Chemistry", 1)]))
-    assert members_of(edges, spec) == ["A1"]
+    assert members_of(edges, "Chemistry", 2000) == ["A1"]
     outside = careers_of(("A2", [(2000, "Chemistry", 1), (2010, "Chemistry", 1)]))
-    assert members_of(outside, spec) == []
+    assert members_of(outside, "Chemistry", 2000) == []
 
 
 def test_aggregate_impact_sums_windowed_c5():
@@ -111,13 +109,12 @@ def test_aggregate_impact_sums_windowed_c5():
 
 
 def test_cohort_impacts_are_sorted_and_aligned():
-    spec = CohortSpec("Chemistry", 2000)
     careers = careers_of(
         ("B", [(2000, "Chemistry", 2), (2006, "Chemistry", 4)]),
         ("A", [(2000, "Chemistry", 1), (2005, "Chemistry", 3)]),
         ("C", [(2001, "Chemistry", 9), (2006, "Chemistry", 9)]),
     )
-    members, impact1, impact2 = cohort_impacts(careers, spec)
+    members, impact1, impact2 = cohort_impacts(careers, "Chemistry", 2000)
     assert members == ["A", "B"]
     assert impact1 == [1, 2]
     assert impact2 == [3, 4]
@@ -175,21 +172,20 @@ def test_cohort_and_population_impacts_match_a_plain_scan(data, discipline, year
     careers = build_profiles(corpus, clusters)
     assert len(careers) == len(clusters)
 
-    spec = CohortSpec(discipline, year)
     records = records_of(corpus)
     mentions = build_mentions(records)
     expected = ([], [], [])
     for cluster in sorted(clusters, key=lambda c: c.author_id):
         start = min(records[mentions[mid].pub_id].year for mid in cluster.mention_ids)
-        active1, impact1 = scan(records, mentions, cluster, discipline, *spec.window1)
-        active2, impact2 = scan(records, mentions, cluster, discipline, *spec.window2)
+        active1, impact1 = scan(records, mentions, cluster, discipline, year, year + 4)
+        active2, impact2 = scan(records, mentions, cluster, discipline, year + 5, year + 9)
         if start == year and active1 and active2:
             for column, value in zip(expected, (cluster.author_id, impact1, impact2)):
                 column.append(value)
-    assert cohort_impacts(careers, spec) == expected
+    assert cohort_impacts(careers, discipline, year) == expected
 
     windows = range(1998, 2012)
-    series = population_gini_series(careers, discipline, windows, min_authors=2)
+    series = cohort_gini_series({lo: population_impacts(careers, discipline, lo) for lo in windows}, min_cohort=2)
     points, skipped = [], []
     for lo in windows:
         scans = (scan(records, mentions, c, discipline, lo, lo + 4) for c in clusters)

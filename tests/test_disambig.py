@@ -625,6 +625,26 @@ def test_a_large_block_is_scored_in_memory_far_below_its_candidate_pairs(default
     assert sum(len(c.mention_ids) for c in clusters) == len(large)
 
 
+def test_the_plan_is_built_once_per_rule_table_over_many_runs(default_rules, monkeypatch):
+    corpus, _ = synth.generate_corpus(synth.SynthConfig(n_authors=40, seed=3, name_collision_rate=0.5))
+    expected = disambiguate(corpus, default_rules)
+    calls = Counter()
+
+    def counting(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(disambig, "_plan", counting("plan", disambig._plan))
+    monkeypatch.setattr(disambig._Run, "forest", counting("run", disambig._Run.forest))
+    # Bound 0 makes every block with a pair a run of its own.
+    monkeypatch.setattr(disambig, "_RUN_PAIRS", 0)
+    assert disambiguate(corpus, default_rules) == expected
+    assert calls["run"] > 1
+    assert calls["plan"] == 1
+
+
 def test_empty_and_single_mention_blocks(default_rules):
     assert disambiguate(corpus_of(), default_rules) == []
     assert _ids(cluster_block(as_block([mention("P1:0")]), default_rules)) == [("P1:0",)]

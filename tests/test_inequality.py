@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmobility.cohort import CohortSpec, cohort_impacts
+from rankmobility.cohort import cohort_impacts, population_impacts
 from rankmobility.csvio import read_csv
-from rankmobility.inequality import (
-    cohort_gini_series,
-    gini,
-    population_gini_series,
-    write_gini_series_csv,
-)
+from rankmobility.inequality import cohort_gini_series, gini, write_gini_series_csv
 
 from conftest import careers_of
 
@@ -95,7 +90,7 @@ def chemistry_impacts(years, window):
     careers = chemistry_careers()
     impacts = {}
     for year in years:
-        _, impact1, impact2 = cohort_impacts(careers, CohortSpec("Chemistry", year))
+        _, impact1, impact2 = cohort_impacts(careers, "Chemistry", year)
         impacts[year] = impact1 if window == 1 else impact2
     return impacts
 
@@ -133,10 +128,14 @@ def test_cohort_series_min_size_skips_everything():
     assert series.skipped == (2000, 2001)
 
 
+def population_series(years):
+    """The Chemistry population series over 5-year windows starting in years."""
+    careers = chemistry_careers()
+    return cohort_gini_series({year: population_impacts(careers, "Chemistry", year) for year in years}, min_cohort=2)
+
+
 def test_population_series_ignores_career_stage():
-    series = population_gini_series(
-        chemistry_careers(), "Chemistry", [2000], min_authors=2
-    )
+    series = population_series([2000])
     assert series.years.tolist() == [2000]
     # Everyone with a Chemistry paper in 2000-2004: a, b, c, d, e (its 2003
     # paper only), and f, which the cohort mode would drop.
@@ -145,9 +144,7 @@ def test_population_series_ignores_career_stage():
 
 
 def test_population_series_skips_thin_windows():
-    series = population_gini_series(
-        chemistry_careers(), "Chemistry", [2000, 2020], min_authors=2
-    )
+    series = population_series([2000, 2020])
     assert series.years.tolist() == [2000]
     assert series.skipped == (2020,)
 

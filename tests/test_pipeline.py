@@ -663,9 +663,9 @@ def test_each_cohort_is_built_once(tmp_path, monkeypatch):
     calls = []
     original = cohort.cohort_impacts
 
-    def counting(careers, spec):
-        calls.append((spec.discipline, spec.start_year))
-        return original(careers, spec)
+    def counting(careers, discipline, start_year):
+        calls.append((discipline, start_year))
+        return original(careers, discipline, start_year)
 
     for module in (cohort, inequality, pipeline, cli):
         if hasattr(module, "cohort_impacts"):

@@ -111,3 +111,43 @@ def test_a_definition_with_no_caller_is_found():
                          "def f(): ...\ndef g(): ...\ndef h(): ...\nclass B: ...\n")
     referring = ast.parse("from m import f\nA().used()\nWRAPS = (('m', 'g'),)\nx: 'B'\n")
     assert _unreferenced({"m": defining}, [defining, referring]) == {"m.A.dead": 4, "m.h": 7}
+
+
+# The numeric layers work on rank tables, matrices and impact lists; they read
+# each other and the file helpers, never the corpus, identities or careers.
+NUMERIC_LAYERS = {"stats", "mobility", "diffusion", "inequality"}
+NUMERIC_READS = NUMERIC_LAYERS | {"csvio", "jsonio"}
+
+
+def _package_imports(tree: ast.Module) -> dict[str, int]:
+    """Each rankmobility module a module imports, with the line that imports it."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module != "rankmobility":
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            # from .m import x, from . import m or from rankmobility import m
+            module = None if node.module == "rankmobility" else node.module
+            names = [f"rankmobility.{module or alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            package, _, module = name.partition(".")
+            if package == "rankmobility" and module:
+                found[module.split(".")[0]] = node.lineno
+    return found
+
+
+@pytest.mark.parametrize("layer", sorted(NUMERIC_LAYERS))
+def test_numeric_layers_import_only_each_other_and_the_file_helpers(layer):
+    path = Path(rankmobility.__file__).parent / f"{layer}.py"
+    imported = _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert {module: line for module, line in imported.items() if module not in NUMERIC_READS} == {}
+
+
+def test_a_package_import_is_found():
+    tree = ast.parse("import numpy\nfrom .cohort import Careers\nfrom . import corpus, csvio\n"
+                     "import rankmobility.synth\nfrom rankmobility import names\nfrom rankmobility.disambig import x\n")
+    assert _package_imports(tree) == {"cohort": 2, "corpus": 3, "csvio": 3, "synth": 4, "names": 5, "disambig": 6}
