@@ -19,16 +19,16 @@ from .csvio import finite_float, read_csv, write_csv
 DEFAULT_BINS = 10
 
 
-def _assign_deciles(ids: np.ndarray, values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Near-equal decile split of values, ties broken by author id.
+def _balanced_bins(n: int, n_bins: int) -> np.ndarray:
+    """0-based bin of each of n sorted positions: position k lands in bin
+    k * n_bins // n, so bin occupancies differ by at most one."""
+    return np.arange(n, dtype=np.int64) * n_bins // n
 
-    Sorted ascending, the item at 0-based position k lands in bin
-    k * n_bins // n + 1, so bin occupancies differ by at most one.
-    """
-    n = len(values)
-    order = np.lexsort((ids, values))
-    bins = np.empty(n, dtype=np.int64)
-    bins[order] = np.arange(n, dtype=np.int64) * n_bins // n + 1
+
+def _assign_deciles(ids: np.ndarray, values: np.ndarray, n_bins: int) -> np.ndarray:
+    """Near-equal decile split of values, ties broken by author id."""
+    bins = np.empty(len(values), dtype=np.int64)
+    bins[np.lexsort((ids, values))] = _balanced_bins(len(values), n_bins) + 1
     return bins
 
 
@@ -172,13 +172,15 @@ def reshuffle_null(
     the null matrix follow. Repetitions draw from spawned child streams of
     the seed, so results do not depend on execution order.
 
-    A repetition ranks as _assign_deciles would, without a sort. The
-    multiset of impact2 never changes, so each distinct value (a group)
-    always fills the same run of sorted positions. Authors, taken in id
-    order, receive groups; a group whose run lies in one decile gives that
-    decile to all of its receivers, and a group whose run straddles a decile
-    boundary (at most n_bins - 1 of them) hands out its positions to its
-    receivers in id order, which breaks ties by author id.
+    A repetition ranks as _assign_deciles would, by one stable sort of small
+    keys. The multiset of impact2 never changes, so each distinct value
+    always fills the same run of sorted positions; its key is the decile of
+    the run's first position plus that of its last. Keys rise with the
+    values, and two values share a key only if both runs lie wholly in one
+    decile. So a stable sort of the keys the authors receive, taken in id
+    order, puts every author in the decile _assign_deciles would, with ties
+    broken by author id. At most 2 * n_bins - 1 keys, in the smallest
+    integer type, let numpy sort them by radix.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -186,28 +188,21 @@ def reshuffle_null(
     n_bins = table.n_bins
     by_id = np.argsort(np.array(table.author_ids), kind="stable")
     _, group, size = np.unique(table.impact2, return_inverse=True, return_counts=True)
-    start = np.cumsum(size) - size
+    decile = _balanced_bins(n, n_bins)
+    last = np.cumsum(size) - 1
+    # Each distinct value's key, then each author row's.
+    key = decile[last - size + 1] + decile[last]
+    key = key.astype(np.min_scalar_type(key.max(initial=0)))[group]
     # Each sorted position's decile as the ending part of a flat cell index.
-    ending = np.arange(n, dtype=np.int64) * n_bins // n * n_bins
-    group_cell = ending[start]
-    straddles = group_cell != ending[start + size - 1]
-    # The straddling groups' runs, which follow one another in group order.
-    positions = ending[np.repeat(straddles, size)]
-    # Each group's rank among the straddling groups, the others ranked after
-    # them, in the smallest integer type: numpy sorts those by radix when a
-    # sort must be stable.
-    rank = np.where(straddles, np.cumsum(straddles) - 1, np.count_nonzero(straddles))
-    rank = rank.astype(np.min_scalar_type(rank.max(initial=0)))
+    ending = decile * n_bins
     starting = table.q1[by_id] - 1
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
     counts = np.zeros((n_bins, n_bins), dtype=np.int64)
     for child in seq.spawn(n_reps):
-        received = group[np.random.default_rng(child).permutation(n)[by_id]]
-        cells = group_cell[received]
-        # The straddling receivers sort first, in group order and in id order within one.
-        cells[np.argsort(rank[received], kind="stable")[: len(positions)]] = positions
-        counts += _count_cells(cells + starting, n_bins)
+        # Gathered through the intp permutation: numpy permutes a narrow array more slowly.
+        received = key[np.random.default_rng(child).permutation(n)[by_id]]
+        counts += _count_cells(ending + starting[np.argsort(received, kind="stable")], n_bins)
     return ReshuffleNull(profile=_profile(counts), matrix=TransitionMatrix.from_counts(counts), n_reps=n_reps)
 
 

@@ -522,6 +522,7 @@ def report_summary(bundle_dir: str | Path) -> dict:
     than five disciplines the top/bottom extracts are the full ranking and
     a note says so.
     """
+    os.stat(bundle_dir)  # the path as given, since Path("") is the current directory
     bundle = Path(bundle_dir)
     summary_path = bundle / "summary" / "correlation.json"
     if not summary_path.exists():

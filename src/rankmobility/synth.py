@@ -31,7 +31,7 @@ from .columns import _Builder, _indptr, _ranges
 from .corpus import Corpus, collector_paused
 from .diffusion import model_matrix
 from .jsonio import read_config
-from .mobility import DEFAULT_BINS, RankTable
+from .mobility import DEFAULT_BINS, RankTable, _balanced_bins
 
 _SYLLABLES = (
     "ba", "bel", "cor", "dan", "dre", "fa", "gar", "hol", "jin", "ka",
@@ -516,7 +516,7 @@ def sample_transitions(
         raise ValueError("need at least 1000 authors for a meaningful sample")
     rng = np.random.default_rng(seed)
     matrix = model_matrix(d, n_bins)
-    q1 = np.arange(n_authors, dtype=np.int64) * n_bins // n_authors + 1
+    q1 = _balanced_bins(n_authors, n_bins) + 1
     q2 = np.empty(n_authors, dtype=np.int64)
     for j in range(1, n_bins + 1):
         idx = np.nonzero(q1 == j)[0]

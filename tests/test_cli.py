@@ -388,6 +388,7 @@ _EMPTY_PATH_ARGV = {
     "trend --out": ["trend", "--series", "series.csv", "--out", ""],
     "synth corpus --truth-out": ["synth", "corpus", "--config", "synth.json", "--out", "out.jsonl", "--truth-out", ""],
     "synth transitions --out": ["synth", "transitions", "--d", "0.1", "--n", "1000", "--out", ""],
+    "report --bundle": ["report", "--bundle", ""],
 }
 
 
@@ -400,16 +401,21 @@ def _empty_path_inputs(tmp_path):
     write_matrix_csv(tmp_path / "matrix.csv", transition_matrix(table).matrix)
     (tmp_path / "series.csv").write_text("x,y\n1,2\n2,3\n3,5\n", encoding="utf-8")
     (tmp_path / "synth.json").write_text(json.dumps({"n_authors": 40, "seed": 3}), encoding="utf-8")
+    # The working directory holds a bundle summary, which an empty --bundle must not read.
+    (tmp_path / "summary").mkdir()
+    (tmp_path / "summary" / "correlation.json").write_text(json.dumps({"per_discipline": []}), encoding="utf-8")
 
 
 @pytest.mark.parametrize("flag", list(_EMPTY_PATH_ARGV))
-def test_an_empty_path_is_a_data_error_naming_it(capsys, tmp_path, flag):
+def test_an_empty_path_is_a_data_error_naming_it(capsys, tmp_path, monkeypatch, flag):
     _empty_path_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
     argv = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl", ".csv")) else arg for arg in _EMPTY_PATH_ARGV[flag]]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("data error: ")
     assert err.endswith("[Errno 2] No such file or directory: ''\n")
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,30 @@ SPARSE_TABLE = RankTable(
 )
 
 
+def shuffled_rows(impact2, n_bins, seed):
+    """A table of impact2 in shuffled rows, with ids in neither row nor numeric order."""
+    rng = np.random.default_rng(seed)
+    n = len(impact2)
+    return RankTable(
+        author_ids=tuple(f"a{k}" for k in rng.permutation(n)),
+        impact1=np.zeros(n),
+        impact2=rng.permutation(np.asarray(impact2, dtype=float)),
+        q1=rng.integers(1, n_bins + 1, size=n),
+        q2=rng.integers(1, n_bins + 1, size=n),
+        n_bins=n_bins,
+    )
+
+
+# 20 authors in 10 deciles of two positions: value 1's run covers deciles 1-4
+# and starts in the decile that value 0 fills alone; values 2-5 each lie
+# wholly in one decile, 4 and 5 in the same one.
+STRADDLING_TABLE = shuffled_rows([0] + [1] * 6 + [2] + [3] * 2 + [4, 5] + [6] * 8, 10, seed=1)
+# 451 distinct values, with ties: more than a byte can number.
+MANY_VALUES_TABLE = shuffled_rows(np.random.default_rng(2).integers(0, 1000, size=600), 10, seed=3)
+# Fewer authors than bins: every tie spans as many deciles as it has authors.
+FEW_AUTHORS_TABLE = shuffled_rows([1, 0, 1, 1, 0, 2], 10, seed=4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(table=deciles_table())
 @example(table=SPARSE_TABLE)
@@ -268,6 +292,9 @@ def test_delta_q_profile_equals_per_author_oracle(table):
 @settings(max_examples=100, deadline=None)
 @given(table=deciles_table(), n_reps=st.integers(min_value=1, max_value=5), seed=st.integers(0, 2**32 - 1))
 @example(table=SPARSE_TABLE, n_reps=3, seed=0)
+@example(table=STRADDLING_TABLE, n_reps=5, seed=0)
+@example(table=MANY_VALUES_TABLE, n_reps=2, seed=0)
+@example(table=FEW_AUTHORS_TABLE, n_reps=5, seed=0)
 def test_reshuffle_null_equals_per_repetition_oracle(table, n_reps, seed):
     (mean, sem, count), (matrix, uniform) = oracle_null(table, n_reps, seed)
     null = reshuffle_null(table, n_reps=n_reps, seed=seed)
@@ -307,6 +334,9 @@ EMPTY_TABLE = RankTable((), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64
 @settings(max_examples=100, deadline=None)
 @given(table=shuffled_ids_table(), n_reps=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**32 - 1))
 @example(table=EMPTY_TABLE, n_reps=2, seed=0)
+@example(table=STRADDLING_TABLE, n_reps=5, seed=0)
+@example(table=MANY_VALUES_TABLE, n_reps=2, seed=0)
+@example(table=FEW_AUTHORS_TABLE, n_reps=5, seed=0)
 def test_reshuffle_null_ranks_ties_by_author_id_as_the_sorting_oracle(table, n_reps, seed):
     (mean, sem, count), (matrix, uniform) = oracle_null(table, n_reps, seed)
     null = reshuffle_null(table, n_reps=n_reps, seed=seed)
