@@ -75,7 +75,7 @@ def _parse_year_range(text: str) -> tuple[int, int]:
 
 
 def cmd_ingest(args) -> int:
-    corpus = ingest(args.in_path)
+    corpus = ingest(args.in_path, args.threads)
     export(corpus, args.out)
     _print_json(
         {
@@ -100,7 +100,7 @@ def cmd_filter(args) -> int:
         year_range=_parse_year_range(args.years) if args.years else None,
         disciplines=disciplines,
     )
-    corpus = ingest(args.in_path)
+    corpus = ingest(args.in_path, args.threads)
     filtered, stats = filter_corpus(corpus, config)
     export(filtered, args.out)
     _print_json({"kept": stats.kept, "removed": stats.removed, "by_rule": stats.by_rule})
@@ -109,7 +109,7 @@ def cmd_filter(args) -> int:
 
 def cmd_disambiguate(args) -> int:
     rules = ScoringRuleTable.from_json(args.rules)
-    corpus = ingest(args.corpus)
+    corpus = ingest(args.corpus, args.threads)
     clusters = disambiguate(corpus, rules)
     write_clusters(args.out, clusters)
     _print_json({"mentions": len(corpus.mentions), "clusters": len(clusters)})
@@ -119,14 +119,14 @@ def cmd_disambiguate(args) -> int:
 def cmd_disambig_eval(args) -> int:
     clusters = read_clusters(args.pred)
     truth = read_truth(args.truth)
-    blocks = block_mentions(ingest(args.corpus)) if args.corpus is not None else None
+    blocks = block_mentions(ingest(args.corpus, args.threads)) if args.corpus is not None else None
     _print_json(evaluate_disambiguation(clusters, truth, blocks=blocks))
     return EXIT_OK
 
 
 def cmd_cohort(args) -> int:
     clusters = read_clusters(args.clusters)
-    careers = build_profiles(ingest(args.corpus), clusters)
+    careers = build_profiles(ingest(args.corpus, args.threads), clusters)
     members, impact1, impact2 = cohort_impacts(careers, args.discipline, args.start_year)
     table = RankTable.from_impacts(members, impact1, impact2)
     write_rank_table_csv(args.out, table)
@@ -184,7 +184,7 @@ def cmd_gini(args) -> int:
 def cmd_gini_series(args) -> int:
     lo, hi = _parse_year_range(args.years)
     clusters = read_clusters(args.clusters)
-    careers = build_profiles(ingest(args.corpus), clusters)
+    careers = build_profiles(ingest(args.corpus, args.threads), clusters)
     impacts = {}
     for year in range(lo, hi + 1):
         if args.mode == "population":
@@ -286,7 +286,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rankmobility", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="seed override where applicable")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for the pipeline")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="processes a corpus is ingested in, and threads for run's cohorts")
     parser.add_argument("--out-dir", default=None, help="output directory for run")
     parser.add_argument("--config", default=None, help="config file for run")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

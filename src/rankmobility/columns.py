@@ -66,6 +66,14 @@ class _Coder:
         self._coded += len(positions)
         self._chunks.append(positions)
 
+    def extend(self, codes: np.ndarray, values: list) -> None:
+        """Add the stream another coder numbered, from its codes(): its
+        codes, -1 for a missing value, and its distinct values by code. Each
+        of those values new here takes a position as it would in add."""
+        positions = np.fromiter(map(self._at.setdefault, values, count(self._coded)), np.int64, len(values))
+        self._coded += len(values)
+        self._chunks.append(np.append(positions, -1)[codes])
+
     def codes(self) -> tuple[np.ndarray, list]:
         """The code of every value added, in order, and the distinct values
         by code (the seed first)."""
@@ -127,6 +135,25 @@ class _Builder:
     def _column(self, name: str) -> np.ndarray:
         chunks = self._chunks[name]
         return np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
+
+    def grown(self) -> tuple[dict[str, np.ndarray], dict[str, tuple[np.ndarray, list]]]:
+        """What the records added so far grew, for another builder to fold:
+        each uncoded column whole, and each coder's codes and distinct values."""
+        self._flush()
+        return ({name: self._column(name) for name in self._chunks},
+                {column: coder.codes() for column, coder in self._coders.items()})
+
+    def fold(self, pub_ids: list[str], grown: tuple[dict, dict]) -> None:
+        """Go on as if the records that another builder grew grown from
+        (grown()) had been added here, in their order; none of their pub_ids
+        may have been added here."""
+        self._flush()
+        self.rows.update(zip(pub_ids, count(len(self.rows))))
+        columns, coded = grown
+        for name, column in columns.items():
+            self._chunks[name].append(column)
+        for column, (codes, values) in coded.items():
+            self._coders[column].extend(codes, values)
 
     def columns(self) -> _Columns:
         self._flush()

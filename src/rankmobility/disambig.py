@@ -88,7 +88,7 @@ class ScoringRuleTable:
         """The rule table in the JSON file at path; None gives the builtin table."""
         if path is None:
             return cls.default()
-        return cls._from_payload(load(path, f"rule table {path}", DisambigError), str(path))
+        return cls._from_payload(load(path, "rule table", DisambigError), str(path))
 
     @classmethod
     def default(cls) -> "ScoringRuleTable":

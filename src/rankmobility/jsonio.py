@@ -142,10 +142,14 @@ def _no_constants(label: str, error: type[Exception]):
 
 
 def load(path: str | PathLike, label: str, error: type[Exception]):
-    """The JSON data in the file at path; NaN or Infinity raises error, and a
-    file that is not JSON raises ValueError."""
+    """The JSON data in the file at path; a file that is not JSON, or holds
+    NaN or Infinity, raises error naming label and path."""
+    name = f"{label} {path}"
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_constant=_no_constants(label, error))
+        try:
+            return json.load(handle, parse_constant=_no_constants(name, error))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"{name}: {exc}") from None
 
 
 def read_lines(path: str | PathLike, cls, label: str, error: type[Exception], check: Callable) -> Iterator:

@@ -216,7 +216,8 @@ def _analyze_cohort(careers: Careers, discipline: str, year: int, config: Pipeli
 def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) -> RunResult:
     """Execute the full analysis and write the report bundle.
 
-    threads (at least 1) sets the size of the pool that analyzes cohorts; no
+    threads (at least 1) sets the number of processes the corpus is ingested
+    in (corpus.ingest) and the size of the pool that analyzes cohorts; no
     output depends on it. The output directory must not already contain
     files. The bundle is written into a new staging directory beside it and
     renamed onto it only when the run succeeds, so a run that fails or is
@@ -291,7 +292,7 @@ def _remove_left_staging(target: Path) -> None:
 def _run(config: PipelineConfig, out: Path, threads: int, source_date: datetime | None) -> tuple[dict, bool]:
     bundle = _Bundle(out=out, config_hash=config_hash(config), slugs=_slugs(config.disciplines))
     rules = ScoringRuleTable.from_json(config.rules)
-    corpus = _ingest_stage(config, bundle)
+    corpus = _ingest_stage(config, bundle, threads)
     clusters = _disambiguate_stage(rules, corpus, bundle)
     careers = _profiles_stage(corpus, clusters, bundle)
     results = _cohorts_stage(config, careers, threads, bundle)
@@ -300,8 +301,8 @@ def _run(config: PipelineConfig, out: Path, threads: int, source_date: datetime 
     return manifest, bundle.all_converged
 
 
-def _ingest_stage(config: PipelineConfig, bundle: _Bundle) -> Corpus:
-    corpus = ingest(config.corpus)
+def _ingest_stage(config: PipelineConfig, bundle: _Bundle, threads: int) -> Corpus:
+    corpus = ingest(config.corpus, threads)
     bundle.counts.update(
         lines_read=corpus.stats.lines_read,
         records_accepted=corpus.stats.accepted,
@@ -527,7 +528,7 @@ def report_summary(bundle_dir: str | Path) -> dict:
     summary_path = bundle / "summary" / "correlation.json"
     if not summary_path.exists():
         raise PipelineError(f"not a report bundle (missing {summary_path})")
-    summary = load(summary_path, str(summary_path), PipelineError)
+    summary = load(summary_path, "report summary", PipelineError)
     if not isinstance(summary, dict) or not isinstance(summary.get("per_discipline"), list):
         raise PipelineError(f"{summary_path} must be a JSON object with a 'per_discipline' list")
     try:

@@ -1,14 +1,17 @@
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankmobility
+from rankmobility import corpus as corpus_module
 from rankmobility.cli import main
 from rankmobility.corpus import export
 from rankmobility.disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters, write_truth
@@ -213,6 +216,171 @@ def test_every_command_needs_at_least_one_thread(capsys, tmp_path):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+
+def _two_cpus(monkeypatch):
+    """Let an ingest split its file in two, whatever the machine's CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture(scope="module")
+def ingest_inputs(tmp_path_factory):
+    """A generated corpus, its truth labels and the clusters it gets."""
+    root = tmp_path_factory.mktemp("ingest_inputs")
+    corpus, truth = generate_corpus(SynthConfig(n_authors=120, seed=3, name_collision_rate=0.2))
+    export(corpus, root / "corpus.jsonl")
+    write_truth(root / "truth.jsonl", truth)
+    write_clusters(root / "clusters.jsonl", disambiguate(corpus, ScoringRuleTable.default()))
+    return root
+
+
+# Every command that ingests a corpus; {out} is the file it writes.
+_INGESTING_ARGV = {
+    "ingest": ["ingest", "--in", "{corpus}", "--out", "{out}"],
+    "filter": ["filter", "--in", "{corpus}", "--out", "{out}", "--years", "2001:2006"],
+    "disambiguate": ["disambiguate", "--corpus", "{corpus}", "--out", "{out}"],
+    "disambig-eval": ["disambig-eval", "--pred", "{clusters}", "--truth", "{truth}", "--corpus", "{corpus}"],
+    "cohort": ["cohort", "--corpus", "{corpus}", "--clusters", "{clusters}", "--discipline", "Chemistry",
+               "--start-year", "2000", "--out", "{out}"],
+    "gini-series": ["gini-series", "--corpus", "{corpus}", "--clusters", "{clusters}", "--discipline", "Chemistry",
+                    "--years", "2000:2002", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", list(_INGESTING_ARGV))
+def test_a_command_ingests_in_threads_parts_with_the_same_output(capsys, tmp_path, monkeypatch, ingest_inputs,
+                                                                  command):
+    _two_cpus(monkeypatch)
+    started = []
+
+    class Counted(corpus_module._Worker):
+        def __init__(self, path, start, stop):
+            super().__init__(path, start, stop)
+            started.append((start, stop))
+
+    monkeypatch.setattr(corpus_module, "_Worker", Counted)
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        argv = [arg.format(corpus=ingest_inputs / "corpus.jsonl", clusters=ingest_inputs / "clusters.jsonl",
+                           truth=ingest_inputs / "truth.jsonl", out=out) for arg in _INGESTING_ARGV[command]]
+        code, stdout, err = run_cli(capsys, "--threads", threads, *argv)
+        assert (code, err) == (0, "")
+        written[threads] = (stdout.replace(str(out), "OUT"), out.read_bytes() if out.exists() else None)
+        assert len(started) == int(threads) - 1
+    assert written["2"] == written["1"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_threads_beyond_the_cpus_start_a_worker_per_cpu_but_one(capsys, tmp_path, monkeypatch, ingest_inputs):
+    corpus = str(ingest_inputs / "corpus.jsonl")
+    code, expected, _ = run_cli(capsys, "ingest", "--in", corpus, "--out", str(tmp_path / "one.jsonl"))
+    assert code == 0
+    started = []
+
+    class Counter:
+        """Starts no process: parses its range here, when it is made."""
+
+        def __init__(self, path, start, stop):
+            started.append((start, stop))
+            self._part = corpus_module._parse_range(path, start, stop)
+
+        def part(self):
+            return self._part
+
+        def stop(self):
+            pass
+
+    def fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(corpus_module, "_Worker", Counter)
+    monkeypatch.setattr(os, "fork", fork)
+    code, out, err = run_cli(capsys, "--threads", "4096", "ingest", "--in", corpus, "--out", str(tmp_path / "many.jsonl"))
+    assert (code, out, err) == (0, expected, "")
+    assert (tmp_path / "many.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+    cpus = len(os.sched_getaffinity(0))
+    assert len(started) <= cpus - 1
+    assert cpus == 1 or started
+
+
+def test_a_fifo_corpus_is_read_in_one_part(capsys, tmp_path, monkeypatch, ingest_inputs):
+    _two_cpus(monkeypatch)
+    data = (ingest_inputs / "corpus.jsonl").read_bytes()
+    code, expected, _ = run_cli(capsys, "ingest", "--in", str(ingest_inputs / "corpus.jsonl"),
+                                "--out", str(tmp_path / "file.jsonl"))
+    assert code == 0
+
+    def refuse(path, start, stop):
+        raise AssertionError("a stream was split")
+
+    monkeypatch.setattr(corpus_module, "_Worker", refuse)
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    code, out, err = run_cli(capsys, "--threads", "2", "ingest", "--in", str(fifo), "--out", str(tmp_path / "fifo.jsonl"))
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert (code, out, err) == (0, expected, "")
+    assert (tmp_path / "fifo.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
+
+
+def _failing_worker(failure, tmp_path, monkeypatch):
+    """A corpus whose ingest in two parts fails in the second one as
+    failure says, and the message it fails with."""
+    _two_cpus(monkeypatch)
+    lines = [json.dumps(make_record(f"P{k:02}", authors=[{"name": "Zoë Park"}]), ensure_ascii=False) for k in range(40)]
+    if failure == "duplicate":
+        lines[35] = lines[0]
+    if failure == "first-part-duplicate":
+        # This process fails in its own part, while the worker may still run.
+        lines[5] = lines[0]
+    data = bytearray("".join(line + "\n" for line in lines).encode())
+    bad = len("".join(line + "\n" for line in lines[:35]).encode()) + lines[35].encode().index("ë".encode())
+    if failure == "utf-8":
+        data[bad] = 0xFF
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(data)
+    # ingest cuts just after the newline that follows the middle byte.
+    cut = data.index(b"\n", len(data) // 2) + 1
+    assert cut < bad
+
+    def raising(path, start, stop):
+        raise ValueError("the part could not be parsed")
+
+    def killed(path, start, stop):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    if failure in ("raises", "killed"):
+        monkeypatch.setattr(corpus_module, "_parse_range", raising if failure == "raises" else killed)
+    return corpus, {
+        "duplicate": f"duplicate pub_id: P00 ({corpus} line 36)",
+        "first-part-duplicate": f"duplicate pub_id: P00 ({corpus} line 6)",
+        "raises": "the part could not be parsed",
+        "killed": f"the worker reading bytes {cut} to {len(data)} of {corpus} was killed by signal 9",
+        "utf-8": f"invalid UTF-8 byte 0xff at offset {bad} ({corpus} line 36)",
+    }[failure]
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize("failure", ["duplicate", "first-part-duplicate", "raises", "killed", "utf-8"])
+def test_a_failed_part_exits_2_and_leaves_no_process_and_no_bundle(capsys, tmp_path, monkeypatch, failure, command):
+    corpus, message = _failing_worker(failure, tmp_path, monkeypatch)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"corpus": str(corpus), "disciplines": ["Chemistry"], "cohort_years": [2000]}),
+                      encoding="utf-8")
+    if command == "ingest":
+        argv = ["ingest", "--in", str(corpus), "--out", str(tmp_path / "out.jsonl")]
+    else:
+        argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "bundle")]
+    code, out, err = run_cli(capsys, "--threads", "2", *argv)
+    assert (code, out, err) == (2, "", f"data error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "pipeline.json"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("argv", [
     ["--seed", "-1", "ingest", "--in", "{corpus}", "--out", "{out}"],
     ["synth", "corpus", "--seed", "-3", "--config", "{config}", "--out", "{out}"],
@@ -295,6 +463,20 @@ def test_the_rule_table_is_read_before_the_corpus(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"data error: 'weights' must be an object of numbers in rule table {rules}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "disambiguate"])
+def test_a_config_that_is_not_json_is_a_data_error_naming_it(capsys, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\n", encoding="utf-8")
+    if command == "run":
+        argv, label = ["run", "--config", str(bad), "--out-dir", str(tmp_path / "bundle")], "pipeline config"
+    else:
+        argv, label = _rules_argv(tmp_path, command, tmp_path / "absent.jsonl", str(bad)), "rule table"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"data error: {label} {bad}: "
+                   "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)\n")
 
 
 @pytest.mark.parametrize("command", ["run", "disambiguate"])

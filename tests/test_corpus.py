@@ -1,7 +1,10 @@
 import copy
 import gc
+import io
 import itertools
 import json
+import os
+import pickle
 import sys
 import tracemalloc
 from importlib import resources
@@ -18,6 +21,8 @@ from rankmobility.columns import _code, _Coder, _unique
 from rankmobility.corpus import (
     CorpusError,
     CorpusFilterConfig,
+    _parse_range,
+    _read_lines,
     _RecordError,
     _validate_record,
     export,
@@ -535,6 +540,105 @@ def test_columns_ingest_filter_and_export_as_the_record_path(lines, configs):
         assert kept_lines == list(map(record_to_json, kept_records))
         # The kept publications are coded as a corpus of just them codes them.
         assert _plain(kept._columns) == _plain(ingest_lines(kept_lines)._columns)
+
+
+def _ranged(path, cuts):
+    """The file at path ingested in the byte ranges that cuts bound, the
+    first read here and each other one parsed as a worker parses it, its
+    part sent through pickle as a worker sends it; no process is started."""
+    parts = (pickle.loads(pickle.dumps(_parse_range(path, start, stop)))
+             for start, stop in zip(cuts[1:], cuts[2:]))
+    with open(path, "rb") as handle:
+        return ingest_lines(_read_lines(handle, 0, cuts[1]), str(path), parts)
+
+
+@st.composite
+def _ranged_file(draw):
+    """The bytes of a corpus file, its lines ended by \\n, \\r\\n or a lone
+    \\r (the last one maybe by nothing), with a line now and then repeated,
+    and the bounds of 1 to 4 byte ranges, each starting just after a \\n."""
+    lines = draw(_corpus_lines())
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if endings and draw(st.booleans()):
+        endings[-1] = ""
+    data = "".join(map(str.__add__, lines, endings)).encode("utf-8")
+    starts = [k + 1 for k, byte in enumerate(data[:-1]) if byte == ord("\n")]
+    cuts = sorted(draw(st.sets(st.sampled_from(starts), max_size=3))) if starts else []
+    return data, [0, *cuts, len(data)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranged=_ranged_file(), batch=st.sampled_from([1, 2, 1024]))
+def test_ranged_ingest_is_one_text_mode_read_of_the_file(tmp_path_factory, ranged, batch):
+    """Ingest in ranges gives the columns, counts (lines numbered in the
+    whole file) and errors that ingest_lines gives for the file read in text
+    mode, with a pub_id repeated within a range or across two."""
+    data, cuts = ranged
+    path = tmp_path_factory.getbasetemp() / "ranged.jsonl"
+    path.write_bytes(data)
+    with mock.patch.object(columns_module, "_BATCH", batch):
+        try:
+            expected = ingest_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), str(path))
+        except CorpusError as exc:
+            with pytest.raises(CorpusError) as ranged_error:
+                _ranged(path, cuts)
+            assert str(ranged_error.value) == str(exc)
+            return
+        corpus = _ranged(path, cuts)
+    assert corpus.stats == expected.stats
+    assert _plain(corpus._columns) == _plain(expected._columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_coder_extended_by_parts_numbers_them_as_one_stream(data):
+    stream = data.draw(st.lists(_VALUES, max_size=30))
+    seed = data.draw(st.lists(_VALUES.filter(lambda value: value is not None and value != -1), unique=True,
+                              max_size=4))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=4)))
+    coder = _Coder(seed)
+    coder.add(stream[:cuts[0]] if cuts else stream)
+    # Each later part numbered by a coder of its own, as a worker numbers it.
+    for lo, hi in zip(cuts, [*cuts[1:], len(stream)]):
+        coder.extend(*_code(stream[lo:hi]))
+    codes, values = coder.codes()
+    expected_codes, expected_values = _code(stream, seed)
+    assert (codes.tolist(), values) == (expected_codes.tolist(), expected_values)
+
+
+def test_a_byte_that_is_not_utf8_stops_ingest_at_its_line(tmp_path, monkeypatch):
+    """The message names the file, the line and the byte's offset in the
+    file, whatever the ranges; a repeated pub_id before that line is
+    reported instead, and one after it is not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    lines = [json.dumps(make_record(f"P{k:02}", authors=[{"name": "Zoë Park"}]), ensure_ascii=False) for k in range(40)]
+    # Line 31 (index 30) lies in the second half of the file.
+    starts = list(itertools.accumulate((len(line.encode()) + 1 for line in lines), initial=0))
+    bad = starts[30] + lines[30].encode().index("ë".encode())
+    path = tmp_path / "corpus.jsonl"
+    message = f"invalid UTF-8 byte 0xff at offset {bad} ({path} line 31)"
+    for repeated, expected in ((34, message), (24, f"duplicate pub_id: P00 ({path} line 25)")):
+        data = bytearray("".join(line + "\n" for line in lines[:repeated] + lines[:1] + lines[repeated + 1:]).encode())
+        data[bad] = 0xFF
+        path.write_bytes(data)
+        for cuts in ([0, len(data)], [0, starts[30], len(data)], [0, starts[10], starts[30], starts[31], len(data)]):
+            with pytest.raises(CorpusError) as error:
+                _ranged(path, cuts)
+            assert str(error.value) == expected
+    for workers in (1, 2):
+        with pytest.raises(CorpusError) as error:
+            ingest(path, workers)
+        assert str(error.value) == f"duplicate pub_id: P00 ({path} line 25)"
+    data[starts[24]:starts[25]] = lines[24].encode() + b"\n"
+    path.write_bytes(data)
+    for workers in (1, 2):
+        with pytest.raises(CorpusError) as error:
+            ingest(path, workers)
+        assert str(error.value) == message
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Publications whose fields are absent, blank, escaped and non-ASCII.
