@@ -39,7 +39,7 @@ from .mobility import (
     write_matrix_csv,
     write_rank_table_csv,
 )
-from .jsonio import dumps, write_json
+from .jsonio import dumps, undecodable, write_json
 from .pipeline import PipelineConfig, PipelineError, report_summary, run_pipeline, trend_payload
 from .stats import welch_ttest
 from .synth import SynthConfig, generate_corpus, sample_transitions
@@ -94,7 +94,10 @@ def cmd_filter(args) -> int:
     disciplines = None
     if args.disciplines is not None:
         with open(args.disciplines, "r", encoding="utf-8") as handle:
-            disciplines = frozenset(line.strip() for line in handle if line.strip())
+            try:
+                disciplines = frozenset(line.strip() for line in handle if line.strip())
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"disciplines file {args.disciplines}, {undecodable(handle, exc)}") from None
     config = CorpusFilterConfig(
         max_authors=args.max_authors,
         year_range=_parse_year_range(args.years) if args.years else None,
@@ -286,8 +289,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rankmobility", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="seed override where applicable")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="processes a corpus is ingested in, and threads for run's cohorts")
+    parser.add_argument("--threads", type=int, default=1, help="processes a corpus is ingested in")
     parser.add_argument("--out-dir", default=None, help="output directory for run")
     parser.add_argument("--config", default=None, help="config file for run")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

@@ -61,13 +61,11 @@ def collector_paused():
     The records in flight, the distinct strings a corpus codes, the mention
     table and the careers built from them hold no reference cycles, yet
     every full collection re-walks all of them, so its cost grows with the
-    corpus a run keeps alive. The pause is
-    process-wide: it also holds for other threads, which in a run are the
-    run's own cohort pool. On exit the collector is switched back on only
-    if it was on when the block was entered, so nested pauses and callers
-    that had disabled it themselves keep their state. The few thousand
-    cyclic objects a paused run creates wait for the next collection.
-    Used as a decorator, each call gets its own pause.
+    corpus a run keeps alive. On exit the collector is switched back on
+    only if it was on when the block was entered, so nested pauses and
+    callers that had disabled it themselves keep their state. The few
+    thousand cyclic objects a paused run creates wait for the next
+    collection. Used as a decorator, each call gets its own pause.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -179,8 +177,7 @@ class MentionTable:
     per publication or per row, and sets(column, rows) gathers it for just
     the rows asked for, in their order. The tests check
     every column against a scalar description of each mention, built one
-    mention at a time. The build takes no lock: the pipeline reads mentions
-    only on its main thread, before its cohort pool starts.
+    mention at a time.
     """
 
     def __init__(self, columns: _Columns):
@@ -359,6 +356,9 @@ def _parse(lines: Iterable[str], builder: _Builder, stats: IngestStats, at: list
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             stats.rejected.append((line_no, f"invalid JSON: {exc.msg}"))
+            continue
+        except RecursionError:
+            stats.rejected.append((line_no, "invalid JSON: nested too deeply"))
             continue
         try:
             _validate_record(raw)

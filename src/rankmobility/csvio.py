@@ -11,6 +11,8 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .jsonio import undecodable
+
 T = TypeVar("T")
 
 
@@ -33,25 +35,31 @@ def read_csv(
     The file must start with a header row, equal to header when one is
     given. Every row must have as many fields as the header; a row that
     does not, or whose parse raises ValueError, raises ValueError naming
-    its line.
+    its line. So does a byte that is not UTF-8 or a field that csv does
+    not read, such as one longer than its field size limit.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        found = next(reader, None)
-        if not found:
-            raise ValueError(f"empty {kind} file: {path}")
-        if header is not None and found != list(header):
-            raise ValueError(f"not a {kind} file: {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(found):
-                    raise ValueError(f"{len(row)} fields, header has {len(found)}")
-                row = parse(row)
-            except ValueError as exc:
-                raise ValueError(f"{kind} file {path}, line {reader.line_num}: {exc}") from None
-            yield row
+        try:
+            found = next(reader, None)
+            if not found:
+                raise ValueError(f"empty {kind} file: {path}")
+            if header is not None and found != list(header):
+                raise ValueError(f"not a {kind} file: {path}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(found):
+                        raise ValueError(f"{len(row)} fields, header has {len(found)}")
+                    row = parse(row)
+                except ValueError as exc:
+                    raise ValueError(f"{kind} file {path}, line {reader.line_num}: {exc}") from None
+                yield row
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{kind} file {path}, {undecodable(handle, exc)}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{kind} file {path}, line {reader.line_num}: {exc}") from None
 
 
 def finite_float(text: str) -> float:

@@ -5,6 +5,8 @@ against its field's declared type (range rules stay in __post_init__); load
 reads any other JSON file. None of them takes NaN or Infinity.
 dumps and compact are the two encoders: they also take dataclasses,
 frozensets and numpy values, and plain gives the JSON data they write.
+undecodable says where a byte that is not UTF-8 lies in a file that a
+reader here, in csvio or in the cli failed to decode.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import types
 import typing
 from os import PathLike
-from typing import Callable, Iterable, Iterator, Mapping, NewType
+from typing import Callable, Iterable, Iterator, Mapping, NewType, TextIO
 
 import numpy as np
 
@@ -141,6 +143,30 @@ def _no_constants(label: str, error: type[Exception]):
     return reject
 
 
+# The problem with JSON nested deeper than Python's decoder recurses.
+_TOO_DEEP = "JSON nested too deeply"
+
+
+def undecodable(handle: TextIO, exc: UnicodeDecodeError) -> str:
+    """Where the first byte that is not UTF-8 lies in the file open as text
+    in handle, whose read raised exc: "line L: invalid UTF-8 byte 0xff at
+    offset N", with N counted from the start of the file and lines ended as
+    text mode ends them (\n, \r\n or a lone \r). It reads the file again
+    from its start, so it belongs on the error path only; a stream that
+    cannot be read again gives the byte alone."""
+    raw = handle.buffer
+    if raw.seekable():
+        raw.seek(0)
+        data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as found:
+            head = data[:found.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            return f"line {line}: invalid UTF-8 byte 0x{data[found.start]:02x} at offset {found.start}"
+    return f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+
+
 def load(path: str | PathLike, label: str, error: type[Exception]):
     """The JSON data in the file at path; a file that is not JSON, or holds
     NaN or Infinity, raises error naming label and path."""
@@ -148,8 +174,12 @@ def load(path: str | PathLike, label: str, error: type[Exception]):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle, parse_constant=_no_constants(name, error))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise error(f"{name}: {exc}") from None
+        except RecursionError:
+            raise error(f"{name}: {_TOO_DEEP}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{name}, {undecodable(handle, exc)}") from None
 
 
 def read_lines(path: str | PathLike, cls, label: str, error: type[Exception], check: Callable) -> Iterator:
@@ -158,15 +188,20 @@ def read_lines(path: str | PathLike, cls, label: str, error: type[Exception], ch
     error too; a bad line raises error naming the line."""
     constant = _no_constants(label, error)
     with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = _build(cls, json.loads(line, parse_constant=constant), label, error)
-                check(record)
-            except (ValueError, error) as exc:
-                raise error(f"{path}, line {number}: {exc}") from None
-            yield record
+        try:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = _build(cls, json.loads(line, parse_constant=constant), label, error)
+                    check(record)
+                except (ValueError, error) as exc:
+                    raise error(f"{path}, line {number}: {exc}") from None
+                except RecursionError:
+                    raise error(f"{path}, line {number}: {_TOO_DEEP}") from None
+                yield record
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}, {undecodable(handle, exc)}") from None
 
 
 def _encode(value):

@@ -22,7 +22,6 @@ import os
 import shutil
 import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from math import inf
@@ -217,18 +216,17 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path, threads: int = 1) 
     """Execute the full analysis and write the report bundle.
 
     threads (at least 1) sets the number of processes the corpus is ingested
-    in (corpus.ingest) and the size of the pool that analyzes cohorts; no
-    output depends on it. The output directory must not already contain
-    files. The bundle is written into a new staging directory beside it and
-    renamed onto it only when the run succeeds, so a run that fails or is
-    killed leaves no partial bundle there. A failed run removes its staging
-    directory. A killed one leaves it behind, and the next run into the
-    same directory removes it: a run holds a lock on a file in its staging
-    directory while it runs, and removes a sibling staging directory only
-    if it can take that lock. The cyclic garbage collector is paused for
-    the whole process until the run returns or fails, cohort pool included,
-    because the corpus stays alive for the whole run; the few thousand
-    cyclic objects a run creates are left to the next collection
+    in (corpus.ingest); no output depends on it. The output directory must
+    not already contain files. The bundle is written into a new staging
+    directory beside it and renamed onto it only when the run succeeds, so
+    a run that fails or is killed leaves no partial bundle there. A failed
+    run removes its staging directory. A killed one leaves it behind, and
+    the next run into the same directory removes it: a run holds a lock on
+    a file in its staging directory while it runs, and removes a sibling
+    staging directory only if it can take that lock. The cyclic garbage
+    collector is paused for the whole process until the run returns or
+    fails, because the corpus stays alive for the whole run; the few
+    thousand cyclic objects a run creates are left to the next collection
     (:func:`collector_paused`).
     """
     if threads < 1:
@@ -295,7 +293,7 @@ def _run(config: PipelineConfig, out: Path, threads: int, source_date: datetime 
     corpus = _ingest_stage(config, bundle, threads)
     clusters = _disambiguate_stage(rules, corpus, bundle)
     careers = _profiles_stage(corpus, clusters, bundle)
-    results = _cohorts_stage(config, careers, threads, bundle)
+    results = _cohorts_stage(config, careers, bundle)
     _disciplines_stage(config, results, bundle)
     manifest = _manifest_stage(config, results, bundle, source_date)
     return manifest, bundle.all_converged
@@ -344,14 +342,10 @@ def _slugs(disciplines: Sequence[str]) -> dict[str, str]:
     return slugs
 
 
-def _cohorts_stage(
-    config: PipelineConfig, careers: Careers, threads: int, bundle: _Bundle
-) -> list[_CohortResult]:
-    """Analyze every (discipline, year) cohort on the pool, then write the
-    kept ones' artifacts in job order."""
-    jobs = [(d, y) for d in config.disciplines for y in config.cohort_years]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda job: _analyze_cohort(careers, *job, config), jobs))
+def _cohorts_stage(config: PipelineConfig, careers: Careers, bundle: _Bundle) -> list[_CohortResult]:
+    """Analyze every (discipline, year) cohort, then write the kept ones'
+    artifacts in the same order."""
+    results = [_analyze_cohort(careers, d, y, config) for d in config.disciplines for y in config.cohort_years]
     for r in results:
         if r.skipped_reason is not None:
             continue

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import signal
@@ -15,6 +16,7 @@ from rankmobility import corpus as corpus_module
 from rankmobility.cli import main
 from rankmobility.corpus import export
 from rankmobility.disambig import MentionCluster, ScoringRuleTable, disambiguate, write_clusters, write_truth
+from rankmobility.jsonio import undecodable
 from rankmobility.mobility import read_rank_table_csv, transition_matrix, write_matrix_csv, write_rank_table_csv
 from rankmobility.synth import SynthConfig, generate_corpus, sample_transitions
 
@@ -1203,12 +1205,18 @@ _BODIES = {
     "wrongly typed object": None,
     "CSV with a short row": "a,b\n1,2\n3\n",
     "non-numeric CSV": "a,b\nx,y\n",
+    "bad UTF-8": b'{"a": 1}\n\xff\n',
+    # Deeper than json decodes; as CSV, a field over csv's size limit.
+    "deeply nested JSON": "[" * 200_000,
 }
 
 
 def _expected_exit(flag: str, kind: str, body: str) -> int | None:
-    """0 or 2 where the body is valid input for the flag; None where it is
-    not, and the exit code must be 1 or 2."""
+    """0 or 2 where the body is valid input for the flag, and 2 for a byte
+    that is not UTF-8, which no reader takes; None where the exit code must
+    be 1 or 2."""
+    if body == "bad UTF-8":
+        return 2
     if kind == "labels" or (kind == "corpus" and flag.split()[0] in ("ingest", "filter", "disambiguate")):
         return 0  # any text is a label list; corpus readers report bad lines and go on
     if kind in ("clusters", "truth") and body == "empty":
@@ -1246,7 +1254,8 @@ def test_malformed_input_files_exit_with_a_message_not_a_traceback(
     bundle = tmp_path / "bundle"
     fuzzed = bundle / "summary" / "correlation.json"
     fuzzed.parent.mkdir(parents=True)
-    fuzzed.write_text(json.dumps(_WRONGLY_TYPED[kind]) if body is None else body, encoding="utf-8")
+    text = json.dumps(_WRONGLY_TYPED[kind]) if body is None else body
+    fuzzed.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     args = [
         str(fuzzed) if a == FUZZED else a.format(out=tmp_path / "out", bundle=bundle, **fuzz_inputs)
         for a in argv
@@ -1259,3 +1268,117 @@ def test_malformed_input_files_exit_with_a_message_not_a_traceback(
         assert code == expected, err
     if code != 0:
         assert err.startswith(("usage error: ", "data error: ")), err
+    if body_name == "bad UTF-8":
+        assert all(part in err for part in (str(fuzzed), "line 2", "invalid UTF-8 byte 0xff at offset 9")), err
+    elif body_name == "deeply nested JSON" and code != 0 and kind != "corpus":
+        assert str(fuzzed) in err, err
+
+
+def _bad_byte_far_in(path: Path, lines: list[str]) -> tuple[int, int]:
+    """Write lines to path with the first byte of the first line that
+    starts 10,000 bytes or more into the file, past the first read of a
+    text-mode handle, made 0xff; return that line's number and offset."""
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    offset = data.index(b"\n", 10_000) + 1
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    return data[:offset].count(b"\n") + 1, offset
+
+
+# Per reader: the lines of a valid file it reads, the arguments that read it
+# from {path}, and how its message names the file.
+_TEXT_READERS = {
+    "disambig-eval --pred": (
+        [json.dumps({"author_id": f"a{k}", "mention_ids": [f"P{k}:0"]}) for k in range(1000)],
+        ["disambig-eval", "--pred", "{path}", "--truth", "{truth}"],
+        "{path}",
+    ),
+    "cohort --clusters": (
+        [json.dumps({"author_id": f"a{k}", "mention_ids": [f"P{k}:0"]}) for k in range(1000)],
+        ["cohort", "--corpus", "{corpus}", "--clusters", "{path}", *_COHORT],
+        "{path}",
+    ),
+    "trend --series": (["x,y", *(f"{k},{k}" for k in range(3000))], ["trend", "--series", "{path}"], "series file {path}"),
+    "gini --cohort": (
+        ["author_id,impact1,impact2,q1,q2", *(f"A{k:04},{k % 10}.0,{k % 10}.0,{k % 10 + 1},{k % 10 + 1}" for k in range(2000))],
+        ["gini", "--cohort", "{path}"],
+        "rank table file {path}",
+    ),
+    "filter --disciplines": (
+        [f"Discipline {k}" for k in range(3000)],
+        ["filter", "--in", "{corpus}", "--out", "{out}", "--disciplines", "{path}"],
+        "disciplines file {path}",
+    ),
+    "run --config": (
+        json.dumps({"corpus": "{corpus}", "disciplines": [f"D{k}" for k in range(3000)], "cohort_years": [2000]},
+                   indent=1).splitlines(),
+        ["run", "--config", "{path}", "--out-dir", "{out}"],
+        "pipeline config {path}",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(_TEXT_READERS))
+def test_a_byte_that_is_not_utf8_is_named_by_file_line_and_offset(capsys, tmp_path, fuzz_inputs, reader):
+    """The offset counts from the start of the file, not from the start of
+    the block that was being decoded."""
+    lines, argv, named = _TEXT_READERS[reader]
+    path = tmp_path / "input"
+    line, offset = _bad_byte_far_in(path, lines)
+    code, out, err = run_cli(capsys, *(a.format(path=path, out=tmp_path / "out", **fuzz_inputs) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"data error: {named.format(path=path)}, line {line}: invalid UTF-8 byte 0xff at offset {offset}\n"
+
+
+def test_a_stream_that_cannot_be_read_again_names_the_byte_alone():
+    class Stream(io.BytesIO):
+        def seekable(self):
+            return False
+
+    handle = io.TextIOWrapper(io.BufferedReader(Stream(b"ok\n\xff\n")), encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError) as error:
+        handle.read()
+    assert undecodable(handle, error.value) == "invalid UTF-8 byte 0xff"
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    ("cohort --clusters", '{"author_id": "a", "mention_ids": ["P0:0"]}\n' + "[" * 200_000 + "\n",
+     "{path}, line 2: JSON nested too deeply"),
+    ("disambig-eval --truth", "\n" + "[" * 200_000, "{path}, line 2: JSON nested too deeply"),
+    ("run --config", "[" * 200_000, "pipeline config {path}: JSON nested too deeply"),
+    ("disambiguate --rules", '{"weights":' * 200_000, "rule table {path}: JSON nested too deeply"),
+    ("gini --cohort", "author_id,impact1,impact2,q1,q2\n" + "A" * 200_000 + ",1,1,1,1\n",
+     "rank table file {path}, line 2: field larger than field limit (131072)"),
+], ids=["clusters-line", "truth-line", "config", "rules", "csv-field"])
+def test_input_beyond_a_parser_limit_is_a_data_error_naming_the_file(capsys, tmp_path, fuzz_inputs, reader,
+                                                                     text, message):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = {
+        "cohort --clusters": ["cohort", "--corpus", "{corpus}", "--clusters", "{path}", *_COHORT],
+        "disambig-eval --truth": ["disambig-eval", "--pred", "{clusters}", "--truth", "{path}"],
+        "run --config": ["run", "--config", "{path}", "--out-dir", "{out}"],
+        "disambiguate --rules": ["disambiguate", "--corpus", "{corpus}", "--rules", "{path}", "--out", "{out}"],
+        "gini --cohort": ["gini", "--cohort", "{path}"],
+    }[reader]
+    code, out, err = run_cli(capsys, *(a.format(path=path, out=tmp_path / "out", **fuzz_inputs) for a in argv))
+    assert (code, out, err) == (2, "", f"data error: {message.format(path=path)}\n")
+
+
+def test_a_corpus_line_nested_too_deeply_is_rejected_for_any_part_count(capsys, tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    lines = [json.dumps(make_record(f"P{k:02}", authors=[{"name": "Ada " + "Park" * 1000}])) for k in range(40)]
+    lines[35] = "[" * 100_000
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(data)
+    # With two parts, the worker reads the deep line: ingest cuts just
+    # after the newline that follows the middle byte.
+    assert data.index(b"\n", len(data) // 2) + 1 <= data.index(b"[[")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}.jsonl"
+        code, stdout, err = run_cli(capsys, "--threads", threads, "ingest", "--in", str(corpus), "--out", str(out))
+        assert (code, err) == (0, "")
+        outputs.append((stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["rejected_detail"] == [{"line": 36, "reason": "invalid JSON: nested too deeply"}]

@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -324,6 +325,27 @@ def test_run_triggers_no_garbage_collection(bundle, tmp_path, monkeypatch):
     assert events in (["enable"], ["enable", "collection"])
     assert gc.isenabled()
     assert result.manifest["counts"] == first.manifest["counts"]
+
+
+def test_a_run_in_two_processes_starts_no_thread_and_writes_the_one_process_bundle(bundle, tmp_path, monkeypatch):
+    """--threads counts ingest processes only: cohorts are analyzed on the
+    run's own thread."""
+    config, first = bundle
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    result = run_pipeline(config, tmp_path / "out", threads=2)
+    assert started == []
+    first_bytes = {name: (first.out_dir / name).read_bytes() for name in first.manifest["artifacts"]}
+    assert {name: (result.out_dir / name).read_bytes() for name in result.manifest["artifacts"]} == first_bytes
+    assert {k: v for k, v in result.manifest.items() if k != "created_at"} == {
+        k: v for k, v in first.manifest.items() if k != "created_at"
+    }
 
 
 def test_run_needs_at_least_one_thread(tmp_path):

@@ -56,6 +56,36 @@ def test_an_unused_import_is_found():
     assert {name: line for name, line in _imported(tree).items() if name not in _used(tree)} == {"d": 3}
 
 
+# The package works on its caller's thread and in forked processes only, so
+# no thread runs when it forks.
+THREAD_MODULES = {"threading", "_thread", "concurrent"}
+
+
+def _thread_imports(tree: ast.Module) -> dict[str, int]:
+    """Each module a module imports from THREAD_MODULES, with its line."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names if name.split(".")[0] in THREAD_MODULES)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_imports_no_thread_library(path):
+    assert _thread_imports(ast.parse(path.read_text(encoding="utf-8"))) == {}
+
+
+def test_a_thread_import_is_found():
+    tree = ast.parse("import os, threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                     "from concurrent import futures\nfrom .threads import x\nimport _thread as t\n")
+    assert _thread_imports(tree) == {"threading": 1, "concurrent.futures": 2, "concurrent": 3, "_thread": 5}
+
+
 def _definitions(tree: ast.Module) -> dict[str, int]:
     """Each module-level function and class, and each method of such a
     class but the dunder ones, by (qualified) name, with its line."""
