@@ -25,6 +25,7 @@ import os
 import pickle
 import signal
 import stat
+import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -144,17 +145,35 @@ class Corpus:
         return {label: sets[columns.disciplines] for label, sets in tagged.items()}
 
 
+# Citing years, and publications, that _c5 reads at a time: its working
+# arrays hold at most this many entries each, whatever the corpus holds.
+_C5_SLICE = 1 << 16
+
+
 def _c5(columns: _Columns) -> np.ndarray:
     """Citations received within the first five calendar years.
 
     The publication year itself counts, so the window for a year-2000
-    paper is 2000 through 2004 inclusive.
+    paper is 2000 through 2004 inclusive. The citing years are read in
+    slices of at most _C5_SLICE years of at most _C5_SLICE publications;
+    a publication cited more often than that spans several slices.
     """
-    n = len(columns.pub_ids)
-    owner = np.repeat(np.arange(n), np.diff(columns.citing_ptr))
-    year = columns.year[owner]
-    inside = (year <= columns.citing) & (columns.citing <= year + (IMPACT_WINDOW_YEARS - 1))
-    return np.bincount(owner[inside], minlength=n)
+    year, ptr, citing = columns.year, columns.citing_ptr, columns.citing
+    c5 = np.zeros(len(year), np.int64)
+    at = 0
+    while at < len(citing):
+        # The slice runs from citing year at, of publication lo, to one
+        # before end, within publications lo to hi - 1.
+        lo = int(np.searchsorted(ptr, at, "right")) - 1
+        hi = min(lo + _C5_SLICE, len(year))
+        end = min(at + _C5_SLICE, int(ptr[hi]))
+        sizes = np.diff(np.clip(ptr[lo:hi + 1], at, end))
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        start, cited = year[lo:hi][owner], citing[at:end]
+        inside = (start <= cited) & (cited <= start + (IMPACT_WINDOW_YEARS - 1))
+        c5[lo:hi] += np.bincount(owner[inside], minlength=len(sizes))
+        at = end
+    return c5
 
 
 class MentionTable:
@@ -360,6 +379,10 @@ def _parse(lines: Iterable[str], builder: _Builder, stats: IngestStats, at: list
         except RecursionError:
             stats.rejected.append((line_no, "invalid JSON: nested too deeply"))
             continue
+        except ValueError:  # an integer of more digits than Python converts
+            limit = sys.get_int_max_str_digits()
+            stats.rejected.append((line_no, f"invalid JSON: integer of more than {limit} digits"))
+            continue
         try:
             _validate_record(raw)
         except _RecordError as exc:
@@ -549,17 +572,22 @@ class _Worker:
             os.close(write)
 
     def part(self) -> _Part:
-        """The worker's part, once it has ended; what it raised is raised here."""
+        """The worker's part, once it has ended; what it raised is raised
+        here. The part is unpickled as it arrives, so its bytes are never
+        held beside it. A worker that ended before it had written all of it
+        is reported by how it ended."""
         pipe, self._pipe = self._pipe, None
         with open(pipe, "rb") as reader:
-            sent = reader.read()
+            try:
+                result = pickle.load(reader)
+            except Exception as exc:
+                result = CorpusError(f"{self._what} sent a part that could not be read: {exc}")
         pid, self._pid = self._pid, None
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code < 0:
             raise CorpusError(f"{self._what} was killed by signal {-code}")
         if code:
             raise CorpusError(f"{self._what} failed with exit status {code}")
-        result = pickle.loads(sent)
         if isinstance(result, BaseException):
             raise result
         return result

@@ -15,6 +15,7 @@ import collections.abc
 import dataclasses
 import functools
 import json
+import sys
 import types
 import typing
 from os import PathLike
@@ -133,14 +134,22 @@ def read_config(cls, source: str | PathLike | Mapping, label: str, error: type[E
     return _build(cls, source, label, error)
 
 
-def _no_constants(label: str, error: type[Exception]):
-    """A json parse_constant hook: NaN, Infinity and -Infinity, which Python's
-    json reads but JSON does not allow, raise error naming label."""
+def _strict(label: str, error: type[Exception]) -> dict:
+    """json decoder hooks that raise error naming label for NaN, Infinity
+    and -Infinity, which Python's json reads but JSON does not allow, and
+    for an integer of more digits than Python converts (4,300 by default;
+    sys.get_int_max_str_digits)."""
 
-    def reject(name: str):
+    def constant(name: str):
         raise error(f"{label} holds {name}, which is not a JSON number")
 
-    return reject
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            raise error(f"{label} holds an integer of more than {sys.get_int_max_str_digits()} digits") from None
+
+    return {"parse_constant": constant, "parse_int": integer}
 
 
 # The problem with JSON nested deeper than Python's decoder recurses.
@@ -169,11 +178,12 @@ def undecodable(handle: TextIO, exc: UnicodeDecodeError) -> str:
 
 def load(path: str | PathLike, label: str, error: type[Exception]):
     """The JSON data in the file at path; a file that is not JSON, or holds
-    NaN or Infinity, raises error naming label and path."""
+    NaN, Infinity or an integer too long to convert, raises error naming
+    label and path."""
     name = f"{label} {path}"
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle, parse_constant=_no_constants(name, error))
+            return json.load(handle, **_strict(name, error))
         except json.JSONDecodeError as exc:
             raise error(f"{name}: {exc}") from None
         except RecursionError:
@@ -186,14 +196,14 @@ def read_lines(path: str | PathLike, cls, label: str, error: type[Exception], ch
     """One cls per non-blank line of a JSON-lines file, each read as
     read_config reads an object and then passed to check, which may raise
     error too; a bad line raises error naming the line."""
-    constant = _no_constants(label, error)
+    hooks = _strict(label, error)
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for number, line in enumerate(handle, 1):
                 if not line.strip():
                     continue
                 try:
-                    record = _build(cls, json.loads(line, parse_constant=constant), label, error)
+                    record = _build(cls, json.loads(line, **hooks), label, error)
                     check(record)
                 except (ValueError, error) as exc:
                     raise error(f"{path}, line {number}: {exc}") from None

@@ -354,19 +354,30 @@ def _failing_worker(failure, tmp_path, monkeypatch):
     def killed(path, start, stop):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    if failure in ("raises", "killed"):
-        monkeypatch.setattr(corpus_module, "_parse_range", raising if failure == "raises" else killed)
+    class KilledWhenPickled:
+        def __reduce__(self):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def killed_writing(path, start, stop):
+        # A megabyte of the part reaches the pipe before the worker is killed.
+        return [bytes(1 << 20), KilledWhenPickled()]
+
+    stand_ins = {"raises": raising, "killed": killed, "killed-writing": killed_writing}
+    if failure in stand_ins:
+        monkeypatch.setattr(corpus_module, "_parse_range", stand_ins[failure])
     return corpus, {
         "duplicate": f"duplicate pub_id: P00 ({corpus} line 36)",
         "first-part-duplicate": f"duplicate pub_id: P00 ({corpus} line 6)",
         "raises": "the part could not be parsed",
         "killed": f"the worker reading bytes {cut} to {len(data)} of {corpus} was killed by signal 9",
+        "killed-writing": f"the worker reading bytes {cut} to {len(data)} of {corpus} was killed by signal 9",
         "utf-8": f"invalid UTF-8 byte 0xff at offset {bad} ({corpus} line 36)",
     }[failure]
 
 
 @pytest.mark.parametrize("command", ["ingest", "run"])
-@pytest.mark.parametrize("failure", ["duplicate", "first-part-duplicate", "raises", "killed", "utf-8"])
+@pytest.mark.parametrize("failure", ["duplicate", "first-part-duplicate", "raises", "killed", "killed-writing",
+                                     "utf-8"])
 def test_a_failed_part_exits_2_and_leaves_no_process_and_no_bundle(capsys, tmp_path, monkeypatch, failure, command):
     corpus, message = _failing_worker(failure, tmp_path, monkeypatch)
     config = tmp_path / "pipeline.json"
@@ -1348,7 +1359,11 @@ def test_a_stream_that_cannot_be_read_again_names_the_byte_alone():
     ("disambiguate --rules", '{"weights":' * 200_000, "rule table {path}: JSON nested too deeply"),
     ("gini --cohort", "author_id,impact1,impact2,q1,q2\n" + "A" * 200_000 + ",1,1,1,1\n",
      "rank table file {path}, line 2: field larger than field limit (131072)"),
-], ids=["clusters-line", "truth-line", "config", "rules", "csv-field"])
+    # Longer than Python converts to an int (sys.get_int_max_str_digits).
+    ("run --config", '{"seed": ' + "9" * 5000 + "}", "pipeline config {path} holds an integer of more than 4300 digits"),
+    ("cohort --clusters", '{"author_id": "a", "mention_ids": ["P0:0"]}\n{"author_id": ' + "9" * 5000 + "}\n",
+     "{path}, line 2: cluster holds an integer of more than 4300 digits"),
+], ids=["clusters-line", "truth-line", "config", "rules", "csv-field", "config-integer", "clusters-integer"])
 def test_input_beyond_a_parser_limit_is_a_data_error_naming_the_file(capsys, tmp_path, fuzz_inputs, reader,
                                                                      text, message):
     path = tmp_path / "input"
@@ -1364,16 +1379,18 @@ def test_input_beyond_a_parser_limit_is_a_data_error_naming_the_file(capsys, tmp
     assert (code, out, err) == (2, "", f"data error: {message.format(path=path)}\n")
 
 
-def test_a_corpus_line_nested_too_deeply_is_rejected_for_any_part_count(capsys, tmp_path, monkeypatch):
+def _rejected_for_any_part_count(capsys, tmp_path, monkeypatch, bad_line):
+    """The rejected lines of ingest, in one part and in two, of a corpus
+    whose line 36 is bad_line; the worker of two parts reads that line."""
     _two_cpus(monkeypatch)
     lines = [json.dumps(make_record(f"P{k:02}", authors=[{"name": "Ada " + "Park" * 1000}])) for k in range(40)]
-    lines[35] = "[" * 100_000
+    lines[35] = bad_line
     data = "".join(line + "\n" for line in lines).encode("utf-8")
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(data)
-    # With two parts, the worker reads the deep line: ingest cuts just
+    # With two parts, the worker reads the bad line: ingest cuts just
     # after the newline that follows the middle byte.
-    assert data.index(b"\n", len(data) // 2) + 1 <= data.index(b"[[")
+    assert data.index(b"\n", len(data) // 2) + 1 <= data.index(bad_line.encode())
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}.jsonl"
@@ -1381,4 +1398,16 @@ def test_a_corpus_line_nested_too_deeply_is_rejected_for_any_part_count(capsys, 
         assert (code, err) == (0, "")
         outputs.append((stdout, out.read_bytes()))
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][0])["rejected_detail"] == [{"line": 36, "reason": "invalid JSON: nested too deeply"}]
+    return json.loads(outputs[0][0])["rejected_detail"]
+
+
+def test_a_corpus_line_nested_too_deeply_is_rejected_for_any_part_count(capsys, tmp_path, monkeypatch):
+    rejected = _rejected_for_any_part_count(capsys, tmp_path, monkeypatch, "[" * 100_000)
+    assert rejected == [{"line": 36, "reason": "invalid JSON: nested too deeply"}]
+
+
+def test_a_corpus_line_with_an_integer_too_long_to_convert_is_rejected_for_any_part_count(capsys, tmp_path,
+                                                                                          monkeypatch):
+    line = json.dumps(make_record("P35")).replace('"year": 2000', '"year": ' + "9" * 5000)
+    rejected = _rejected_for_any_part_count(capsys, tmp_path, monkeypatch, line)
+    assert rejected == [{"line": 36, "reason": "invalid JSON: integer of more than 4300 digits"}]

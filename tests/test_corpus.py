@@ -8,6 +8,7 @@ import pickle
 import sys
 import tracemalloc
 from importlib import resources
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from rankmobility.columns import _code, _Coder, _unique
 from rankmobility.corpus import (
     CorpusError,
     CorpusFilterConfig,
+    _c5,
     _parse_range,
     _read_lines,
     _RecordError,
@@ -140,6 +142,48 @@ def test_c5_counts_five_calendar_years_inclusive():
 def test_c5_zero_without_citations():
     corpus = corpus_of(make_record("P1"))
     assert corpus.c5.tolist() == [0]
+
+
+# Publications by year, with no citing year, one, or several, each in the
+# impact window or after it.
+_CITED = st.lists(st.tuples(st.integers(2000, 2003), st.lists(st.integers(0, 7), max_size=1)
+                            | st.lists(st.integers(0, 7), max_size=7)), max_size=8)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(cited=_CITED)
+def test_c5_read_in_slices_counts_what_the_record_path_counts(bound, cited):
+    lines = [json.dumps(make_record(f"P{k}", year=year, citing_years=[year + d for d in after]))
+             for k, (year, after) in enumerate(cited)]
+    with mock.patch.object(corpus_module, "_C5_SLICE", bound):
+        corpus = ingest_lines(lines)
+    assert corpus.c5.tolist() == list(map(c5, ingest_records(lines)[0].values()))
+
+
+@pytest.mark.parametrize("pubs", [1, 1024], ids=["one-publication", "many-publications"])
+def test_c5_works_in_memory_bounded_by_its_slice(pubs):
+    """c5 of about a million citing years, held by one publication or
+    spread over many, needs no more than a bound set by its slice beside
+    the counts it returns, so what it needs does not grow with the citations."""
+    each = 2**20 // pubs
+    year = np.arange(pubs, dtype=np.int64) % 3 + 2000
+    citing = (np.repeat(year, each) + np.tile(np.arange(each) % 8, pubs)).astype(np.int64)
+    columns = SimpleNamespace(pub_ids=[f"P{k}" for k in range(pubs)], year=year,
+                              citing_ptr=np.arange(pubs + 1, dtype=np.int64) * each, citing=citing)
+    # Of every eight citing years, the first five lie in the window.
+    expected = [each // 8 * 5 + min(each % 8, 5)] * pubs
+    bound = 8 * 8 * corpus_module._C5_SLICE
+    assert bound < 8 * len(citing)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        counts = _c5(columns)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == expected
+    assert peak - counts.nbytes < bound
 
 
 def test_mention_derivation():
@@ -570,7 +614,7 @@ def _ranged_file(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ranged=_ranged_file(), batch=st.sampled_from([1, 2, 1024]))
+@given(ranged=_ranged_file(), batch=st.sampled_from([1, 2, columns_module._BATCH]))
 def test_ranged_ingest_is_one_text_mode_read_of_the_file(tmp_path_factory, ranged, batch):
     """Ingest in ranges gives the columns, counts (lines numbered in the
     whole file) and errors that ingest_lines gives for the file read in text
@@ -704,6 +748,21 @@ def test_coder_numbers_values_by_first_appearance(data):
     assert (codes.tolist(), values) == expected
     codes, values = _code(stream, seed)
     assert (codes.tolist(), values) == expected
+
+
+def test_coder_positions_are_widened_rather_than_wrapped():
+    """Positions are int32 up to 2**31 - 1, and a batch that would pass it,
+    added or extended, is held as int64."""
+    coder = _Coder()
+    coder._coded = 2**31 - 3
+    coder.add(["a", "b"])
+    coder.add(["c", "d", "c"])
+    coder.extend(*_code(["e", "d"]))
+    assert [(chunk.dtype, chunk.tolist()) for chunk in coder._chunks] == [
+        (np.int32, [2**31 - 3, 2**31 - 2]),
+        (np.int64, [2**31 - 1, 2**31, 2**31 - 1]),
+        (np.int64, [2**31 + 2, 2**31]),
+    ]
 
 
 def test_ingest_keeps_the_bytes_of_its_columns_per_mention():
